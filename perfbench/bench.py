@@ -8,6 +8,7 @@ installed, and prints every per-layer metric.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import statistics
@@ -84,6 +85,49 @@ def host_facts() -> dict:
     return {"nproc": os.cpu_count() or 1, "python": platform.python_version()}
 
 
+def check_equal_work(units: list, ledger: Optional[workloads.FingerprintLedger]) -> list[str]:
+    """Fail each unit whose fingerprint disagrees with another run of it:
+    in this run (a ``study`` world is studied twice) or, through
+    ``ledger``, in an earlier run of the same program.  One line each."""
+    lines = []
+    seen: dict[str, set] = {}
+    for unit in units:
+        if not unit.failed:
+            seen.setdefault(unit.key, set()).add(unit.fingerprint)
+    for unit in units:
+        fingerprints = seen.get(unit.key, set())
+        if len(fingerprints) > 1:
+            unit.failed = unit.attempted
+            lines.append(
+                "equal work: %s failed, its runs in this run differ: %s"
+                % (unit.key, " ".join(sorted(f[:16] for f in fingerprints)))
+            )
+    if ledger is not None:
+        for unit in units:
+            expected = ledger.check(unit)
+            if expected is not None:
+                unit.failed = unit.attempted
+                lines.append(
+                    "equal work: %s failed, fingerprint %s differs from %s recorded "
+                    "for this program in %s"
+                    % (unit.key, unit.fingerprint[:16], expected[:16], ledger.path)
+                )
+    return lines
+
+
+def request_shares(units: list) -> list[str]:
+    """How ``serve``'s measured time splits between reads and writes."""
+    reads = [us for unit in units for us in unit.read_us]
+    writes = [us for unit in units for us in unit.write_us]
+    total = sum(reads) + sum(writes)
+    if not total:
+        return []
+    return [
+        "requests: %d reads take %.1f%% of wall_s, %d writes %.1f%%"
+        % (len(reads), 100 * sum(reads) / total, len(writes), 100 * sum(writes) / total)
+    ]
+
+
 @dataclass
 class Traced:
     tracer: Tracer
@@ -94,8 +138,9 @@ class Traced:
         """Traced wall time: every unit's set-up plus measured phase.
 
         The harness's own work between those windows (garbage collection
-        of the previous world, drawing requests, fingerprinting) calls no
-        traced function and is left out."""
+        of the previous world, hashing wire frames, drawing requests,
+        fingerprinting) is left out, here and, through
+        :func:`perfbench.tracer.untraced`, from the spans."""
         return sum(unit.setup_s + unit.elapsed_s for unit in self.units)
 
 
@@ -202,9 +247,7 @@ def run_benchmark(
         % (workload, seed, seconds, int(trace), facts["nproc"], facts["python"])
     ]
     units = [make() for make in plan(workload, seed, seconds)]
-    for unit in units:
-        if ledger is not None and not ledger.check(unit):
-            unit.failed = unit.attempted
+    lines.extend(check_equal_work(units, ledger))
     result = workloads.summarize(units)
     failed = result.failed
     for unit in units:
@@ -220,6 +263,7 @@ def run_benchmark(
             "unit wall_s: median %.3f s, quartiles %.3f..%.3f s over %d units"
             % (statistics.median(walls), low, high, len(walls))
         )
+    lines.extend(request_shares(units))
     traced = None
     if not trace:
         metrics = dict(result.metrics)
@@ -238,6 +282,19 @@ def run_benchmark(
         ledger.save()
     for name, value in metrics.items():
         lines.append("%-34s %16.6f %s" % (name, value, UNITS[name]))
+    # The result line's keys are fixed, so each unit's work goes on the
+    # line before it: runs of two commits compare there unit by unit.
+    records = [
+        {
+            "key": unit.key,
+            "events": unit.events,
+            "commits": unit.commits,
+            "failed": unit.failed,
+            "fingerprint": unit.fingerprint,
+        }
+        for unit in units
+    ]
+    lines.append(json.dumps({"units": records}, sort_keys=True))
     return Outcome(
         correct=failed == 0,
         attempted=result.attempted,

@@ -39,15 +39,16 @@ def main(argv=None) -> int:
         return 2
     sys.path[:0] = [str(SRC), str(ROOT)]
     from perfbench import bench
-    from perfbench.workloads import FingerprintLedger
+    from perfbench.workloads import FingerprintLedger, program_hash
 
+    program = program_hash(SRC / "repro", ROOT / "perfbench")
     outcome = bench.run_benchmark(
         args.workload,
         args.seed,
         args.seconds,
         bool(args.trace),
         SRC,
-        ledger=FingerprintLedger(LEDGER),
+        ledger=FingerprintLedger(LEDGER, program),
     )
     for line in outcome.lines:
         print(line)

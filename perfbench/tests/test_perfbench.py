@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from perfbench import bench, workloads
-from perfbench.tracer import SPANS, Tracer, _repro_modules, _resolve
+from perfbench.tracer import SPANS, Tracer, _repro_modules, _resolve, untraced
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -25,7 +25,9 @@ SEED = 3
 
 # Which workloads exercise each span, and so which end-to-end figures it
 # should move there (README.md carries the same map).  Every workload
-# simulates a world, so the ``sim`` spans run on all three.
+# simulates a world, so the ``sim`` spans run on all three.  Only the
+# study's firehose collector encodes wire frames: the harness hashes every
+# world's frames outside the spans, and serve's writes encode none.
 ALL = ("study", "crawl", "serve")
 WRITE_PATH = ("study", "serve")
 READ_VERIFY = ("study", "crawl")
@@ -42,7 +44,7 @@ ARROWS = {
     "mst.root_cid": WRITE_PATH,
     "repo.commit": WRITE_PATH,
     "keys.sign": WRITE_PATH,
-    "frames.encode": WRITE_PATH,
+    "frames.encode": ("study",),
     "cbor.decode": READ_VERIFY,
     "mst.load": READ_VERIFY,
     "repo.export_car": READ_VERIFY,
@@ -146,6 +148,17 @@ def test_tracer_rebinds_imported_names_and_restores_them():
     assert repo.cbor_encode is original and cbor.cbor_encode is original
 
 
+def test_untraced_work_leaves_no_spans():
+    import repro.atproto.cbor as cbor
+
+    with Tracer() as tracer:
+        with untraced():
+            cbor.cbor_encode({"harness": 1})
+        assert tracer.stats["cbor.encode"].calls == 0 and tracer.covered_s == 0
+        cbor.cbor_encode({"program": 1})
+    assert tracer.stats["cbor.encode"].calls == 1
+
+
 def test_wrapped_functions_are_originals_after_traced_runs(traced_runs):
     assert traced_runs  # the traced runs have completed
     after = wrapped_targets()
@@ -174,6 +187,13 @@ def test_arrow_metrics_record_calls(traced_runs, workload):
         if workload in on
     }
     assert all(lookups.values()), lookups
+
+
+@pytest.mark.parametrize("workload", ("crawl", "serve"))
+def test_harness_frame_hashing_stays_out_of_spans(traced_runs, workload):
+    outcome = traced_runs[workload][0]
+    assert outcome.metrics["frames.encode.calls"] == 0
+    assert all(unit.events > 0 and unit.frame_bytes > 0 for unit in outcome.units)
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -206,17 +226,59 @@ def test_self_times_add_up_to_traced_wall(traced_runs, workload):
 
 
 def test_perturbed_fingerprint_counts_as_failed(tmp_path):
-    ledger = workloads.FingerprintLedger(tmp_path / "fingerprints.json")
+    path = tmp_path / "fingerprints.json"
+    ledger = workloads.FingerprintLedger(path, "a" * 64)
     key = "study/%d" % workloads.unit_seeds(SEED, 1)[0]
-    ledger.known[key] = "0" * 64
+    ledger.known[ledger.entry(key)] = "0" * 64
     outcome = bench.run_benchmark("study", SEED, 1, False, SRC, ledger=ledger, plan=small_plan)
     assert not outcome.correct
     assert outcome.failed / outcome.attempted > 0
-    ledger.known[key] = outcome.units[0].fingerprint
+    assert any(line.startswith("equal work: %s failed" % key) for line in outcome.lines)
+    # Another program keeps entries of its own: its runs are never
+    # compared with this program's fingerprints.
+    unit = outcome.units[0]
+    unit.failed = 0
+    assert workloads.FingerprintLedger(path, "b" * 64).check(unit) is None
+    ledger.known[ledger.entry(key)] = unit.fingerprint
     again = bench.run_benchmark("study", SEED, 1, False, SRC, ledger=ledger, plan=small_plan)
     assert again.correct and again.failed == 0
     assert list(again.metrics) == [name for name, _, _ in bench.END_TO_END]
     assert all(value > 0 for value in again.metrics.values())
+
+
+def test_program_hash_follows_the_code(tmp_path):
+    module = tmp_path / "pkg" / "module.py"
+    module.parent.mkdir()
+    module.write_text("x = 1\n")
+    before = workloads.program_hash(module.parent)
+    assert workloads.program_hash(module.parent) == before
+    module.write_text("x = 2\n")
+    assert workloads.program_hash(module.parent) != before
+
+
+def test_equal_work_within_a_run_and_correct_runs_kept():
+    def unit(fingerprint, wall_s, failed=0):
+        return workloads.Unit(
+            key="study/1",
+            setup_s=0.01,
+            wall_s=wall_s,
+            cpu_s=wall_s,
+            ops=10,
+            throughput_wall_s=wall_s,
+            attempted=1,
+            failed=failed,
+            fingerprint=fingerprint,
+        )
+
+    # A study that raised early is short; a correct run stands for the world.
+    aborted = workloads.summarize([unit("raised KeyError", 0.1, failed=1), unit("a", 1.0)])
+    assert aborted.metrics["wall_s"] == 1.0
+    assert workloads.summarize([unit("a", 1.0), unit("a", 0.9)]).metrics["wall_s"] == 0.9
+    # The two studies of one world must agree.
+    units = [unit("a", 1.0), unit("b", 0.9)]
+    lines = bench.check_equal_work(units, None)
+    assert [u.failed for u in units] == [1, 1]
+    assert len(lines) == 2 and lines[0].startswith("equal work: study/1 failed")
 
 
 def test_outputs_match_benchmark_json(traced_runs):
@@ -230,6 +292,9 @@ def test_outputs_match_benchmark_json(traced_runs):
         assert list(first.metrics) == [name for name, _, _ in bench.PER_LAYER]
         document = bench.result_json(first)
         assert set(document) == {"correct", "attempted", "failed", "metrics"}
+        records = json.loads(first.lines[-1])["units"]
+        assert [r["fingerprint"] for r in records] == [u.fingerprint for u in first.units]
+        assert [r["events"] for r in records] == [u.events for u in first.units]
 
 
 def test_exits_without_result_when_program_is_missing(tmp_path):

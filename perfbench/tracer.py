@@ -18,15 +18,21 @@ pointing at the original and the layer would silently read zero.
 loaded ``repro`` module that refers to a wrapped function.  Bound methods
 captured before installation (firehose subscriptions) keep the original,
 so a traced run must build its world after :meth:`Tracer.install`.
+
+The harness's own work between measured windows (hashing wire frames,
+drawing requests, fingerprints) runs under :func:`untraced`, so it shows
+in no span.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib
 import sys
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 # span name -> "module:qualname" targets.  One span may cover several
 # functions (every Relay publish_* variant is ``relay.publish``).
@@ -176,6 +182,39 @@ def _repro_modules():
     ]
 
 
+# The tracer whose wrappers are installed.  Installing patches modules for
+# the whole process, so at most one tracer is installed at a time, and the
+# harness finds it here to keep its own work out of the figures.
+_installed: Optional["Tracer"] = None
+
+
+@contextlib.contextmanager
+def untraced():
+    """Leave the harness's own work out of the installed tracer's figures.
+
+    For work between measured windows that calls traced functions: every
+    span recorded inside the block is rolled back when it ends.  Outside a
+    traced run it does nothing.
+    """
+    tracer = _installed
+    if tracer is None:
+        yield
+        return
+    if tracer._stack:
+        raise RuntimeError("untraced() inside a traced call")
+    saved = [
+        (stats, stats.calls, stats.self_s, stats.errors, stats.bytes)
+        for stats in tracer.stats.values()
+    ]
+    covered = tracer.covered_s
+    try:
+        yield
+    finally:
+        for stats, calls, self_s, errors, nbytes in saved:
+            stats.calls, stats.self_s, stats.errors, stats.bytes = calls, self_s, errors, nbytes
+        tracer.covered_s = covered
+
+
 class Tracer:
     """Wrap :data:`SPANS` while active; aggregate self time per span.
 
@@ -229,8 +268,9 @@ class Tracer:
         return span
 
     def install(self) -> None:
-        if self._patched:
-            raise RuntimeError("tracer already installed")
+        global _installed
+        if _installed is not None:
+            raise RuntimeError("a tracer is already installed")
         replacements: dict[int, object] = {}
         for name, targets in SPANS.items():
             for target in targets:
@@ -249,8 +289,10 @@ class Tracer:
                 if wrapper is not None and value is wrapper.__perfbench_original__:
                     namespace[key] = wrapper
                     self._patched.append((module, key, value))
+        _installed = self
 
     def uninstall(self) -> None:
+        global _installed
         for owner, attr, original in reversed(self._patched):
             setattr(owner, attr, original)
         self._patched.clear()
@@ -263,6 +305,8 @@ class Tracer:
                 if original is not None and getattr(value, "__perfbench_original__", None) is original:
                     namespace[key] = original
         self._originals.clear()
+        if _installed is self:
+            _installed = None
 
     def __enter__(self) -> "Tracer":
         self.install()

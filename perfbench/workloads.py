@@ -29,8 +29,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
+from perfbench.tracer import untraced
 from repro.atproto.events import CommitEvent
 from repro.atproto.lexicon import LIKE, POST, REPOST
 from repro.core import report
@@ -41,7 +42,7 @@ from repro.core.collect.firehose import FirehoseDataset
 from repro.core.collect.identifiers import ListReposCollector, UserIdentifierDataset
 from repro.core.collect.labelers import LabelerDataset
 from repro.core.collect.repos import RepositoriesCollector, RepositoriesDataset
-from repro.core.export import firehose_frame_observer, study_fingerprint
+from repro.core.export import study_fingerprint
 from repro.core.integrity import KIND_DIDDOC_PDS, KIND_HANDLE_BIDI, IntegrityMonitor
 from repro.core.pipeline import MeasurementPipeline, StudyDatasets
 from repro.obs.metrics import read_cache_counters
@@ -73,7 +74,9 @@ SERVE_WORLDS = 3
 SERVE_REQUESTS_PER_SECOND = 6000
 
 # serve traffic: a fixed cycle of five requests, four reads to one write;
-# reads split getTimeline:getFeed:getProfile = 2:1:1.
+# reads split getTimeline:getFeed:getProfile = 2:1:1.  No source gives
+# Bluesky's request mix, so both ratios are assumptions; README.md says
+# why these were chosen.
 SERVE_CYCLE = ("timeline", "feed", "timeline", "profile", "write")
 # Writes follow the paper's Section 4 daily mix, posts:likes:reposts.
 WRITE_MIX = (
@@ -107,20 +110,38 @@ def unit_seeds(seed: int, count: int) -> list[int]:
 # -- shared plumbing --------------------------------------------------------------
 
 
-class FirehoseTally:
-    """Counts what the relay's firehose delivers: events, commits, bytes."""
+class FirehoseObserver:
+    """The harness's one firehose subscriber.
+
+    While the program runs it only keeps each delivered event (one list
+    append), so a measured window encodes a wire frame only where the
+    program itself does.  :meth:`settle`, called between measured windows,
+    hashes the kept events' wire frames in order — the digest
+    :func:`repro.core.export.firehose_frame_observer` computes — and counts
+    events, commits and frame bytes.
+    """
 
     def __init__(self, world: World):
+        self.pending: list = []
+        self.hasher = hashlib.sha256()
         self.events = 0
         self.commits = 0
         self.frame_bytes = 0
-        world.relay.firehose.subscribe(self._observe)
+        world.relay.firehose.subscribe(self.pending.append)
 
-    def _observe(self, event) -> None:
-        self.events += 1
-        if isinstance(event, CommitEvent):
-            self.commits += 1
-        self.frame_bytes += len(event.wire_frame())
+    def settle(self) -> None:
+        with untraced():
+            for event in self.pending:
+                frame = event.wire_frame()
+                self.hasher.update(frame)
+                self.events += 1
+                self.commits += isinstance(event, CommitEvent)
+                self.frame_bytes += len(frame)
+        self.pending.clear()
+
+    def digest(self) -> str:
+        self.settle()
+        return self.hasher.hexdigest()
 
 
 def cache_counts(world: World) -> dict[str, tuple[int, int]]:
@@ -178,6 +199,11 @@ class Unit:
     read_us: list = field(default_factory=list)
     write_us: list = field(default_factory=list)
 
+    def observed(self, observer: FirehoseObserver) -> None:
+        observer.settle()
+        self.events, self.commits = observer.events, observer.commits
+        self.frame_bytes = observer.frame_bytes
+
 
 # -- study --------------------------------------------------------------------------
 
@@ -187,8 +213,7 @@ def study_unit(seed: int) -> Unit:
     start = clock()
     world = World(study_config(seed))
     unit = Unit(key="study/%d" % seed, setup_s=clock() - start)
-    frame_digest = firehose_frame_observer(world)
-    tally = FirehoseTally(world)
+    observer = FirehoseObserver(world)
     sim_wall = _time_method(world, "run")
     pipeline = MeasurementPipeline(world)
     before = cache_counts(world)
@@ -205,9 +230,10 @@ def study_unit(seed: int) -> Unit:
     unit.wall_s = unit.elapsed_s = clock() - wall0
     unit.cpu_s = time.process_time() - cpu0
     unit.caches = cache_delta(before, cache_counts(world))
-    unit.events, unit.commits, unit.frame_bytes = tally.events, tally.commits, tally.frame_bytes
-    unit.ops, unit.throughput_wall_s = tally.events, sim_wall[0]
-    unit.fingerprint = study_fingerprint(datasets, frame_digest)
+    unit.observed(observer)
+    unit.ops, unit.throughput_wall_s = unit.events, sim_wall[0]
+    with untraced():
+        unit.fingerprint = study_fingerprint(datasets, observer.digest)
     # A fault-free study renders every artefact and quarantines no
     # self-certifying data.  Handle and DID-document cross-checks compare
     # snapshots taken days apart, so handle churn in between may
@@ -242,20 +268,21 @@ def _time_method(obj, name: str) -> list:
 @dataclass
 class FinishedWorld:
     world: World
-    frame_digest: Callable[[], str]
-    tally: FirehoseTally
+    observer: FirehoseObserver
     setup_s: float
 
 
 def build_finished_world(seed: int) -> FinishedWorld:
-    """Simulate a world to the end of its timeline (the crawl/serve set-up)."""
+    """Simulate a world to the end of its timeline (the crawl/serve set-up).
+    Its wire frames are hashed after set-up is timed."""
     gc.collect()  # free the previous unit's world before timing starts
     start = clock()
     world = World(world_config(seed))
-    frame_digest = firehose_frame_observer(world)
-    tally = FirehoseTally(world)
+    observer = FirehoseObserver(world)
     world.run()
-    return FinishedWorld(world, frame_digest, tally, clock() - start)
+    setup_s = clock() - start
+    observer.settle()
+    return FinishedWorld(world, observer, setup_s)
 
 
 @dataclass
@@ -308,25 +335,25 @@ def crawl_pass(finished: FinishedWorld) -> CrawlPass:
         + len(docs.quarantined)
         + (repos.repo_count - repos.verified_signatures)
     )
-    output = (
-        sorted(identifiers.dataset.latest().repos.items()),
-        sorted((did, row.handle, row.pds_endpoint) for did, row in docs.documents.items()),
-        sorted(repos.records_per_repo.items()),
-        repos.operation_totals(),
-        repos.verified_signatures,
-    )
-    datasets = empty_datasets(
-        telemetry, identifiers=identifiers.dataset, did_documents=docs, repositories=repos
-    )
-    fingerprint = digest(study_fingerprint(datasets, finished.frame_digest), output)
+    with untraced():
+        output = (
+            sorted(identifiers.dataset.latest().repos.items()),
+            sorted((did, row.handle, row.pds_endpoint) for did, row in docs.documents.items()),
+            sorted(repos.records_per_repo.items()),
+            repos.operation_totals(),
+            repos.verified_signatures,
+        )
+        datasets = empty_datasets(
+            telemetry, identifiers=identifiers.dataset, did_documents=docs, repositories=repos
+        )
+        fingerprint = digest(study_fingerprint(datasets, finished.observer.digest), output)
     return CrawlPass(wall, cpu, dids, failed, fingerprint)
 
 
 def crawl_unit(seed: int, passes: int) -> Unit:
     finished = build_finished_world(seed)
     unit = Unit(key="crawl/%d" % seed, setup_s=finished.setup_s)
-    tally = finished.tally
-    unit.events, unit.commits, unit.frame_bytes = tally.events, tally.commits, tally.frame_bytes
+    unit.observed(finished.observer)
     fingerprints = set()
     caches = {name: (0, 0) for name in CACHES}
     walls, cpus = [], []
@@ -466,10 +493,12 @@ def response_summary(response):
 def serve_unit(seed: int, count: int) -> Unit:
     """Closed loop, one request outstanding.  Wall and CPU time are the sums
     over requests, each timed from issue to response, so the harness's own
-    work between requests (hashing responses) is not counted."""
+    work between requests (hashing responses) is not counted.  The writes'
+    wire frames are hashed after the whole request list."""
     finished = build_finished_world(seed)
     world = finished.world
-    requests, users = serve_requests(world, seed, count)
+    with untraced():
+        requests, users = serve_requests(world, seed, count)
     unit = Unit(key="serve/%d/%d" % (seed, count), setup_s=finished.setup_s)
     before = cache_counts(world)
     responses = hashlib.sha256()
@@ -491,12 +520,12 @@ def serve_unit(seed: int, count: int) -> Unit:
     unit.caches = cache_delta(before, cache_counts(world))
     unit.attempted = len(requests)
     unit.ops, unit.throughput_wall_s = len(requests), unit.wall_s
-    tally = finished.tally
-    unit.events, unit.commits, unit.frame_bytes = tally.events, tally.commits, tally.frame_bytes
-    unit.fingerprint = digest(
-        study_fingerprint(empty_datasets(world.telemetry), finished.frame_digest),
-        responses.hexdigest(),
-    )
+    unit.observed(finished.observer)
+    with untraced():
+        unit.fingerprint = digest(
+            study_fingerprint(empty_datasets(world.telemetry), finished.observer.digest),
+            responses.hexdigest(),
+        )
     return unit
 
 
@@ -531,19 +560,22 @@ class RunResult:
 
 
 def summarize(units: list[Unit]) -> RunResult:
-    """End-to-end metrics; a unit measured twice counts at its faster run."""
-    fastest: dict[str, Unit] = {}
+    """End-to-end metrics.  A unit measured twice counts at its faster
+    correct run: a study that raised early is short, but its figures
+    describe an aborted run, so a failed run counts only if both failed."""
+    kept: dict[str, Unit] = {}
     for unit in units:
-        if unit.key not in fastest or unit.wall_s < fastest[unit.key].wall_s:
-            fastest[unit.key] = unit
-    kept = list(fastest.values())
-    throughput_wall = sum(unit.throughput_wall_s for unit in kept)
+        best = kept.get(unit.key)
+        if best is None or (unit.failed > 0, unit.wall_s) < (best.failed > 0, best.wall_s):
+            kept[unit.key] = unit
+    fastest = list(kept.values())
+    throughput_wall = sum(unit.throughput_wall_s for unit in fastest)
     metrics = {
         "setup_s": statistics.median(unit.setup_s for unit in units),
-        "wall_s": sum(unit.wall_s for unit in kept),
-        "cpu_s": sum(unit.cpu_s for unit in kept),
+        "wall_s": sum(unit.wall_s for unit in fastest),
+        "cpu_s": sum(unit.cpu_s for unit in fastest),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "ops_per_s": sum(unit.ops for unit in kept) / throughput_wall
+        "ops_per_s": sum(unit.ops for unit in fastest) / throughput_wall
         if throughput_wall > 0
         else 0.0,
     }
@@ -584,24 +616,46 @@ def percentile(values: list, pct: float) -> float:
 # -- fingerprint ledger ---------------------------------------------------------------------
 
 
-class FingerprintLedger:
-    """Fingerprints of earlier runs in this checkout, keyed by unit.
+def program_hash(*roots: Path) -> str:
+    """sha256 over every ``*.py`` file under ``roots``, path and bytes:
+    the program a fingerprint belongs to."""
+    hasher = hashlib.sha256()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            hasher.update(path.relative_to(root.parent).as_posix().encode() + b"\0")
+            hasher.update(path.read_bytes())
+    return hasher.hexdigest()
 
-    Equal keys mean equal work (same seed, same size), so a fingerprint
-    that differs from the one recorded first marks the unit failed: the
-    program's output changed between two runs of the same inputs.
+
+class FingerprintLedger:
+    """Fingerprints of earlier runs of the same program in this checkout.
+
+    An entry is keyed by the program (:func:`program_hash` of the code
+    under test and of the benchmark) and the unit (seed and size), so only
+    runs of identical code on identical inputs are compared: a commit whose
+    output legitimately differs starts entries of its own.  A fingerprint
+    that differs from the one recorded first under its key fails the unit:
+    the same program gave different output for the same inputs.  Failed
+    units record nothing.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, program: str):
         self.path = path
+        self.program = program
         try:
             self.known = json.loads(path.read_text())
         except (OSError, ValueError):
             self.known = {}
 
-    def check(self, unit: Unit) -> bool:
-        expected = self.known.setdefault(unit.key, unit.fingerprint)
-        return expected == unit.fingerprint
+    def entry(self, unit_key: str) -> str:
+        return "%s/%s" % (self.program[:16], unit_key)
+
+    def check(self, unit: Unit) -> Optional[str]:
+        """The fingerprint recorded earlier, if ``unit``'s differs from it."""
+        if unit.failed:
+            return None
+        expected = self.known.setdefault(self.entry(unit.key), unit.fingerprint)
+        return expected if expected != unit.fingerprint else None
 
     def save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
