@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard test-supervision bench bench-perf lint lint-determinism report trace slo check
+.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard bench bench-perf lint lint-determinism report trace slo check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -24,11 +24,8 @@ test-integrity:  ## Byzantine-data hardening + checkpoint/resume suite only
 test-telemetry:  ## metrics registry + tracer + telemetry determinism suite only
 	$(PYTHON) -m pytest -x -q tests/obs tests/core/test_telemetry.py
 
-test-shard:  ## sharded-engine determinism suite (workers 1/2/4 byte-identity)
+test-shard:  ## logical-shard suite (seed streams, merge rule, pinned study fingerprint)
 	$(PYTHON) -m pytest -x -q tests/simulation/test_sharding.py
-
-test-supervision:  ## worker-supervision chaos suite (kill/hang/budget-exhaustion byte-identity)
-	$(PYTHON) -m pytest -x -q tests/simulation/test_supervision.py
 
 bench:  ## run the perf harness, write + guard BENCH_perf.json
 	$(PYTHON) -m repro bench
@@ -62,4 +59,4 @@ slo:  ## small study; validate the slo.json + metrics.prom SLO artefacts
 		--events-out events.jsonl
 	$(PYTHON) scripts/check_slo.py slo.json metrics.prom
 
-check: test test-faults test-integrity test-telemetry test-shard test-supervision slo lint lint-determinism  ## what CI would run
+check: test test-faults test-integrity test-telemetry test-shard slo lint lint-determinism  ## what CI would run

@@ -9,17 +9,12 @@ Fails (exit 1) if:
     variant measured in the same run, or
   * the deterministic read-cache hit/miss counters disappeared from the
     benchmark output, or
-  * the worker-supervision guardrails regress: the faulted workers=4
-    chaos leg is missing or no longer byte-identical, or the supervision
-    machinery's overhead on a fault-free run exceeds
-    MAX_SUPERVISION_OVERHEAD_PCT (with a small absolute-seconds slack so
-    a noisy single-core CI box can't flake the build on a 0.1s delta), or
   * the SLO/observability export (metrics.prom + slo.json + events.jsonl
     rendering) costs more than MAX_SLO_OVERHEAD_PCT of the pipeline wall
-    it reports on (same absolute-slack escape hatch).
+    it reports on (with a small absolute-seconds slack so a noisy
+    single-core CI box can't flake the build on a 0.1s delta).
 
-The cached/uncached and supervised/unsupervised comparisons are
-within-run, so they are robust to the absolute speed of the machine
+The cached/uncached comparisons are within-run, so they are robust to the absolute speed of the machine
 running CI.
 """
 
@@ -30,8 +25,6 @@ import sys
 
 READ_METRICS = ("timeline_ops_per_s", "getfeed_ops_per_s", "search_ops_per_s")
 MIN_CACHE_SPEEDUP = 5.0
-MAX_SUPERVISION_OVERHEAD_PCT = 5.0
-SUPERVISION_OVERHEAD_SLACK_S = 0.75
 MAX_SLO_OVERHEAD_PCT = 5.0
 SLO_OVERHEAD_SLACK_S = 0.25
 
@@ -64,41 +57,7 @@ def check(document: dict) -> list[str]:
             problems.append("no read_cache_hits_total series in counters")
         if not any(key.startswith("read_cache_misses_total") for key in counters):
             problems.append("no read_cache_misses_total series in counters")
-    problems.extend(check_supervision(optimized))
     problems.extend(check_slo_overhead(optimized))
-    return problems
-
-
-def check_supervision(optimized: dict) -> list[str]:
-    problems = []
-    if optimized.get("sharded_faulted_artefacts_identical") is not True:
-        problems.append(
-            "sharded_faulted_artefacts_identical is not True: the faulted "
-            "workers=4 chaos leg diverged (or was not run)"
-        )
-    faulted = optimized.get("pipeline_tiny_workers4_faulted_wall_s")
-    if not isinstance(faulted, (int, float)) or faulted <= 0:
-        problems.append("missing pipeline_tiny_workers4_faulted_wall_s")
-    supervised = optimized.get("pipeline_tiny_workers4_wall_s")
-    legacy = optimized.get("pipeline_tiny_workers4_nosupervision_wall_s")
-    if not isinstance(supervised, (int, float)) or not isinstance(
-        legacy, (int, float)
-    ) or legacy <= 0:
-        problems.append(
-            "missing workers=4 supervised/unsupervised wall metrics for the "
-            "supervision-overhead guardrail"
-        )
-        return problems
-    overhead_pct = (supervised - legacy) / legacy * 100
-    if (
-        overhead_pct > MAX_SUPERVISION_OVERHEAD_PCT
-        and supervised - legacy > SUPERVISION_OVERHEAD_SLACK_S
-    ):
-        problems.append(
-            "supervision overhead on a fault-free run is %.2f%% "
-            "(%.2fs supervised vs %.2fs heartbeats-off), above the %.1f%% "
-            "guardrail" % (overhead_pct, supervised, legacy, MAX_SUPERVISION_OVERHEAD_PCT)
-        )
     return problems
 
 
@@ -140,11 +99,6 @@ def main(argv: list[str]) -> int:
     for name in READ_METRICS:
         uncached = optimized[name.replace("_ops_per_s", "_uncached_ops_per_s")]
         ratios.append("%s %.1fx" % (name.split("_")[0], optimized[name] / uncached))
-    supervised = optimized["pipeline_tiny_workers4_wall_s"]
-    legacy = optimized["pipeline_tiny_workers4_nosupervision_wall_s"]
-    ratios.append(
-        "supervision overhead %+.1f%%" % ((supervised - legacy) / legacy * 100)
-    )
     ratios.append(
         "slo export %.2f%%"
         % (

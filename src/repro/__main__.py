@@ -87,16 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("--feed-scale", type=float, default=800, metavar="DENOM")
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the simulation engine (default 1 = "
-        "in-process); the population is partitioned into fixed logical "
-        "shards merged deterministically at the relay, so every artefact "
-        "is byte-identical at any worker count",
-    )
-    parser.add_argument(
         "--fault-seed",
         type=int,
         default=None,
@@ -104,16 +94,6 @@ def main(argv=None) -> int:
         help="run with deterministic fault injection: a seeded, recoverable "
         "plan of relay outages, transient errors, and firehose disconnects "
         "over the collection window (see the 'health' artefact)",
-    )
-    parser.add_argument(
-        "--worker-fault-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="inject seeded shard-worker process faults (SIGKILL, hangs, "
-        "slowdowns) into a --workers N run; the supervisor detects them via "
-        "heartbeat deadlines and recovers by restart-and-replay, keeping "
-        "every artefact byte-identical to a fault-free run",
     )
     parser.add_argument(
         "--adversary-seed",
@@ -168,15 +148,8 @@ def main(argv=None) -> int:
         "--events-out",
         metavar="PATH",
         help="write the structured study event log (JSONL: phase "
-        "transitions, fault injections, quarantines, supervisor "
-        "recoveries; dual virtual+wall clocks) to PATH",
-    )
-    parser.add_argument(
-        "--flight-dir",
-        metavar="DIR",
-        help="with --workers N: dump a crash flight recorder "
-        "(flight-w<idx>.json, the worker's last protocol steps) into DIR "
-        "whenever the supervisor recovers a crashed or hung shard worker",
+        "transitions, fault injections, quarantines; dual virtual+wall "
+        "clocks) to PATH",
     )
     parser.add_argument(
         "--trace-out",
@@ -236,22 +209,6 @@ def main(argv=None) -> int:
         fault_plan = FaultPlan.recoverable(
             args.fault_seed, FIREHOSE_COLLECT_START_US, FIREHOSE_COLLECT_END_US
         )
-    worker_fault_plan = None
-    if args.worker_fault_seed is not None:
-        if args.workers <= 1:
-            print(
-                "--worker-fault-seed has no effect with --workers 1 (no worker "
-                "processes to fault); ignoring",
-                file=sys.stderr,
-            )
-        else:
-            from repro.netsim.faults import WorkerFaultPlan
-            from repro.simulation.clock import US_PER_DAY
-
-            n_days = max(1, (config.end_us - config.start_us) // US_PER_DAY)
-            worker_fault_plan = WorkerFaultPlan.seeded(
-                args.worker_fault_seed, workers=args.workers, n_days=n_days
-            )
     adversarial_plan = None
     if args.adversary_seed is not None:
         from repro.netsim.faults import AdversarialPlan
@@ -263,18 +220,6 @@ def main(argv=None) -> int:
             relay_url="https://bsky.network",
             decoy_pds=shards[3],
         )
-    supervision = None
-    if args.flight_dir is not None:
-        if args.workers <= 1:
-            print(
-                "--flight-dir has no effect with --workers 1 (no worker "
-                "processes to record); ignoring",
-                file=sys.stderr,
-            )
-        else:
-            from repro.simulation.workers import SupervisionPolicy
-
-            supervision = SupervisionPolicy(flight_dir=args.flight_dir)
     crash_plan = None
     if args.crash_seed is not None:
         from repro.netsim.faults import CrashPlan
@@ -303,9 +248,6 @@ def main(argv=None) -> int:
             resume=args.resume,
             crash_plan=crash_plan,
             telemetry=telemetry,
-            workers=args.workers,
-            worker_fault_plan=worker_fault_plan,
-            supervision=supervision,
         )
     except Exception as exc:
         from repro.netsim.faults import StudyCrashed

@@ -33,16 +33,6 @@ BASELINE = {
     "pipeline_tiny_wall_s": 6.189338619000068,
     "pipeline_tiny_firehose_events": 2888,
     "pipeline_tiny_events_per_s": 466.608821681593,
-    # The sharded-engine family is referenced against the same seed-commit
-    # single-process wall time: each row answers "how does the tiny
-    # pipeline at N workers compare to the unsharded seed engine".  The
-    # honest workers-vs-workers scaling number lives in
-    # ``pipeline_tiny_workers4_speedup_vs_workers1`` (next to
-    # ``cpu_count``: on a single-core container it cannot exceed ~1x and
-    # the determinism guardrail is the enforceable property).
-    "pipeline_tiny_workers1_wall_s": 6.189338619000068,
-    "pipeline_tiny_workers2_wall_s": 6.189338619000068,
-    "pipeline_tiny_workers4_wall_s": 6.189338619000068,
     # Read-path reference: the uncached scan paths (seed-commit read
     # semantics, caches off) measured by bench_read_path on the same
     # container class.  The cached columns in BENCH_perf.json read
@@ -158,132 +148,6 @@ def bench_pipeline(repeats: int = 2) -> dict:
         "pipeline_tiny_events_per_s": events / wall,
         "pipeline_phase_wall_s": phases,
     }
-
-
-def bench_sharded_pipeline(repeats: int = 1) -> dict:
-    """Tiny pipeline at 1/2/4 worker processes + determinism guardrail.
-
-    Times the end-to-end tiny study at each worker count and — the part
-    that is enforced rather than merely reported — asserts that every
-    worker count produces the same artefact fingerprint (Table 1,
-    metrics.json, firehose counters, and the wire-frame stream digest)
-    as the single-process run.  ``cpu_count`` is recorded alongside the
-    wall times so the scaling numbers can be read honestly: on a
-    single-core container the 4-worker run cannot beat the 1-worker run.
-    """
-    import os
-
-    from repro.core.export import firehose_frame_observer, study_fingerprint
-    from repro.core.pipeline import MeasurementPipeline
-    from repro.simulation.config import SimulationConfig
-    from repro.simulation.world import World
-
-    results: dict = {"cpu_count": os.cpu_count() or 1}
-    fingerprints: dict[int, str] = {}
-    for workers in (1, 2, 4):
-        wall = None
-        for _ in range(repeats):
-            world = World(SimulationConfig.tiny())
-            frame_digest = firehose_frame_observer(world)
-            pipeline = MeasurementPipeline(world, workers=workers)
-            t0 = time.perf_counter()
-            datasets = pipeline.run()
-            elapsed = time.perf_counter() - t0
-            wall = elapsed if wall is None else min(wall, elapsed)
-            fingerprints[workers] = study_fingerprint(datasets, frame_digest)
-        results["pipeline_tiny_workers%d_wall_s" % workers] = wall
-    if len(set(fingerprints.values())) != 1:
-        raise AssertionError(
-            "sharded determinism guardrail violated: artefact fingerprints "
-            "diverge across worker counts: %r" % fingerprints
-        )
-    results["sharded_artefacts_identical"] = True
-    results["pipeline_tiny_workers4_speedup_vs_workers1"] = round(
-        results["pipeline_tiny_workers1_wall_s"]
-        / results["pipeline_tiny_workers4_wall_s"],
-        3,
-    )
-
-    # --- supervision legs -------------------------------------------------
-    # (a) heartbeats off (the pre-supervision blocking-recv pool): the
-    #     reference against which the always-on supervision machinery's
-    #     overhead on a fault-free run is judged (guardrail: <5%).
-    # (b) worker faults on (SIGKILL + hang, restart-and-replay): the
-    #     recovery cost, recorded with its own byte-identity guardrail.
-    from repro.netsim.faults import (
-        WORKER_FAULT_HANG,
-        WORKER_FAULT_KILL,
-        WorkerFault,
-        WorkerFaultPlan,
-    )
-    from repro.simulation.workers import SupervisionPolicy
-
-    # Interleave the two legs (and fold the supervised times into the
-    # scaling metric's best-of) so slow machine-load drift between legs
-    # can't masquerade as supervision overhead.
-    supervised_wall = results["pipeline_tiny_workers4_wall_s"]
-    legacy_wall = None
-    for _ in range(max(2, repeats)):
-        for legacy in (False, True):
-            world = World(SimulationConfig.tiny())
-            pipeline = MeasurementPipeline(
-                world,
-                workers=4,
-                supervision=SupervisionPolicy(heartbeats=False) if legacy else None,
-            )
-            t0 = time.perf_counter()
-            pipeline.run()
-            elapsed = time.perf_counter() - t0
-            if legacy:
-                legacy_wall = (
-                    elapsed if legacy_wall is None else min(legacy_wall, elapsed)
-                )
-            else:
-                supervised_wall = min(supervised_wall, elapsed)
-    results["pipeline_tiny_workers4_wall_s"] = supervised_wall
-    results["pipeline_tiny_workers4_speedup_vs_workers1"] = round(
-        results["pipeline_tiny_workers1_wall_s"] / supervised_wall, 3
-    )
-    results["pipeline_tiny_workers4_nosupervision_wall_s"] = legacy_wall
-    results["supervision_overhead_pct"] = round(
-        (supervised_wall - legacy_wall) / legacy_wall * 100, 2
-    )
-
-    chaos_plan = WorkerFaultPlan(
-        seed=0,
-        faults=(
-            WorkerFault(0, 5, WORKER_FAULT_KILL),
-            WorkerFault(1, 9, WORKER_FAULT_HANG),
-        ),
-    )
-    chaos_policy = SupervisionPolicy(
-        poll_interval_s=0.02,
-        heartbeat_interval_s=0.05,
-        heartbeat_timeout_s=1.5,
-        restart_backoff_s=0.01,
-    )
-    faulted_wall = None
-    faulted_fingerprint = None
-    for _ in range(repeats):
-        world = World(SimulationConfig.tiny())
-        frame_digest = firehose_frame_observer(world)
-        pipeline = MeasurementPipeline(
-            world, workers=4, worker_fault_plan=chaos_plan, supervision=chaos_policy
-        )
-        t0 = time.perf_counter()
-        datasets = pipeline.run()
-        elapsed = time.perf_counter() - t0
-        faulted_wall = elapsed if faulted_wall is None else min(faulted_wall, elapsed)
-        faulted_fingerprint = study_fingerprint(datasets, frame_digest)
-    if faulted_fingerprint != fingerprints[1]:
-        raise AssertionError(
-            "supervision determinism guardrail violated: faulted workers=4 "
-            "fingerprint %r != fault-free workers=1 fingerprint %r"
-            % (faulted_fingerprint, fingerprints[1])
-        )
-    results["sharded_faulted_artefacts_identical"] = True
-    results["pipeline_tiny_workers4_faulted_wall_s"] = faulted_wall
-    return results
 
 
 def _build_read_appview(cached: bool):
@@ -511,7 +375,6 @@ def run_benchmarks(include_pipeline: bool = True, progress=None) -> dict:
         stages.extend(
             [
                 bench_pipeline,
-                bench_sharded_pipeline,
                 bench_telemetry_overhead,
                 bench_slo_overhead,
             ]
@@ -599,14 +462,5 @@ def main(out_path: str = "BENCH_perf.json", quiet: bool = False) -> int:
         print(
             "SLO/export overhead: %.2f%% (metrics.prom + slo.json + "
             "events.jsonl render vs pipeline wall)" % slo_overhead
-        )
-    if measured.get("sharded_artefacts_identical") and not quiet:
-        print(
-            "sharded determinism guardrail: artefacts identical at workers "
-            "1/2/4 (cpu_count=%d, workers4 vs workers1 wall: %.2fx)"
-            % (
-                measured.get("cpu_count", 1),
-                measured.get("pipeline_tiny_workers4_speedup_vs_workers1", 0.0),
-            )
         )
     return 0

@@ -171,7 +171,7 @@ class StudyCheckpointer:
         A small atomically-replaced JSON next to the journal that
         ``python -m repro top`` tails: the full registry snapshot
         (volatile families included — the dashboard is exactly where
-        wall-clock and supervision counters belong) plus the newest
+        wall-clock counters belong) plus the newest
         events.  Purely informational: never read back, never
         fingerprinted.
         """

@@ -120,20 +120,8 @@ class MeasurementPipeline:
         resume: bool = False,
         crash_plan: Optional[CrashPlan] = None,
         telemetry: Optional[Telemetry] = None,
-        workers: int = 1,
-        worker_fault_plan=None,
-        supervision=None,
     ):
         self.world = world
-        # Worker processes for the sharded simulation engine; artefacts
-        # are byte-identical at any value (deterministic relay merge).
-        # ``worker_fault_plan`` (testing/chaos) injects worker process
-        # kills/hangs/slowdowns; the supervisor recovers them without
-        # touching artefacts.  ``supervision`` overrides the detection
-        # deadlines and restart budget.
-        self.workers = max(1, int(workers))
-        self.worker_fault_plan = worker_fault_plan
-        self.supervision = supervision
         # Per-shard digest segment restored from a checkpoint, verified
         # against the re-simulated world after ``world.run`` (the
         # simulation replays from scratch on resume; the digests prove
@@ -408,17 +396,12 @@ class MeasurementPipeline:
             return self._run(progress)
 
     def _run(self, progress=None) -> StudyDatasets:
-        # The world replays deterministically from scratch in every
-        # process (fresh World on resume), so the simulation phase is
-        # recounted, not accumulated across the checkpoint.
+        # The world replays deterministically from scratch (fresh World
+        # on resume), so the simulation phase is recounted, not
+        # accumulated across the checkpoint.
         self.telemetry.reset_phase("simulation")
         with self.telemetry.phase("simulation"):
-            self.world.run(
-                progress=progress,
-                workers=self.workers,
-                worker_fault_plan=self.worker_fault_plan,
-                supervision=self.supervision,
-            )
+            self.world.run(progress=progress)
         self._verify_shard_segment()
         # Close out any firehose disconnect window still open at the end
         # of the collection period: no further live frame will trigger the
@@ -506,9 +489,6 @@ def run_study(
     resume: bool = False,
     crash_plan: Optional[CrashPlan] = None,
     telemetry: Optional[Telemetry] = None,
-    workers: int = 1,
-    worker_fault_plan=None,
-    supervision=None,
 ) -> tuple[World, StudyDatasets]:
     """Convenience: build a world, run the full pipeline, return both.
 
@@ -529,9 +509,6 @@ def run_study(
         resume=resume,
         crash_plan=crash_plan,
         telemetry=telemetry,
-        workers=workers,
-        worker_fault_plan=worker_fault_plan,
-        supervision=supervision,
     )
     datasets = pipeline.run(progress=progress)
     return world, datasets

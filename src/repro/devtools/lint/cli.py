@@ -95,7 +95,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             select = tuple(part.strip() for part in args.select.split(",") if part.strip())
         config = LintConfig(
             allowlist={} if args.no_allowlist else dict(DEFAULT_CONFIG.allowlist),
-            spawn_modules=DEFAULT_CONFIG.spawn_modules,
+            state_modules=DEFAULT_CONFIG.state_modules,
             select=select,
         )
     try:

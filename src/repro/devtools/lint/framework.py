@@ -8,8 +8,8 @@ Pure stdlib (``ast`` + ``tokenize``-free line scanning).  The pieces:
   register into at import time; dispatch is one tree walk per module
   with per-node-type fan-out to interested rules.
 * :class:`LintConfig` — the module allowlist (rule id → dotted-module
-  glob patterns) plus the spawn-critical module set some rules scope
-  themselves to.  The repo's sanctioned defaults live in
+  glob patterns) plus the simulation-engine module set some rules
+  scope themselves to.  The repo's sanctioned defaults live in
   :data:`DEFAULT_CONFIG`.
 * Suppression pragma — ``# repro: allow(<rule-id>) -- <reason>`` on the
   offending line keeps the finding (reported as suppressed in JSON
@@ -84,14 +84,13 @@ class LintConfig:
 
     ``allowlist`` maps a rule id to dotted-module glob patterns
     (``fnmatch`` style) where the rule stays silent — e.g. telemetry is
-    allowed to read wallclocks.  ``spawn_modules`` scopes the
-    spawn-safety rules to the modules whose state crosses (or owns) the
-    worker boundary.  ``select``, when non-empty, restricts the run to
-    those rule ids.
+    allowed to read wallclocks.  ``state_modules`` scopes the
+    per-run-state rules to the simulation-engine modules.  ``select``,
+    when non-empty, restricts the run to those rule ids.
     """
 
     allowlist: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    spawn_modules: Tuple[str, ...] = ()
+    state_modules: Tuple[str, ...] = ()
     select: Tuple[str, ...] = ()
 
     def module_allowed(self, rule_id: str, module: str) -> bool:
@@ -100,8 +99,8 @@ class LintConfig:
                 return True
         return False
 
-    def is_spawn_module(self, module: str) -> bool:
-        return any(fnmatch.fnmatchcase(module, p) for p in self.spawn_modules)
+    def is_state_module(self, module: str) -> bool:
+        return any(fnmatch.fnmatchcase(module, p) for p in self.state_modules)
 
 
 # The repo's sanctioned exceptions.  Documented (rule by rule) in the
@@ -116,8 +115,7 @@ DEFAULT_CONFIG = LintConfig(
         # simulation or protocol state).
         "env-read": ("repro.__main__", "repro.devtools.*"),
     },
-    spawn_modules=(
-        "repro.simulation.workers",
+    state_modules=(
         "repro.simulation.engine",
         "repro.simulation.sharding",
     ),

@@ -9,7 +9,6 @@ at import time; ids are stable and double as the pragma / allowlist keys.
 from __future__ import annotations
 
 import ast
-import fnmatch
 from typing import Iterator, Optional, Tuple
 
 from repro.devtools.lint.framework import DEFAULT_REGISTRY, ModuleContext, Rule
@@ -58,7 +57,7 @@ class UnseededRandomRule(Rule):
     rationale = (
         "The global random module RNG is process-wide shared state: its "
         "sequence depends on import order, other callers, and the default "
-        "OS-entropy seed, so two runs (or two shard workers) diverge. "
+        "OS-entropy seed, so two runs of the same seed diverge. "
         "Every stream in this codebase is an explicit random.Random "
         "seeded via repro.simulation.sharding.derive_seed."
     )
@@ -291,7 +290,7 @@ class EnvReadRule(Rule):
     summary = "os.environ / os.getenv read in simulation or protocol code"
     rationale = (
         "Environment variables make behavior depend on the invoking "
-        "shell and differ between coordinator and spawned workers. "
+        "shell, so two runs of the same seed can diverge. "
         "Thread configuration through SimulationConfig instead."
     )
     node_types = (ast.Attribute, ast.Call)
@@ -319,7 +318,7 @@ class SwallowedExceptionRule(Rule):
         "(or use the try_call fault-injection path)"
     )
     rationale = (
-        "`except Exception: pass` hides real divergence — a worker that "
+        "`except Exception: pass` hides real divergence — a run that "
         "swallows an error produces different state than one that "
         "doesn't, with no trace.  Catch the narrowest type that the "
         "fault model sanctions, or route through ServiceDirectory."
@@ -360,137 +359,8 @@ class SwallowedExceptionRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# Spawn safety for the sharded engine
+# Per-run state in the simulation engine
 # ---------------------------------------------------------------------------
-
-
-@register
-class ForkStartMethodRule(Rule):
-    id = "fork-start-method"
-    summary = "multiprocessing fork/forkserver start method; spawn is required"
-    rationale = (
-        "fork() copies the parent heap, so a worker could silently "
-        "inherit state instead of reconstructing it from SimulationConfig "
-        "— hiding exactly the bugs the replica design exists to prevent "
-        "(and deadlocking on macOS).  Always get_context('spawn')."
-    )
-    node_types = (ast.Call,)
-
-    def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Hit]:
-        name = _call_name(node)  # type: ignore[arg-type]
-        if name is None or name.split(".")[-1] not in (
-            "get_context",
-            "set_start_method",
-        ):
-            return
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:  # type: ignore[union-attr]
-            if isinstance(arg, ast.Constant) and arg.value in ("fork", "forkserver"):
-                yield (
-                    node,
-                    "start method %r inherits the parent heap; use 'spawn'"
-                    % arg.value,
-                )
-
-
-@register
-class WorkerClosureRule(Rule):
-    id = "worker-closure"
-    summary = (
-        "lambda/nested function crossing the Process boundary; worker "
-        "entry points must be module-level"
-    )
-    rationale = (
-        "Under the spawn start method the target and args are pickled; "
-        "lambdas and closures either fail to pickle or smuggle "
-        "coordinator state into the worker.  Workers receive only the "
-        "picklable config plus scalars."
-    )
-    node_types = (ast.Call,)
-
-    def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Hit]:
-        func = node.func  # type: ignore[union-attr]
-        is_process = (
-            isinstance(func, ast.Attribute) and func.attr == "Process"
-        ) or (isinstance(func, ast.Name) and func.id == "Process")
-        if not is_process:
-            return
-        nested_funcs = self._nested_function_names(ctx)
-        for kw in node.keywords:  # type: ignore[union-attr]
-            if kw.arg == "target":
-                if isinstance(kw.value, ast.Lambda):
-                    yield (kw.value, "Process target is a lambda; not spawn-picklable")
-                elif (
-                    isinstance(kw.value, ast.Name) and kw.value.id in nested_funcs
-                ):
-                    yield (
-                        kw.value,
-                        "Process target %r is a nested function; move it to "
-                        "module level" % kw.value.id,
-                    )
-            if kw.arg == "args":
-                for sub in ast.walk(kw.value):
-                    if isinstance(sub, ast.Lambda):
-                        yield (sub, "lambda in Process args; not spawn-picklable")
-
-    @staticmethod
-    def _nested_function_names(ctx: ModuleContext) -> frozenset:
-        module_level = set()
-        everywhere = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                everywhere.add(node.name)
-                if ctx.is_module_level(node):
-                    module_level.add(node.name)
-        return frozenset(everywhere - module_level)
-
-
-@register
-class UnboundedRecvRule(Rule):
-    id = "unbounded-recv"
-    summary = (
-        "Connection.recv() without a poll(timeout)/deadline guard in "
-        "simulation code; a dead or hung peer blocks the study forever"
-    )
-    rationale = (
-        "The coordinator/worker day protocol is lockstep over pipes: a "
-        "bare Connection.recv() waits unboundedly, so a worker that "
-        "hangs (as opposed to dying, which at least raises EOFError) "
-        "wedges the whole study with no diagnosis.  Receive through the "
-        "supervised poll()-loop (WorkerPool._recv) which enforces "
-        "heartbeat and per-day deadlines, or guard the recv with "
-        "poll(timeout) in the same function."
-    )
-    node_types = (ast.Call,)
-
-    #: The protocol-critical tree; elsewhere (tests, tools) a blocking
-    #: recv can be legitimate.
-    _SCOPE = ("repro.simulation.*",)
-
-    def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Hit]:
-        if not any(fnmatch.fnmatchcase(ctx.module, p) for p in self._SCOPE):
-            return
-        func = node.func  # type: ignore[union-attr]
-        if not (isinstance(func, ast.Attribute) and func.attr == "recv"):
-            return
-        if node.args or node.keywords:  # type: ignore[union-attr]
-            # socket.recv(bufsize) etc. — not a Connection.recv().
-            return
-        scope: ast.AST = ctx.enclosing_function(node) or ctx.tree
-        for sub in ast.walk(scope):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "poll"
-                and (sub.args or sub.keywords)
-            ):
-                # A poll(timeout) in the same function is the deadline
-                # guard; poll() with no timeout blocks just like recv.
-                return
-        yield (
-            node,
-            "unbounded Connection.recv(); guard with poll(timeout) + "
-            "liveness checks or use the supervised receive path",
-        )
 
 
 _MUTABLE_CONSTRUCTORS = frozenset(
@@ -502,20 +372,21 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 class ModuleMutableStateRule(Rule):
     id = "module-mutable-state"
     summary = (
-        "module-level mutable state in a spawn-critical module; workers "
-        "rebuild modules from scratch and will not share it"
+        "module-level mutable state in a simulation-engine module; "
+        "per-run state must live on an instance"
     )
     rationale = (
-        "Spawned workers re-import these modules, so module-level dicts/"
-        "lists/sets exist once per process.  Anything mutated through "
-        "such a global in the coordinator silently diverges from the "
-        "replicas.  Keep per-run state on World/SimProcess instances; "
-        "module level is for immutable calibration constants."
+        "Tests and the benchmark build several worlds in one process, "
+        "so module-level dicts/lists/sets in the engine outlive a run: "
+        "state one world mutates leaks into the next and makes the "
+        "same seed produce different bytes.  Keep per-run state on "
+        "World/SimProcess instances; module level is for immutable "
+        "calibration constants."
     )
     node_types = ()
 
     def module_scan(self, ctx: ModuleContext) -> Iterator[Hit]:
-        if not ctx.config.is_spawn_module(ctx.module):
+        if not ctx.config.is_state_module(ctx.module):
             return
         for stmt in ctx.tree.body:
             targets: list
@@ -533,8 +404,8 @@ class ModuleMutableStateRule(Rule):
                 continue
             yield (
                 stmt,
-                "module-level mutable assignment to %s in spawn-critical "
-                "module; move onto an instance or make it immutable"
+                "module-level mutable assignment to %s in a simulation-"
+                "engine module; move onto an instance or make it immutable"
                 % ", ".join(names),
             )
 

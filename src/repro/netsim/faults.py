@@ -639,97 +639,6 @@ class Adversary:
 
 
 # ---------------------------------------------------------------------------
-# Worker-fault injection (shard-worker death/hang/slowdown mid-run)
-# ---------------------------------------------------------------------------
-
-#: Fault kinds a :class:`WorkerFaultPlan` can schedule for a shard worker.
-WORKER_FAULT_KILL = "kill"  # die without cleanup (SIGKILL / os._exit)
-WORKER_FAULT_HANG = "hang"  # stay alive but stop responding and heartbeating
-WORKER_FAULT_SLOW = "slow"  # keep heartbeating but delay the day's reply
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """One scheduled fault: worker slot ``worker`` misbehaves at the start
-    of simulated day number ``day_index`` (0-based from the run's first
-    day tick).  ``slow_s`` is the injected wall-clock delay for ``slow``
-    faults; kill and hang ignore it."""
-
-    worker: int
-    day_index: int
-    kind: str
-    slow_s: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (WORKER_FAULT_KILL, WORKER_FAULT_HANG, WORKER_FAULT_SLOW):
-            raise ValueError("unknown worker fault kind %r" % self.kind)
-
-
-@dataclass(frozen=True)
-class WorkerFaultPlan:
-    """A seeded, immutable schedule of shard-worker process faults.
-
-    The supervised :class:`~repro.simulation.workers.WorkerPool` ships each
-    worker its slice of the plan; faults fire inside the worker at day-tick
-    receipt, *before* any state mutation, so a killed or hung worker left
-    nothing half-applied and a respawned replica that replays the recorded
-    day sequence reconstructs exactly the state the dead one would have
-    had.  That is what keeps artefacts byte-identical to a fault-free run
-    — the supervisor's restarts are invisible outside the volatile
-    ``sim_worker_*`` metrics and ``supervisor.*`` trace spans.
-
-    At most one fault per (worker, day): later duplicates in ``faults``
-    are ignored by :meth:`schedule_for`.
-    """
-
-    seed: int = 0
-    faults: tuple[WorkerFault, ...] = ()
-
-    def is_empty(self) -> bool:
-        return not self.faults
-
-    def schedule_for(self, worker: int) -> tuple[WorkerFault, ...]:
-        """The worker's faults, day-ordered, first-wins per day."""
-        by_day: dict[int, WorkerFault] = {}
-        for fault in self.faults:
-            if fault.worker == worker:
-                by_day.setdefault(fault.day_index, fault)
-        return tuple(by_day[day] for day in sorted(by_day))
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        workers: int,
-        n_days: int,
-        n_faults: int = 4,
-    ) -> "WorkerFaultPlan":
-        """A deterministic chaos schedule over the simulated timeline.
-
-        Fault kinds cycle kill → hang → slow so any plan with at least
-        two faults exercises both failure modes the supervisor must
-        distinguish.  Days land in the first ~80% of the timeline so
-        every recovery is observable before the run ends.
-        """
-        rng = random.Random(seed ^ 0x50FA)
-        workers = max(1, workers)
-        horizon = max(1, int(n_days * 0.8))
-        kinds = (WORKER_FAULT_KILL, WORKER_FAULT_HANG, WORKER_FAULT_SLOW)
-        faults: list[WorkerFault] = []
-        used: set = set()
-        for index in range(max(0, n_faults)):
-            worker = rng.randrange(workers)
-            day_index = 1 + rng.randrange(horizon)
-            if (worker, day_index) in used:
-                continue
-            used.add((worker, day_index))
-            kind = kinds[index % len(kinds)]
-            slow_s = round(rng.uniform(0.02, 0.10), 3) if kind == WORKER_FAULT_SLOW else 0.0
-            faults.append(WorkerFault(worker, day_index, kind, slow_s))
-        return cls(seed=seed, faults=tuple(sorted(faults, key=lambda f: (f.day_index, f.worker))))
-
-
-# ---------------------------------------------------------------------------
 # Crash injection (process death mid-study)
 # ---------------------------------------------------------------------------
 

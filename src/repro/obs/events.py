@@ -2,7 +2,7 @@
 
 The registry answers "how much"; the event log answers "what happened,
 in order": phase transitions, fault injections, quarantines, cache
-flushes, supervisor recoveries.  Every event carries *both* study
+flushes, checkpoint saves.  Every event carries *both* study
 clocks — ``virtual_us`` (deterministic, the simulated timeline) and
 ``wall_us`` (process-local, forensic) — plus a ``span`` correlation id
 shared with the tracer, so a span in ``trace.json`` and its events in
@@ -17,8 +17,8 @@ Determinism contract (mirrors the metrics registry):
   event stream of an uninterrupted run.  Only ``wall_us`` differs
   between two processes (it is a dual clock by design; strip it to
   compare logs byte-for-byte).
-* **Volatile events** (supervisor restarts, checkpoint saves — anything
-  whose *occurrence* depends on worker count or crash timing) are
+* **Volatile events** (checkpoint saves — anything whose *occurrence*
+  depends on crash timing) are
   flagged ``"volatile": true``, numbered in their own sequence space,
   never checkpointed, and excluded from artefact fingerprints.
 
@@ -52,10 +52,6 @@ KNOWN_KINDS = (
     "integrity.quarantine",
     "cache.flush",
     "checkpoint.save",
-    "supervisor.hang",
-    "supervisor.restart",
-    "supervisor.fallback",
-    "flight.dump",
 )
 
 

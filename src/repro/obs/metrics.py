@@ -303,7 +303,7 @@ class MetricsRegistry:
         Deterministic by the same construction as :meth:`snapshot`:
         families are visited in sorted name order, series in sorted
         label order, and volatile families stay out — so the rendering
-        is byte-identical across worker counts, hash seeds, and
+        is byte-identical across fault seeds, hash seeds, and
         crash/resume chains.  Counters follow the spec's naming rule
         (the ``_total`` suffix belongs to the sample, not the family);
         histograms render cumulative ``_bucket`` series plus ``_sum``

@@ -6,7 +6,7 @@ throughput, so the study states *objectives* — "p99 of
 0.1%" — and this module grades a finished (or in-flight) run against
 them.  Everything is computed from the deterministic registry snapshot
 (``repro-metrics-v1``), so ``slo.json`` inherits byte-identity across
-worker counts, hash seeds, and crash/resume for free: same snapshot in,
+fault seeds, hash seeds, and crash/resume for free: same snapshot in,
 same bytes out.
 
 Objectives are declared in seeded *bundles* (mirroring how

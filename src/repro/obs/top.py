@@ -4,7 +4,7 @@ Tails the ``status.json`` feed a checkpointed run publishes on every
 journal save (see ``StudyCheckpointer._write_status``) — or, post-hoc,
 any exported ``metrics.json`` snapshot — and renders the run at a
 glance: current phase, call throughput, per-endpoint tail latency,
-worker health, and SLO error-budget burn.
+and SLO error-budget burn.
 
 Rendering is curses when a terminal is available, with a plain-text
 fallback (``--plain`` / non-tty / no curses module) that prints one
@@ -107,19 +107,6 @@ def _method_p99_rows(metrics: dict, top_n: int = 8) -> list:
     return rows[:top_n]
 
 
-def _worker_health(metrics: dict) -> str:
-    restarts = _counter_total(metrics, "sim_worker_restarts_total")
-    hangs = _counter_total(metrics, "sim_worker_hangs_detected_total")
-    fallbacks = _counter_total(metrics, "sim_worker_fallbacks_total")
-    if not (restarts or hangs or fallbacks):
-        return "workers: healthy (no restarts, hangs, or fallbacks)"
-    return "workers: %d shard-restarts, %d hangs detected, %d shard-fallbacks" % (
-        restarts,
-        hangs,
-        fallbacks,
-    )
-
-
 def render_frame(
     status: dict,
     previous: Optional[dict] = None,
@@ -145,7 +132,6 @@ def render_frame(
         prev_calls = _counter_total(previous.get("metrics", {}), "xrpc_calls_total")
         rate = "  (%.0f calls/s)" % (max(0, calls - prev_calls) / interval_s)
     lines.append("xrpc calls: %d%s" % (calls, rate))
-    lines.append(_worker_health(metrics))
 
     rows = _method_p99_rows(metrics)
     if rows:

@@ -41,13 +41,6 @@ class Pds(XrpcService):
         self._commit_listeners: list[Callable[[str, CommitMeta], None]] = []
         self._tombstone_listeners: list[Callable[[str, int], None]] = []
         self._next_clock_id = 0
-        # did -> (head CID string, rev) for repos whose writes happen in
-        # another process (the sharded engine's replica worlds).  The
-        # relay feeds published heads back here so this PDS's sync
-        # surface stays truthful even though the local Repo object holds
-        # no records — without it, membership checks against
-        # ``listRepos`` would wrongly quarantine every hosted DID.
-        self._remote_heads: dict[str, tuple[str, str]] = {}
 
     # -- account lifecycle -----------------------------------------------------
 
@@ -200,15 +193,6 @@ class Pds(XrpcService):
     def on_tombstone(self, listener: Callable[[str, int], None]) -> None:
         self._tombstone_listeners.append(listener)
 
-    # -- remote heads (sharded mode) -----------------------------------------------
-
-    def note_remote_head(self, did: str, head: str, rev: str) -> None:
-        """Record the head of a repo written in another process."""
-        self._remote_heads[did] = (head, rev)
-
-    def drop_remote_head(self, did: str) -> None:
-        self._remote_heads.pop(did, None)
-
     # -- XRPC surface ----------------------------------------------------------------
 
     def xrpc_listRepos(self, cursor: Optional[str] = None, limit: int = 500) -> dict:
@@ -225,9 +209,6 @@ class Pds(XrpcService):
             repo = self._repos[did]
             if repo.head is not None:
                 repos.append({"did": did, "head": str(repo.head), "rev": repo.rev})
-            elif did in self._remote_heads:
-                head, rev = self._remote_heads[did]
-                repos.append({"did": did, "head": head, "rev": rev})
         next_cursor = page[-1] if len(page) == limit else None
         return {"repos": repos, "cursor": next_cursor}
 

@@ -156,15 +156,6 @@ class Relay(XrpcService):
         self.cache_reads = cache_reads
         self._car_cache: dict[str, tuple[str, bytes]] = {}
         self.set_telemetry(NULL_TELEMETRY)
-        # did -> (head CID string, rev), maintained on every published
-        # commit.  In sharded mode the relay's local PDS replicas hold no
-        # records, so the sync surface answers from this map instead of
-        # the cached Repo objects.
-        self._heads: dict[str, tuple[str, str]] = {}
-        # Optional CAR fetcher (did -> bytes | None) installed by the
-        # sharded engine: repos live in worker processes, and getRepo
-        # fetches them through this hook instead of the local cache.
-        self.repo_reader: Optional[Callable[[str], Optional[bytes]]] = None
 
     def set_telemetry(self, telemetry) -> None:
         """(Re)bind the read-cache counter families and the tracer."""
@@ -210,12 +201,7 @@ class Relay(XrpcService):
     def publish_commit(self, pds: Pds, did: str, meta: CommitMeta) -> None:
         """Ingest one commit: update cache bookkeeping, emit ``#commit``."""
         self._repo_locations[did] = pds
-        self._heads[did] = (str(meta.commit_cid), meta.rev)
         self._car_cache.pop(did, None)  # new head: cached export is stale
-        if self.repo_reader is not None:
-            # Sharded mode: the hosting PDS replica never saw the write;
-            # keep its own sync surface (listRepos) consistent.
-            pds.note_remote_head(did, str(meta.commit_cid), meta.rev)
         records = meta.records if meta.records else (None,) * len(meta.ops)
         ops = tuple(
             CommitOp(action, path, cid, record)
@@ -236,10 +222,7 @@ class Relay(XrpcService):
         """Ingest an account removal: drop the cache entry, emit ``#tombstone``."""
         self._tombstoned.add(did)
         self._car_cache.pop(did, None)
-        pds = self._repo_locations.pop(did, None)
-        if pds is not None:
-            pds.drop_remote_head(did)
-        self._heads.pop(did, None)
+        self._repo_locations.pop(did, None)
         self.firehose.publish(
             lambda seq: TombstoneEvent(seq=seq, did=did, time_us=now_us)
         )
@@ -284,18 +267,10 @@ class Relay(XrpcService):
         start = bisect_right(dids, cursor) if cursor is not None else 0
         page = dids[start : start + limit]
         repos = []
-        if self.repo_reader is not None:
-            # Sharded mode: local replicas are empty; the head map carries
-            # exactly what publish_commit saw, in merged order.
-            for did in page:
-                head = self._heads.get(did)
-                if head is not None:
-                    repos.append({"did": did, "head": head[0], "rev": head[1]})
-        else:
-            for did in page:
-                repo = self.cached_repo(did)
-                if repo is not None and repo.head is not None:
-                    repos.append({"did": did, "head": str(repo.head), "rev": repo.rev})
+        for did in page:
+            repo = self.cached_repo(did)
+            if repo is not None and repo.head is not None:
+                repos.append({"did": did, "head": str(repo.head), "rev": repo.rev})
         next_cursor = page[-1] if len(page) == limit else None
         return {"repos": repos, "cursor": next_cursor}
 
@@ -303,8 +278,7 @@ class Relay(XrpcService):
         """Serve a repo CAR from the relay's cache (not the origin PDS).
 
         Serialized exports are cached per DID and keyed by the head CID,
-        so repeat fetches at an unchanged head skip re-serialization (and,
-        in sharded mode, the worker round-trip)."""
+        so repeat fetches at an unchanged head skip re-serialization."""
         with self.telemetry.tracer.span("read.getRepo", cat="read", sample=True):
             head = self._current_head(did)
             if self.cache_reads and head is not None:
@@ -322,20 +296,12 @@ class Relay(XrpcService):
 
     def _current_head(self, did: str) -> Optional[str]:
         """Head CID string of a mirrored repo, or None when unknown."""
-        if self.repo_reader is not None:
-            head = self._heads.get(did)
-            return head[0] if head is not None else None
         repo = self.cached_repo(did)
         if repo is None or repo.head is None:
             return None
         return str(repo.head)
 
     def _fetch_car(self, did: str) -> bytes:
-        if self.repo_reader is not None:
-            car = self.repo_reader(did)
-            if car is None:
-                raise XrpcError(404, "repo %s not mirrored" % did)
-            return car
         repo = self.cached_repo(did)
         if repo is None or repo.head is None:
             raise XrpcError(404, "repo %s not mirrored" % did)
@@ -346,9 +312,6 @@ class Relay(XrpcService):
         resolved in one call against a single per-head block map, instead
         of one tree walk per block.  The map is built lazily by the repo
         and reused for every batch at the same head."""
-        if self.repo_reader is not None:
-            # Worker repos only ship whole CARs (same split as getRecord).
-            raise XrpcError(501, "sync.getBlocks is unavailable in sharded mode")
         with self.telemetry.tracer.span("read.getBlocks", cat="read", sample=True):
             repo = self.cached_repo(did)
             if repo is None or repo.head is None:
@@ -372,11 +335,6 @@ class Relay(XrpcService):
         return self.firehose.events_since(cursor, limit)
 
     def xrpc_getLatestCommit(self, did: str) -> dict:
-        if self.repo_reader is not None:
-            head = self._heads.get(did)
-            if head is None:
-                raise XrpcError(404, "repo %s not mirrored" % did)
-            return {"cid": head[0], "rev": head[1]}
         repo = self.cached_repo(did)
         if repo is None or repo.head is None:
             raise XrpcError(404, "repo %s not mirrored" % did)
@@ -386,14 +344,8 @@ class Relay(XrpcService):
         """Verifiable single-record fetch: the record plus the signed
         commit block and the MST inclusion-proof path, so a client can
         check authenticity without downloading the whole repository."""
-        from repro.atproto.cbor import cbor_encode
         from repro.atproto.mst import prove_inclusion
 
-        if self.repo_reader is not None:
-            # Proof construction needs the live MST; worker repos only ship
-            # whole CARs.  Nothing in the measurement pipeline calls this —
-            # it exists for the verifiable-reads service surface.
-            raise XrpcError(501, "sync.getRecord is unavailable in sharded mode")
         repo = self.cached_repo(did)
         if repo is None or repo.head is None:
             raise XrpcError(404, "repo %s not mirrored" % did)

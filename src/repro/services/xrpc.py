@@ -83,8 +83,7 @@ class ServiceDirectory:
 
     Every dispatch attempt counts into the telemetry registry labelled by
     host, method NSID, and outcome; injected latency feeds a per-host
-    histogram.  ``call_count`` and ``injected_latency_us`` remain as
-    deprecated read-only aliases over those series.
+    histogram.
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None):
@@ -106,18 +105,6 @@ class ServiceDirectory:
             "xrpc_method_latency_us", ("method",)
         )
         self._m_injected = registry.counter("xrpc_injected_latency_us_total")
-
-    # -- deprecated aliases (pre-registry attribute API) ----------------------
-
-    @property
-    def call_count(self) -> int:
-        """Deprecated: total dispatch attempts; read ``xrpc_calls_total``."""
-        return self._m_calls.total()
-
-    @property
-    def injected_latency_us(self) -> int:
-        """Deprecated: total injected latency; read the registry series."""
-        return self._m_injected.total()
 
     def register(self, url: str, service: XrpcService) -> None:
         self._services[self._norm(url)] = service

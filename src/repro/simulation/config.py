@@ -147,12 +147,11 @@ class SimulationConfig:
     # September 2024 and simulate the Brazilian X-ban migration wave that
     # happened after the measurement window closed.
     brazil_ban_scenario: bool = False
-    # Logical shard count for the parallel engine (matching the default
-    # PDS shard layout).  This is a determinism invariant of the run, NOT
-    # a parallelism knob: a user belongs to shard ``index % sim_shards``
-    # and every RNG stream is keyed per shard, so changing it changes the
-    # generated world.  ``--workers N`` (any N) spreads these fixed shards
-    # over processes without affecting any artefact.
+    # Logical shard count for the engine (matching the default PDS shard
+    # layout).  This is a determinism invariant of the run, not a
+    # parallelism knob: a user belongs to shard ``index % sim_shards`` and
+    # every RNG stream is keyed per shard, so changing it changes the
+    # generated world.
     sim_shards: int = 4
 
     def __post_init__(self):

@@ -16,22 +16,12 @@ At the barrier between day ticks the coordinator merges all batches with
 the deterministic rule ``(virtual time, shard id, intra-shard order)``
 and applies them: the relay assigns firehose sequence numbers, the
 labeler services assign label sequence numbers, and the exchange pools
-advance — all in merged order, so the outcome is independent of how the
-shards were scheduled.
+advance — all in merged order, so the outcome is independent of the
+order in which the shards were run.
 
-Two ways to run the same algorithm:
-
-* ``workers=1`` (default, the in-process path): one :class:`SimProcess`
-  owns every shard and runs them serially inside the calling process.
-* ``workers=N``: shards are spread over N spawned worker processes (see
-  :mod:`repro.simulation.workers`).  Each worker builds a full replica
-  world from the picklable config, replays the global timeline (signups,
-  labeler/feed starts, tombstones) identically from replicated RNG
-  streams, and generates only its own shards' activity.
-
-Because every stream is derived per shard (or replicated globally), and
-the merge rule never looks at worker identity, both paths produce
-byte-identical artefacts for the same seed.
+All shards run serially in the calling process.  Every RNG stream is
+derived per shard (or is global), so the artefacts depend only on the
+seed and the fixed shard count.
 """
 
 from __future__ import annotations
@@ -172,15 +162,13 @@ class _Streams:
     """Every RNG stream the engine consumes, derived from the run seed.
 
     * ``schedule`` — handle-change and tombstone schedules, computed once
-      at startup in every process.
+      at startup.
     * ``lifecycle`` — per-day jitter for labeler/feed starts, handle
-      changes, and tombstones; consumed identically in every process.
+      changes, and tombstones.
     * ``signup`` — per-signup decisions (profile, initial follows, spam,
-      account labels); replayed identically in every process so the
-      replicated global state (follow pool, samplers) stays in lockstep.
-    * ``shards[s]`` — all activity generation for shard ``s``; consumed
-      only by the process that owns the shard.
-    * ``identity`` / ``finalize`` — coordinator-only phases.
+      account labels).
+    * ``shards[s]`` — all activity generation for shard ``s``.
+    * ``identity`` / ``finalize`` — the barrier-side phases.
     """
 
     def __init__(self, seed: int, n_shards: int):
@@ -517,27 +505,19 @@ class ShardEngine:
 
 
 class SimProcess:
-    """Deterministic global replay plus generation for a set of shards.
+    """The global timeline (signups, labeler/feed starts, handle changes,
+    tombstones) plus day-activity generation for every logical shard."""
 
-    Every participating process — the coordinator and each spawned
-    worker — builds one of these over its own copy of the world and
-    replays the global timeline (signups, labeler/feed starts, handle
-    changes, tombstones) identically from replicated RNG streams.  Only
-    the *owned* shards write records and queue day-batch items; in the
-    single-process path the coordinator owns every shard.
-    """
-
-    def __init__(self, world: World, owned_shards) -> None:
+    def __init__(self, world: World) -> None:
         self.world = world
         self.config: SimulationConfig = world.config
         self.n_shards = self.config.sim_shards
         self.streams = _Streams(self.config.seed, self.n_shards)
-        self.owned = tuple(sorted(owned_shards))
-        self.shard_engines = {
-            s: ShardEngine(self, s, self.streams.shards[s]) for s in self.owned
-        }
+        self.shard_engines = [
+            ShardEngine(self, s, self.streams.shards[s]) for s in range(self.n_shards)
+        ]
 
-        # Replicated global state (identical in every process).
+        # Global state shared by every shard.
         self.joined: list[UserState] = []
         self.follow_pool: list[str] = []  # DIDs, multiplicity ∝ attractiveness
         self.spam_accounts: list[str] = []
@@ -564,7 +544,7 @@ class SimProcess:
                 self.official_runtime = runtime
                 break
 
-        # Global schedules, identical in every process.
+        # Global schedules.
         self.signups = sorted(world.users, key=lambda u: u.spec.signup_us)
         self.feed_starts = sorted(world.feeds, key=lambda f: f.spec.created_us)
         self.labeler_starts = sorted(world.labelers, key=lambda l: l.spec.start_us)
@@ -573,11 +553,8 @@ class SimProcess:
         self._signup_i = self._labeler_i = self._feed_i = 0
         self._handle_i = self._tomb_i = 0
 
-    def owns(self, shard_id: int) -> bool:
-        return shard_id in self.shard_engines
-
-    def engine_for_user(self, user: UserState) -> Optional[ShardEngine]:
-        return self.shard_engines.get(shard_of(user.spec.index, self.n_shards))
+    def engine_for_user(self, user: UserState) -> ShardEngine:
+        return self.shard_engines[shard_of(user.spec.index, self.n_shards)]
 
     # -- schedules -----------------------------------------------------------
 
@@ -629,12 +606,10 @@ class SimProcess:
     # -- day phases ----------------------------------------------------------
 
     def begin_day(self, day_us: int) -> None:
-        """Phase A: replay the day's signups and labeler/feed starts.
-
-        Runs in every process; the owned shards additionally perform the
-        associated repo writes and queue their commit events."""
+        """Phase A: the day's signups and labeler/feed starts; their repo
+        writes queue commit events on the owning shard."""
         day_end = day_us + US_PER_DAY
-        for engine in self.shard_engines.values():
+        for engine in self.shard_engines:
             engine.begin_day()
         signups = self.signups
         while self._signup_i < len(signups) and signups[self._signup_i].spec.signup_us < day_end:
@@ -645,11 +620,9 @@ class SimProcess:
         while self._labeler_i < len(starts) and starts[self._labeler_i].spec.start_us < day_end:
             runtime = starts[self._labeler_i]
             t = day_us + lifecycle.randrange(US_PER_DAY)
-            engine = self.shard_engines.get(LABELER_SHARD)
-            meta = self.world.start_labeler(runtime, t, write_record=engine is not None)
+            meta = self.world.start_labeler(runtime, t)
             self.pds_by_did[runtime.did] = self.world.pds_shards[0]
-            if engine is not None and meta is not None:
-                engine.queue_commit(t, meta, False)
+            self.shard_engines[LABELER_SHARD].queue_commit(t, meta, False)
             if runtime.spec.expected_likes:
                 self.labeler_like_sampler.append(
                     "at://%s/app.bsky.labeler.service/self" % runtime.did,
@@ -661,10 +634,9 @@ class SimProcess:
             runtime = feeds[self._feed_i]
             t = day_us + lifecycle.randrange(US_PER_DAY)
             creator = self.world.users[runtime.spec.creator_index]
-            engine = self.engine_for_user(creator)
-            meta = self.world.create_feed(runtime, t, write_record=engine is not None)
-            if engine is not None and meta is not None:
-                engine.queue_commit(t, meta, False)
+            meta = self.world.create_feed(runtime, t)
+            if meta is not None:
+                self.engine_for_user(creator).queue_commit(t, meta, False)
             if runtime.announced:
                 # Popular creators draw more likes to their feeds (the
                 # paper's r=0.533 between feed likes and followers).
@@ -673,31 +645,18 @@ class SimProcess:
             self._feed_i += 1
 
     def generate_owned(self, day_us: int) -> list[DayBatch]:
-        """Phase B: run the owned shards' day activity, one batch each."""
+        """Phase B: run every shard's day activity, one batch each."""
         rate_adj = self.config.activity_scale
         batches = []
-        for shard_id in self.owned:
-            engine = self.shard_engines[shard_id]
+        for engine in self.shard_engines:
             wall0 = time.perf_counter()  # repro: allow(wallclock) -- per-shard timing telemetry; excluded from batch digests
             engine.run_day_activity(day_us, rate_adj)
             gen_wall_us = (time.perf_counter() - wall0) * 1e6  # repro: allow(wallclock) -- per-shard timing telemetry; excluded from batch digests
             batches.append(engine.take_batch(gen_wall_us))
         return batches
 
-    def apply_cross_shard_update(self, update: list[RecentPost]) -> None:
-        """Apply the previous day's merged pool entries (the exchange
-        step's input on the worker side; the coordinator applies the same
-        entries during its merge)."""
-        for post in update:
-            self.recent_posts.append(post)
-            if post.popular:
-                self.popular_posts.append(post)
-
-    def apply_handles(self, day_us: int, publish: bool) -> None:
-        """Phase D: handle changes scheduled for this day.
-
-        Runs in every process (the lifecycle stream must advance in
-        lockstep); only the coordinator publishes firehose events."""
+    def apply_handles(self, day_us: int) -> None:
+        """Phase D: handle changes scheduled for this day."""
         day_end = day_us + US_PER_DAY
         changes = self.handle_changes
         lifecycle = self.streams.lifecycle
@@ -705,10 +664,10 @@ class SimProcess:
             _, user, new_handle = changes[self._handle_i]
             if user.joined and not user.tombstoned:
                 t = day_us + lifecycle.randrange(US_PER_DAY)
-                self.world.change_handle(user, new_handle, t, publish=publish)
+                self.world.change_handle(user, new_handle, t)
             self._handle_i += 1
 
-    def apply_tombstones(self, day_us: int, publish: bool) -> None:
+    def apply_tombstones(self, day_us: int) -> None:
         day_end = day_us + US_PER_DAY
         tombstones = self.tombstones
         lifecycle = self.streams.lifecycle
@@ -717,14 +676,8 @@ class SimProcess:
             if user.joined and not user.tombstoned:
                 t = day_us + lifecycle.randrange(US_PER_DAY)
                 self.world.tombstone_user(user, t)
-                if publish:
-                    self.world.relay.publish_tombstone(user.did, t)
+                self.world.relay.publish_tombstone(user.did, t)
             self._tomb_i += 1
-
-    def replica_end_day(self, day_us: int) -> None:
-        """Worker-side phase D: same state transitions, no events."""
-        self.apply_handles(day_us, publish=False)
-        self.apply_tombstones(day_us, publish=False)
 
     # -- signup --------------------------------------------------------------
 
@@ -734,8 +687,7 @@ class SimProcess:
         self.joined.append(user)
         self.pds_by_did[user.did] = user.pds
         engine = self.engine_for_user(user)
-        if engine is not None:
-            engine.active_sampler.append(user, user.spec.engagement)
+        engine.active_sampler.append(user, user.spec.engagement)
         multiplicity = 1 + min(50, int(user.spec.attractiveness))
         self.follow_pool.extend([user.did] * multiplicity)
         if user.spec.is_official:
@@ -753,12 +705,9 @@ class SimProcess:
             self.spam_accounts.append(user.did)
         self._maybe_label_account(user, now_us)
 
-    def _set_profile(
-        self, user: UserState, now_us: int, engine: Optional[ShardEngine]
-    ) -> None:
-        """Profile record + (possibly) an official label on it.  The
-        decision draws come from the replicated signup stream so every
-        process agrees; only the owning shard performs the write."""
+    def _set_profile(self, user: UserState, now_us: int, engine: ShardEngine) -> None:
+        """Profile record + (possibly) an official label on it; the
+        decision draws come from the global signup stream."""
         rng = self.streams.signup
         record = {
             "$type": PROFILE,
@@ -767,9 +716,8 @@ class SimProcess:
             or vocab.make_post_text(rng, user.spec.lang)[:60],
             "createdAt": iso_timestamp(now_us),
         }
-        if engine is not None:
-            meta = user.pds.create_record(user.did, PROFILE, record, now_us, rkey="self")
-            engine.queue_commit(now_us, meta, True)
+        meta = user.pds.create_record(user.did, PROFILE, record, now_us, rkey="self")
+        engine.queue_commit(now_us, meta, True)
         # NSFW-heavy accounts attract official labels on their avatar/banner.
         if user.spec.nsfw_rate > 0.3:
             official = self.official_runtime
@@ -798,9 +746,7 @@ class SimProcess:
         target = self.follow_pool[rng.randrange(len(self.follow_pool))]
         return None if target == user.did else target
 
-    def _initial_follows(
-        self, user: UserState, now_us: int, engine: Optional[ShardEngine]
-    ) -> None:
+    def _initial_follows(self, user: UserState, now_us: int, engine: ShardEngine) -> None:
         rng = self.streams.signup
         count = min(user.spec.follow_initial, max(1, len(self.follow_pool) // 2))
         t = now_us
@@ -809,10 +755,9 @@ class SimProcess:
             if target is None:
                 continue
             t += rng.randrange(1, 30 * US_PER_SECOND)
-            if engine is not None:
-                record = {"$type": FOLLOW, "subject": target, "createdAt": iso_timestamp(t)}
-                meta = user.pds.create_record(user.did, FOLLOW, record, t)
-                engine.queue_commit(t, meta, True)
+            record = {"$type": FOLLOW, "subject": target, "createdAt": iso_timestamp(t)}
+            meta = user.pds.create_record(user.did, FOLLOW, record, t)
+            engine.queue_commit(t, meta, True)
 
     def _maybe_label_account(self, user: UserState, now_us: int) -> None:
         official = self.official_runtime
@@ -838,41 +783,19 @@ class SimProcess:
             self._impersonator_epoch = epoch
         return cached
 
-    def export_repo_car(self, did: str):
-        """A repo CAR for an owned (or labeler) account, None if unknown."""
-        pds = self.pds_by_did.get(did)
-        if pds is None or not pds.has_account(did):
-            return None
-        repo = pds.repo(did)
-        if repo.head is None:
-            return None
-        return repo.export_car()
-
 
 class Engine:
-    """Coordinator: executes a world's timeline over 1..N processes."""
+    """Coordinator: runs a world's timeline day by day in this process."""
 
-    def __init__(
-        self,
-        world: World,
-        workers: int = 1,
-        worker_fault_plan=None,
-        supervision=None,
-    ):
+    def __init__(self, world: World):
         self.world = world
         self.config: SimulationConfig = world.config
-        self.worker_fault_plan = worker_fault_plan
-        self.supervision = supervision
         n_shards = self.config.sim_shards
-        self.workers = max(1, min(int(workers), n_shards))
-        owned = range(n_shards) if self.workers == 1 else ()
-        self.sim = SimProcess(world, owned)
+        self.sim = SimProcess(world)
         registry = world.telemetry.registry
         self._m_days = registry.counter("sim_days_total")
         self._m_signups = registry.counter("sim_signups_total")
         self._m_commits = registry.counter("sim_commits_total")
-        # Per-shard commit totals, merged into the one coordinator
-        # registry (worker registries are replicas and are discarded).
         self._m_shard_commits = registry.counter(
             "sim_shard_commits_total", label_names=("shard",)
         )
@@ -883,7 +806,6 @@ class Engine:
         self._shard_hashers = [
             hashlib.sha256(b"shard-segment:%d" % s) for s in range(n_shards)
         ]
-        self._pool = None
 
     # ---------------------------------------------------------------- run --
 
@@ -903,114 +825,83 @@ class Engine:
         for family in (self._m_days, self._m_signups, self._m_commits, self._m_shard_commits):
             family.clear()
 
-        # The pool is created inside the protected region so every exit
-        # path — including a failure while the pool is only partially
-        # started — runs shutdown() and cannot leak worker processes.
-        pool = None
-        try:
-            if self.workers > 1:
-                from repro.simulation.workers import WorkerPool
+        for day_us in day_range(config.start_us, config.end_us):
+            day_end = day_us + US_PER_DAY
+            day_traced = tracer.enabled and tracer.sampled("sim-day")
+            day_wall0 = tracer.wall_us() if day_traced else 0.0
+            # Keep the service directory's clock roughly current so
+            # time-windowed faults apply to calls made outside the
+            # retry helper (which sets it precisely per attempt).
+            world.services.now_us = day_us
 
-                pool = WorkerPool(
-                    config,
-                    self.workers,
-                    fault_plan=self.worker_fault_plan,
-                    supervision=self.supervision,
-                    telemetry=world.telemetry,
+            joined_before = len(sim.joined)
+            sim.begin_day(day_us)
+            self._m_signups.inc((), len(sim.joined) - joined_before)
+            batches = sim.generate_owned(day_us)
+
+            if day_traced:
+                # shard.day spans are recorded after generation: each ends
+                # "now" and extends back by the shard's measured
+                # generation wall time, so the spans overlap.
+                now_us = tracer.wall_us()
+                for batch in batches:
+                    tracer.complete(
+                        "shard.day s%02d" % batch.shard_id,
+                        "shard",
+                        now_us - batch.gen_wall_us,
+                        args={"shard": batch.shard_id, "items": len(batch.items)},
+                        virtual_ts_us=day_us,
+                        virtual_dur_us=US_PER_DAY,
+                    )
+            merge_wall0 = tracer.wall_us() if day_traced else 0.0
+            pending_update, commits_today = self._merge_day(day_us, batches)
+            if day_traced:
+                tracer.complete(
+                    "relay.merge",
+                    "shard",
+                    merge_wall0,
+                    args={"batches": len(batches)},
+                    virtual_ts_us=day_us,
+                    virtual_dur_us=US_PER_DAY,
                 )
-                world.relay.repo_reader = pool.repo_reader()
-            self._pool = pool
-            pending_update: list[RecentPost] = []
-            for day_us in day_range(config.start_us, config.end_us):
-                day_end = day_us + US_PER_DAY
-                day_traced = tracer.enabled and tracer.sampled("sim-day")
-                day_wall0 = tracer.wall_us() if day_traced else 0.0
-                # Keep the service directory's clock roughly current so
-                # time-windowed faults apply to calls made outside the
-                # retry helper (which sets it precisely per attempt).
-                world.services.now_us = day_us
+                # The exchange step proper: the merged pool update that
+                # crosses the barrier into the next day tick.
+                tracer.complete(
+                    "shard.exchange",
+                    "shard",
+                    tracer.wall_us(),
+                    args={"posts": len(pending_update)},
+                    virtual_ts_us=day_us + US_PER_DAY - 1,
+                    virtual_dur_us=0,
+                )
 
-                if pool is not None:
-                    # Ship the day tick (plus the previous barrier's pool
-                    # update) before replaying our own lifecycle, so the
-                    # workers generate while the coordinator replays.
-                    pool.send_day(day_us, pending_update)
-                joined_before = len(sim.joined)
-                sim.begin_day(day_us)
-                self._m_signups.inc((), len(sim.joined) - joined_before)
-                if pool is not None:
-                    batches = pool.collect_batches()
-                else:
-                    batches = sim.generate_owned(day_us)
-
-                if day_traced:
-                    # shard.day spans: in worker mode the coordinator can
-                    # only anchor them at collection time, so each span ends
-                    # "now" and extends back by the worker-measured
-                    # generation wall time (spans overlap when workers did).
-                    now_us = tracer.wall_us()
-                    for batch in batches:
-                        tracer.complete(
-                            "shard.day s%02d" % batch.shard_id,
-                            "shard",
-                            now_us - batch.gen_wall_us,
-                            args={"shard": batch.shard_id, "items": len(batch.items)},
-                            virtual_ts_us=day_us,
-                            virtual_dur_us=US_PER_DAY,
-                        )
-                merge_wall0 = tracer.wall_us() if day_traced else 0.0
-                pending_update, commits_today = self._merge_day(day_us, batches)
-                if day_traced:
-                    tracer.complete(
-                        "relay.merge",
-                        "shard",
-                        merge_wall0,
-                        args={"batches": len(batches), "workers": self.workers},
-                        virtual_ts_us=day_us,
-                        virtual_dur_us=US_PER_DAY,
-                    )
-                    # The exchange step proper: the merged pool update that
-                    # crosses the barrier into the next day tick.
-                    tracer.complete(
-                        "shard.exchange",
-                        "shard",
-                        tracer.wall_us(),
-                        args={"posts": len(pending_update)},
-                        virtual_ts_us=day_us + US_PER_DAY - 1,
-                        virtual_dur_us=0,
-                    )
-
-                sim.apply_handles(day_us, publish=True)
-                sim.apply_tombstones(day_us, publish=True)
-                self._identity_noise(day_us, commits_today)
-                while sched_i < len(scheduled) and scheduled[sched_i][0] < day_end:
-                    scheduled[sched_i][1](day_end - 1)
-                    sched_i += 1
-                self._m_days.inc()
-                self._m_commits.inc((), commits_today)
-                if day_traced:
-                    tracer.complete(
-                        "sim-day %s" % iso_timestamp(day_us)[:10],
-                        "sim",
-                        day_wall0,
-                        args={"commits": commits_today, "workers": self.workers},
-                        virtual_ts_us=day_us,
-                        virtual_dur_us=US_PER_DAY,
-                    )
-                if progress is not None and day_us % (30 * US_PER_DAY) < US_PER_DAY:
-                    progress("simulated through %s" % iso_timestamp(day_us)[:10])
-
-            # Fire any actions scheduled at/after the end of the timeline.
-            while sched_i < len(scheduled):
-                scheduled[sched_i][1](config.end_us - 1)
+            sim.apply_handles(day_us)
+            sim.apply_tombstones(day_us)
+            self._identity_noise(day_us, commits_today)
+            while sched_i < len(scheduled) and scheduled[sched_i][0] < day_end:
+                scheduled[sched_i][1](day_end - 1)
                 sched_i += 1
+            self._m_days.inc()
+            self._m_commits.inc((), commits_today)
+            if day_traced:
+                tracer.complete(
+                    "sim-day %s" % iso_timestamp(day_us)[:10],
+                    "sim",
+                    day_wall0,
+                    args={"commits": commits_today},
+                    virtual_ts_us=day_us,
+                    virtual_dur_us=US_PER_DAY,
+                )
+            if progress is not None and day_us % (30 * US_PER_DAY) < US_PER_DAY:
+                progress("simulated through %s" % iso_timestamp(day_us)[:10])
 
-            self._finalize_labels()
-            world.appview.sync_labels()
-        finally:
-            if pool is not None:
-                world.relay.repo_reader = pool.close_reader()
-                pool.shutdown()
+        # Fire any actions scheduled at/after the end of the timeline.
+        while sched_i < len(scheduled):
+            scheduled[sched_i][1](config.end_us - 1)
+            sched_i += 1
+
+        self._finalize_labels()
+        world.appview.sync_labels()
 
     # --------------------------------------------------------------- merge --
 
@@ -1020,11 +911,10 @@ class Engine:
         Relay sequence numbers, label sequence numbers, pool contents,
         feed-routing order, and viewer-like order are all decided here,
         in ``(time_us, shard id, intra-shard seq)`` order — never by
-        worker scheduling."""
+        the order the shards ran in."""
         sim = self.sim
         world = self.world
         relay = world.relay
-        pool = self._pool
         pds_by_did = sim.pds_by_did
         recent_likes = world.recent_likes_by_viewer
         labelers = world.labelers
@@ -1036,8 +926,6 @@ class Engine:
             if kind == K_COMMIT:
                 did, meta, counts = item[2]
                 relay.publish_commit(pds_by_did[did], did, meta)
-                if pool is not None:
-                    pool.note_repo_home(did, shard_id)
                 shard_commits[shard_id] += 1
                 if counts:
                     commits_today += 1

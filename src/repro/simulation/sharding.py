@@ -1,18 +1,16 @@
-"""Deterministic sharding primitives for the parallel simulation engine.
+"""Deterministic sharding primitives for the simulation engine.
 
 The population is partitioned into ``config.sim_shards`` *logical* shards
 (user → shard via :func:`shard_of`, matching the PDS assignment rule).
-The shard count is a property of the configuration, **not** of the worker
-count: a run with ``--workers 4`` and a run with ``--workers 1`` execute
-the same per-shard event streams and merge them with the same rule, which
-is what makes every artefact byte-identical across worker counts.
+The shard count is a property of the configuration: every shard has its
+own event stream, and the streams are merged with one fixed rule, so the
+artefacts do not depend on the order in which the shards run.
 
-Three pieces live here because both the coordinator and the spawned
-workers need them:
+Three pieces live here:
 
 * **Seed derivation** (:func:`derive_seed`) — every RNG stream the engine
   consumes is keyed by ``sha256(seed | label [| shard])``, so shard
-  streams are independent of each other and of the replicated global
+  streams are independent of each other and of the global
   streams (schedules, signup decisions, lifecycle jitter).
 * **Day batches** (:class:`DayBatch`, :func:`merged_items`) — the items a
   shard produces in one simulated day, merged across shards with the
@@ -32,8 +30,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-# Pool bounds (previously implicit ``deque(maxlen=...)`` defaults inside
-# the engine; the exchange step replicates them, so they are named).
+# Recent-post pool bounds.
 RECENT_POOL_MAXLEN = 4000
 POPULAR_POOL_MAXLEN = 500
 
@@ -83,8 +80,8 @@ class RecentPostPool:
     deterministic merged order ``(time_us, shard id, intra-shard seq)``
     applied at the day barrier.  Index 0 is always the oldest surviving
     entry; indexes are stable between barriers, so a uniform
-    ``rng.randrange(len(pool))`` draw selects the same post in every
-    process and at every worker count.
+    ``rng.randrange(len(pool))`` draw selects the same post whatever
+    order the shards ran in.
 
     Implemented as a ring buffer: O(1) append *and* O(1) random access
     (the previous ``collections.deque`` gave O(n) indexing, which the
@@ -137,9 +134,7 @@ class DayBatch:
 
     ``items`` is a list of ``(time_us, kind, payload)`` tuples in
     generation order; the list index is the intra-shard sequence number
-    used by the merge rule.  The batch is picklable (payloads are
-    ``CommitMeta`` / :class:`RecentPost` / ``PostFeatures`` / primitive
-    tuples), so worker processes ship it to the coordinator as-is.
+    used by the merge rule.
     """
 
     shard_id: int
@@ -153,7 +148,7 @@ def merged_items(batches: Iterable[DayBatch]) -> list:
     Returns ``(time_us, shard_id, intra_shard_seq, item)`` tuples sorted
     by exactly that triple.  The shard layout is fixed by configuration,
     so the merged order — and therefore every relay sequence number —
-    is independent of how many worker processes produced the batches.
+    is independent of the order the batches were produced in.
     """
     keyed = []
     for batch in batches:

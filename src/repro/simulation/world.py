@@ -81,7 +81,7 @@ class FeedRuntime:
 class World:
     """The full simulated Bluesky deployment."""
 
-    def __init__(self, config: SimulationConfig, telemetry=None):
+    def __init__(self, config: SimulationConfig):
         self.config = config
         self.rng = random.Random(config.seed ^ 0x5EED)
         self.clock = SimClock(config.start_us)
@@ -91,9 +91,7 @@ class World:
         self.dns = DnsResolver(self.dns_zone)
         self.web = WebHostRegistry()
         self.services = ServiceDirectory()
-        # Worker processes pass Telemetry.disabled(): replica worlds must
-        # not trace or count — only the coordinator's registry survives.
-        self.set_telemetry(telemetry if telemetry is not None else self.services.telemetry)
+        self.set_telemetry(self.services.telemetry)
         self.registrars = RegistrarDatabase()
         for registrar in long_tail_registrars(242):
             self.registrars.add(registrar)
@@ -293,20 +291,15 @@ class World:
         else:
             publish_well_known_proof(self.web, spec.handle, did)
 
-    def change_handle(
-        self, user: UserState, new_handle: str, now_us: int, publish: bool = True
-    ) -> None:
-        """Rotate a handle.  ``publish=False`` applies the identity-side
-        state only — worker replicas replay handle changes in lockstep but
-        must not emit events on their (discarded) replica firehose."""
+    def change_handle(self, user: UserState, new_handle: str, now_us: int) -> None:
+        """Rotate a handle and announce it on the firehose."""
         if user.spec.identity_method == "web":
             return  # did:web identifiers cannot change their domain
         self.plc.update(user.did, user.keypair, handle=new_handle)
         user.current_handle = new_handle
         publish_dns_proof(self.dns_zone, new_handle, user.did)
-        if publish:
-            self.relay.publish_handle_event(user.did, new_handle, now_us)
-            self.relay.publish_identity_event(user.did, now_us, handle=new_handle)
+        self.relay.publish_handle_event(user.did, new_handle, now_us)
+        self.relay.publish_identity_event(user.did, now_us, handle=new_handle)
 
     def tombstone_user(self, user: UserState, now_us: int) -> None:
         if user.spec.identity_method != "web":
@@ -317,14 +310,11 @@ class World:
 
     # -- labeler / feed instantiation (used by the engine) ------------------------------
 
-    def start_labeler(self, runtime: LabelerRuntime, now_us: int, write_record: bool = True):
+    def start_labeler(self, runtime: LabelerRuntime, now_us: int):
         """Bring a labeler online: account, service record, endpoint.
 
-        Returns the service-record ``CommitMeta`` (or None).  In sharded
-        runs every process replays the start so replica state stays in
-        lockstep, but only the owner of the labeler's shard passes
-        ``write_record=True`` and queues the returned commit for the
-        deterministic merge.
+        Returns the service-record ``CommitMeta``; the engine queues it
+        for the deterministic merge.
         """
         spec = runtime.spec
         keypair = make_keypair(b"labeler:" + spec.key.encode(), fast=self.config.fast_keys)
@@ -358,15 +348,13 @@ class World:
         # Announce: service record in the repo + endpoint in the DID doc.
         from repro.simulation.clock import iso_timestamp
 
-        meta = None
-        if write_record:
-            meta = pds.create_record(
-                did,
-                "app.bsky.labeler.service",
-                service.service_record(iso_timestamp(now_us)),
-                now_us,
-                rkey="self",
-            )
+        meta = pds.create_record(
+            did,
+            "app.bsky.labeler.service",
+            service.service_record(iso_timestamp(now_us)),
+            now_us,
+            rkey="self",
+        )
         self.plc.update(did, keypair, labeler_endpoint=endpoint)
         self.relay.publish_identity_event(did, now_us)
         if spec.functional:
@@ -382,11 +370,11 @@ class World:
         # Non-functional labelers announce but never expose an endpoint.
         return meta
 
-    def create_feed(self, runtime: FeedRuntime, now_us: int, write_record: bool = True):
+    def create_feed(self, runtime: FeedRuntime, now_us: int):
         """Instantiate a feed on its platform and announce it.
 
-        Returns the generator-record ``CommitMeta`` (or None); the same
-        replay-everywhere / write-on-owner split as :meth:`start_labeler`.
+        Returns the generator-record ``CommitMeta``, or None when the
+        creator has not joined or was removed.
         """
         from repro.services.feedgen import (
             CuratedFeed,
@@ -410,18 +398,16 @@ class World:
             host_fqdn = "feed-%05d.dead.example" % spec.index
             runtime.endpoint = "https://" + host_fqdn
             runtime.service_did = "did:web:" + host_fqdn
-            meta = None
-            if write_record:
-                record = {
-                    "$type": "app.bsky.feed.generator",
-                    "did": runtime.service_did,
-                    "displayName": spec.display_name,
-                    "description": spec.description,
-                    "createdAt": iso_timestamp(now_us),
-                }
-                meta = creator.pds.create_record(
-                    creator.did, "app.bsky.feed.generator", record, now_us, rkey=spec.rkey
-                )
+            record = {
+                "$type": "app.bsky.feed.generator",
+                "did": runtime.service_did,
+                "displayName": spec.display_name,
+                "description": spec.description,
+                "createdAt": iso_timestamp(now_us),
+            }
+            meta = creator.pds.create_record(
+                creator.did, "app.bsky.feed.generator", record, now_us, rkey=spec.rkey
+            )
             runtime.announced = True
             return meta
 
@@ -460,18 +446,16 @@ class World:
             self.feed_router.register(feed_obj)
         runtime.feed_obj = feed_obj
 
-        meta = None
-        if write_record:
-            record = {
-                "$type": "app.bsky.feed.generator",
-                "did": service_did,
-                "displayName": spec.display_name,
-                "description": spec.description,
-                "createdAt": iso_timestamp(now_us),
-            }
-            meta = creator.pds.create_record(
-                creator.did, "app.bsky.feed.generator", record, now_us, rkey=spec.rkey
-            )
+        record = {
+            "$type": "app.bsky.feed.generator",
+            "did": service_did,
+            "displayName": spec.display_name,
+            "description": spec.description,
+            "createdAt": iso_timestamp(now_us),
+        }
+        meta = creator.pds.create_record(
+            creator.did, "app.bsky.feed.generator", record, now_us, rkey=spec.rkey
+        )
         runtime.announced = True
         return meta
 
@@ -509,31 +493,13 @@ class World:
 
     # -- running ---------------------------------------------------------------------------
 
-    def run(
-        self,
-        progress: Optional[Callable[[str], None]] = None,
-        workers: int = 1,
-        worker_fault_plan=None,
-        supervision=None,
-    ) -> "World":
-        """Execute the timeline; idempotent.
-
-        ``workers > 1`` spreads the logical shards over that many spawned
-        worker processes; every artefact is byte-identical to ``workers=1``
-        for the same seed (the deterministic-merge guarantee) — including
-        under a ``worker_fault_plan`` injecting worker kills/hangs, which
-        the supervisor recovers by deterministic restart-and-replay.
-        """
+    def run(self, progress: Optional[Callable[[str], None]] = None) -> "World":
+        """Execute the timeline; idempotent."""
         if self._ran:
             return self
         from repro.simulation.engine import Engine
 
-        Engine(
-            self,
-            workers=workers,
-            worker_fault_plan=worker_fault_plan,
-            supervision=supervision,
-        ).run(progress=progress)
+        Engine(self).run(progress=progress)
         self._ran = True
         return self
 

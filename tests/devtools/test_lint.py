@@ -28,8 +28,8 @@ from repro.devtools.lint.cli import main as lint_main
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
-# Non-allowlisted, non-spawn-critical module: every rule is live, and
-# module-level snippet assignments don't trip the spawn-state rule.
+# Non-allowlisted module outside the simulation engine: every rule is
+# live, and module-level snippet assignments don't trip the state rule.
 SIM_MODULE = "repro.core.pipeline"
 
 
@@ -258,147 +258,9 @@ class TestIdHashOrder:
         assert run("record = dict(key=id)\n") == []
 
 
-class TestForkStartMethod:
-    def test_fork_context_fires(self):
-        findings = run(
-            """
-            import multiprocessing
-            ctx = multiprocessing.get_context("fork")
-            """
-        )
-        assert rule_ids(findings) == ["fork-start-method"]
-
-    def test_forkserver_set_start_method_fires(self):
-        findings = run(
-            """
-            import multiprocessing
-            multiprocessing.set_start_method("forkserver", force=True)
-            """
-        )
-        assert rule_ids(findings) == ["fork-start-method"]
-
-    def test_spawn_quiet(self):
-        findings = run(
-            """
-            import multiprocessing
-            ctx = multiprocessing.get_context("spawn")
-            """
-        )
-        assert findings == []
-
-
-class TestWorkerClosure:
-    def test_lambda_target_fires(self):
-        findings = run(
-            """
-            def start(ctx, conn):
-                return ctx.Process(target=lambda: conn.send(1))
-            """
-        )
-        assert rule_ids(findings) == ["worker-closure"]
-
-    def test_nested_function_target_fires(self):
-        findings = run(
-            """
-            def start(ctx):
-                def inner(conn):
-                    pass
-                return ctx.Process(target=inner, args=(None,))
-            """
-        )
-        assert rule_ids(findings) == ["worker-closure"]
-
-    def test_lambda_in_args_fires(self):
-        findings = run(
-            """
-            def start(ctx, worker_main):
-                return ctx.Process(target=worker_main, args=(lambda: 1,))
-            """
-        )
-        assert rule_ids(findings) == ["worker-closure"]
-
-    def test_module_level_target_quiet(self):
-        findings = run(
-            """
-            def worker_main(conn, config):
-                pass
-
-            def start(ctx, conn, config):
-                return ctx.Process(target=worker_main, args=(conn, config))
-            """
-        )
-        assert findings == []
-
-
-class TestUnboundedRecv:
-    def test_bare_recv_fires_in_simulation_tree(self):
-        findings = run(
-            """
-            def collect(conn):
-                return conn.recv()
-            """,
-            module="repro.simulation.workers",
-        )
-        assert rule_ids(findings) == ["unbounded-recv"]
-
-    def test_poll_guard_in_same_function_quiet(self):
-        findings = run(
-            """
-            def collect(conn):
-                while not conn.poll(0.05):
-                    pass
-                return conn.recv()
-            """,
-            module="repro.simulation.workers",
-        )
-        assert findings == []
-
-    def test_poll_without_timeout_is_no_guard(self):
-        # poll() with no timeout blocks exactly like recv() does.
-        findings = run(
-            """
-            def collect(conn):
-                conn.poll()
-                return conn.recv()
-            """,
-            module="repro.simulation.workers",
-        )
-        assert rule_ids(findings) == ["unbounded-recv"]
-
-    def test_outside_simulation_tree_quiet(self):
-        findings = run(
-            """
-            def collect(conn):
-                return conn.recv()
-            """
-        )
-        assert findings == []
-
-    def test_socket_recv_with_bufsize_quiet(self):
-        findings = run(
-            """
-            def read(sock):
-                return sock.recv(4096)
-            """,
-            module="repro.simulation.workers",
-        )
-        assert findings == []
-
-    def test_pragma_suppresses_with_reason(self):
-        findings = run(
-            """
-            def worker_loop(conn):
-                return conn.recv()  # repro: allow(unbounded-recv) -- worker side: coordinator death raises EOFError
-            """,
-            module="repro.simulation.workers",
-        )
-        assert rule_ids(findings) == []
-        assert rule_ids(findings, include_suppressed=True) == ["unbounded-recv"]
-
-
 class TestModuleMutableState:
     def test_module_level_dict_fires_in_spawn_module(self):
-        findings = run("CACHE = {}\n", module="repro.simulation.workers")
+        findings = run("CACHE = {}\n", module="repro.simulation.engine")
         assert rule_ids(findings) == ["module-mutable-state"]
 
     def test_constructor_call_fires(self):
@@ -435,7 +297,7 @@ class TestModuleMutableState:
                 local = {}
                 return local
             """,
-            module="repro.simulation.workers",
+            module="repro.simulation.engine",
         )
         assert findings == []
 
@@ -672,7 +534,7 @@ class TestCli:
         audit = lint_source(
             source,
             module="repro.obs.trace",
-            config=LintConfig(allowlist={}, spawn_modules=DEFAULT_CONFIG.spawn_modules),
+            config=LintConfig(allowlist={}, state_modules=DEFAULT_CONFIG.state_modules),
         )
         assert rule_ids(audit) == ["wallclock"]
 

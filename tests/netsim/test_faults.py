@@ -34,6 +34,11 @@ class EchoService(XrpcService):
         return {"ok": True, **params}
 
 
+def injected_latency_us(services) -> int:
+    family = services.telemetry.registry.family("xrpc_injected_latency_us_total")
+    return family.total()
+
+
 def wired(plan=None):
     services = ServiceDirectory()
     echo = EchoService()
@@ -106,7 +111,7 @@ class TestSlowHost:
         services, _ = wired(plan)
         assert services.call(RELAY, "x.ping")["ok"]
         assert services.last_call_latency_us == 250_000
-        assert services.injected_latency_us == 250_000
+        assert injected_latency_us(services) == 250_000
 
     def test_guaranteed_timeout(self):
         plan = FaultPlan(
@@ -144,7 +149,7 @@ class TestSlowHost:
             services.call(RELAY, "x.ping")
         assert excinfo.value.latency_us == 0
         assert services.last_call_latency_us == 0
-        assert services.injected_latency_us == 0
+        assert injected_latency_us(services) == 0
         assert services.fault_injector.stats.calls_seen == 0
         with pytest.raises(XrpcError):
             services.call("https://nowhere.test", "x.ping")

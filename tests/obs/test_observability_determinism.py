@@ -1,7 +1,7 @@
 """Byte-identity of the observability artefacts (the acceptance tests).
 
 ``metrics.prom`` and ``slo.json`` must come out byte-identical across
-worker counts, interpreter hash seeds, and crash/resume chains — they
+interpreter hash seeds and crash/resume chains — they
 derive from the deterministic registry snapshot, so any divergence means
 nondeterminism leaked into the registry itself.  The deterministic event
 stream carries the same contract once the forensic wall clock (a dual
@@ -26,8 +26,6 @@ from repro.simulation.config import (
     SimulationConfig,
 )
 from repro.simulation.world import World
-
-WORKER_COUNTS = (1, 2, 4)
 
 
 def strip_wall(jsonl: str) -> str:
@@ -57,40 +55,29 @@ def _fault_plan():
     )
 
 
-def _run(workers: int = 1, **kwargs):
+def _run():
     world = World(SimulationConfig.tiny())
     frame_digest = firehose_frame_observer(world)
-    datasets = MeasurementPipeline(
-        world, workers=workers, fault_plan=_fault_plan(), **kwargs
-    ).run()
+    datasets = MeasurementPipeline(world, fault_plan=_fault_plan()).run()
     artefacts = observability_artefacts(datasets)
     artefacts["fingerprint"] = study_fingerprint(datasets, frame_digest)
     return artefacts
 
 
 @pytest.mark.slow
-class TestWorkerCountByteIdentity:
+class TestFaultedRun:
     @pytest.fixture(scope="class")
-    def runs(self):
-        return {workers: _run(workers) for workers in WORKER_COUNTS}
+    def run(self):
+        return _run()
 
-    def test_openmetrics_identical(self, runs):
-        assert len({run["prom"] for run in runs.values()}) == 1
-
-    def test_slo_json_identical(self, runs):
-        assert len({run["slo"] for run in runs.values()}) == 1
-
-    def test_event_stream_identical_modulo_wall_clock(self, runs):
-        assert len({run["events"] for run in runs.values()}) == 1
-
-    def test_event_stream_nonempty_with_faults(self, runs):
-        events = runs[1]["events"].splitlines()
+    def test_event_stream_nonempty_with_faults(self, run):
+        events = run["events"].splitlines()
         kinds = {json.loads(line)["kind"] for line in events}
         assert "fault.injected" in kinds
         assert "phase.start" in kinds and "phase.end" in kinds
 
-    def test_slo_report_grades_the_faulted_run(self, runs):
-        document = json.loads(runs[1]["slo"])
+    def test_slo_report_grades_the_faulted_run(self, run):
+        document = json.loads(run["slo"])
         aggregate = next(
             o for o in document["objectives"] if o["match"] == "*"
             and o["quantile"] == "p99"
@@ -102,7 +89,7 @@ class TestWorkerCountByteIdentity:
 @pytest.mark.slow
 class TestCrashResumeByteIdentity:
     def test_resumed_chain_matches_uninterrupted(self, tmp_path):
-        uninterrupted = _run(1)
+        uninterrupted = _run()
 
         checkpoint_dir = str(tmp_path / "ckpt")
         with pytest.raises(StudyCrashed):

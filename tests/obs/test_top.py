@@ -9,9 +9,6 @@ from tests.obs.test_slo import seeded_registry
 
 def status_document(errors=0):
     registry = seeded_registry(errors=errors)
-    registry.counter("sim_worker_restarts_total", ("shard",), volatile=True).inc(
-        ("s00",)
-    )
     return {
         "schema": "repro-status-v1",
         "ticks": 1234,
@@ -35,10 +32,6 @@ class TestRenderFrame:
         assert "com.atproto.sync.getRepo" in frame
         assert "SLOs (default bundle)" in frame
         assert "xrpc-aggregate-p99" in frame
-
-    def test_worker_health_reads_volatile_counters(self):
-        frame = render_frame(status_document())
-        assert "1 shard-restarts" in frame
 
     def test_breach_rendered(self):
         frame = render_frame(status_document(errors=40))

@@ -134,7 +134,7 @@ class TestSpanNesting:
     def test_other_categories_and_tracks_exempt(self):
         document = {"traceEvents": [
             _span("shard.day", 0, 50, cat="shard"),
-            _span("shard.day", 40, 30, cat="shard"),   # workers overlap: fine
+            _span("shard.day", 40, 30, cat="shard"),   # shard spans overlap: fine
             _span("simulation", 0, 50, pid=PID_VIRTUAL),
             _span("analysis", 40, 30, pid=PID_VIRTUAL),  # virtual track: fine
         ]}

@@ -72,7 +72,8 @@ class TestDirectory:
         directory.register("https://svc.test", EchoService())
         directory.call("https://svc.test", "com.example.echo", value=1)
         directory.try_call("https://other.test", "com.example.echo")
-        assert directory.call_count == 2
+        calls = directory.telemetry.registry.family("xrpc_calls_total")
+        assert calls.total() == 2
 
     def test_unreachable_reasons_are_distinct(self):
         directory = ServiceDirectory()
@@ -104,11 +105,3 @@ class TestDirectory:
         ) == 1
         latency = directory.telemetry.registry.family("xrpc_latency_us")
         assert latency.get(("https://svc.test",))[2] == 3  # observation count
-
-    def test_deprecated_aliases_track_registry(self):
-        directory = ServiceDirectory()
-        directory.register("https://svc.test", EchoService())
-        assert directory.call_count == 0
-        assert directory.injected_latency_us == 0
-        directory.call("https://svc.test", "com.example.echo", value=1)
-        assert directory.call_count == 1

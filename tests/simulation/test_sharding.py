@@ -1,27 +1,22 @@
-"""Sharded-engine determinism: the tentpole acceptance tests.
+"""Logical-shard determinism.
 
-The criterion from the issue: partitioning the population into logical
-shards and running them across worker processes must leave every artefact
-byte-identical to the single-process run of the same seed — firehose
-frames, Table 1, metrics.json — including under fault injection and
-through a crash/resume cycle.  The deterministic relay merge
-``(time_us, shard id, intra-shard seq)`` is what makes this hold.
+The population is partitioned into fixed logical shards with per-shard
+seed streams, and their day batches are merged with the deterministic
+rule ``(time_us, shard id, intra-shard seq)``.  These tests cover the
+primitives, the checkpoint segment check, and a pinned fingerprint of
+the tiny study.  Crash/resume and fault-seed byte identity are covered
+by ``tests/obs/test_observability_determinism.py`` and
+``tests/core/test_resilience.py``.
 """
 
 import hashlib
 
 import pytest
 
-from repro.core import report
 from repro.core.checkpoint import CheckpointError
 from repro.core.export import firehose_frame_observer, study_fingerprint
-from repro.core.pipeline import MeasurementPipeline, run_study
-from repro.netsim.faults import CrashPlan, FaultPlan, StudyCrashed
-from repro.simulation.config import (
-    FIREHOSE_COLLECT_END_US,
-    FIREHOSE_COLLECT_START_US,
-    SimulationConfig,
-)
+from repro.core.pipeline import MeasurementPipeline
+from repro.simulation.config import SimulationConfig
 from repro.simulation.sharding import (
     DayBatch,
     RecentPost,
@@ -33,7 +28,11 @@ from repro.simulation.sharding import (
 )
 from repro.simulation.world import World
 
-WORKER_COUNTS = (1, 2, 4)
+# study_fingerprint of SimulationConfig.tiny() (seed 2024).  It may change
+# only with a reason recorded in CHANGES.md.
+TINY_STUDY_FINGERPRINT = (
+    "9229788a33034d3ca25835b46e9dd183504884d06c3d7ba7cf3f98209708c34c"
+)
 
 
 def _post(i: int, time_us: int = 0) -> RecentPost:
@@ -122,101 +121,30 @@ class TestMergeRule:
         assert a.hexdigest() == b.hexdigest()
 
 
-def _run_with_fingerprint(workers: int, **kwargs):
-    """One tiny study at ``workers`` processes, with the frame observer
-    attached before the world runs; returns everything the byte-identity
-    assertions compare."""
-    world = World(SimulationConfig.tiny())
-    frame_digest = firehose_frame_observer(world)
-    datasets = MeasurementPipeline(world, workers=workers, **kwargs).run()
-    return {
-        "frames": frame_digest(),
-        "table1": report.render_table1(datasets),
-        "metrics": datasets.telemetry.metrics_json(),
-        "fingerprint": study_fingerprint(datasets, frame_digest),
-        "shard_digests": dict(world.shard_digest_log),
-        "next_seq": world.relay.firehose.next_seq(),
-    }
-
-
 @pytest.mark.slow
-class TestWorkerByteIdentity:
-    """Same seed, workers 1/2/4: every artefact byte-identical."""
+class TestPinnedFingerprint:
+    """The tiny seed-2024 study, run once: its fingerprint is pinned, so
+    any change to the output bytes fails here.  The pin may change only
+    with a reason recorded in CHANGES.md."""
 
     @pytest.fixture(scope="class")
-    def runs(self):
-        return {w: _run_with_fingerprint(w) for w in WORKER_COUNTS}
+    def run(self):
+        world = World(SimulationConfig.tiny())
+        frame_digest = firehose_frame_observer(world)
+        datasets = MeasurementPipeline(world).run()
+        return {
+            "fingerprint": study_fingerprint(datasets, frame_digest),
+            "shard_digests": dict(world.shard_digest_log),
+        }
 
-    def test_firehose_frames_identical(self, runs):
-        assert runs[2]["frames"] == runs[1]["frames"]
-        assert runs[4]["frames"] == runs[1]["frames"]
+    def test_study_fingerprint_matches_pin(self, run):
+        assert run["fingerprint"] == TINY_STUDY_FINGERPRINT
 
-    def test_table1_identical(self, runs):
-        assert runs[2]["table1"] == runs[1]["table1"]
-        assert runs[4]["table1"] == runs[1]["table1"]
-
-    def test_metrics_json_identical(self, runs):
-        assert runs[2]["metrics"] == runs[1]["metrics"]
-        assert runs[4]["metrics"] == runs[1]["metrics"]
-
-    def test_relay_seq_numbers_identical(self, runs):
-        assert runs[1]["next_seq"] > 1
-        assert runs[2]["next_seq"] == runs[1]["next_seq"]
-        assert runs[4]["next_seq"] == runs[1]["next_seq"]
-
-    def test_shard_digest_log_identical(self, runs):
-        base = runs[1]["shard_digests"]
-        assert base, "coordinator must record per-shard digests"
+    def test_shard_digest_log_shape(self, run):
+        digests = run["shard_digests"]
+        assert digests, "the engine must record per-shard digests"
         n_shards = SimulationConfig.tiny().sim_shards
-        assert all(len(digests) == n_shards for digests in base.values())
-        assert runs[2]["shard_digests"] == base
-        assert runs[4]["shard_digests"] == base
-
-    def test_study_fingerprint_identical(self, runs):
-        assert runs[2]["fingerprint"] == runs[1]["fingerprint"]
-        assert runs[4]["fingerprint"] == runs[1]["fingerprint"]
-
-
-@pytest.mark.slow
-class TestWorkerIdentityUnderFaults:
-    """Sharding composes with deterministic fault injection."""
-
-    def test_fault_seed_run_identical_across_workers(self):
-        def plan():
-            return FaultPlan.recoverable(
-                11, FIREHOSE_COLLECT_START_US, FIREHOSE_COLLECT_END_US
-            )
-
-        single = _run_with_fingerprint(1, fault_plan=plan())
-        sharded = _run_with_fingerprint(2, fault_plan=plan())
-        assert sharded["fingerprint"] == single["fingerprint"]
-        assert sharded["frames"] == single["frames"]
-
-
-@pytest.mark.slow
-class TestWorkerIdentityAcrossCrashResume:
-    """A workers=2 study killed mid-run and resumed matches an
-    uninterrupted workers=1 run byte for byte — and the resume passes the
-    per-shard checkpoint-segment verification."""
-
-    def test_crash_resume_workers2_matches_uninterrupted_workers1(
-        self, tmp_path_factory
-    ):
-        checkpoint_dir = str(tmp_path_factory.mktemp("ckpt-shard"))
-        with pytest.raises(StudyCrashed):
-            MeasurementPipeline(
-                World(SimulationConfig.tiny()),
-                checkpoint_dir=checkpoint_dir,
-                crash_plan=CrashPlan(points=(900,)),
-                workers=2,
-            ).run()
-        resumed = _run_with_fingerprint(
-            2, checkpoint_dir=checkpoint_dir, resume=True
-        )
-        baseline = _run_with_fingerprint(1)
-        assert resumed["fingerprint"] == baseline["fingerprint"]
-        assert resumed["frames"] == baseline["frames"]
-        assert resumed["shard_digests"] == baseline["shard_digests"]
+        assert all(len(day) == n_shards for day in digests.values())
 
 
 class TestShardSegmentVerification:
@@ -242,13 +170,3 @@ class TestShardSegmentVerification:
         pipeline.world.shard_digest_log = {123: ("aa", "bb")}
         pipeline._expected_shard_segment = {"day_us": 123, "digests": ("aa", "bb")}
         pipeline._verify_shard_segment()  # must not raise
-
-
-@pytest.mark.slow
-class TestWorkersCli:
-    def test_workers_flag_threads_through_run_study(self):
-        # Smoke test for the --workers plumbing: a sharded run_study call
-        # completes and produces a non-trivial world.
-        world, datasets = run_study(SimulationConfig.tiny(), workers=2)
-        assert datasets.firehose.total_events() > 0
-        assert world.shard_digest_log
