@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard bench bench-perf lint lint-determinism report trace slo check
+.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard test-perfbench bench bench-perf lint lint-determinism report trace slo check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -26,6 +26,9 @@ test-telemetry:  ## metrics registry + tracer + telemetry determinism suite only
 
 test-shard:  ## logical-shard suite (seed streams, merge rule, pinned study fingerprint)
 	$(PYTHON) -m pytest -x -q tests/simulation/test_sharding.py
+
+test-perfbench:  ## the benchmark's own tests (every traced entry point still resolves)
+	$(PYTHON) -m pytest perfbench/tests -q
 
 bench:  ## run the perf harness, write + guard BENCH_perf.json
 	$(PYTHON) -m repro bench
@@ -59,4 +62,4 @@ slo:  ## small study; validate the slo.json + metrics.prom SLO artefacts
 		--events-out events.jsonl
 	$(PYTHON) scripts/check_slo.py slo.json metrics.prom
 
-check: test test-faults test-integrity test-telemetry test-shard slo lint lint-determinism  ## what CI would run
+check: test test-faults test-integrity test-telemetry test-shard test-perfbench slo lint lint-determinism  ## what CI would run

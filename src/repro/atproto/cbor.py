@@ -126,10 +126,7 @@ def _encode_value(value: Any, out: bytearray, depth: int) -> None:
         out.extend(value)
     elif t is Cid:
         # Tag 42, with the CID bytes prefixed by the multibase identity byte.
-        _encode_head(6, 42, out)
-        payload = b"\x00" + value.to_bytes()
-        _encode_head(2, len(payload), out)
-        out.extend(payload)
+        out.extend(value.cbor_link())
     elif t is list or t is tuple:
         size = len(value)
         if size < 24:
@@ -173,10 +170,7 @@ def _encode_value_slow(value: Any, out: bytearray, depth: int) -> None:
         _encode_head(3, len(encoded), out)
         out.extend(encoded)
     elif isinstance(value, Cid):
-        _encode_head(6, 42, out)
-        payload = b"\x00" + value.to_bytes()
-        _encode_head(2, len(payload), out)
-        out.extend(payload)
+        out.extend(value.cbor_link())
     elif isinstance(value, (list, tuple)):
         _encode_head(4, len(value), out)
         for item in value:

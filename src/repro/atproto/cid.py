@@ -12,12 +12,24 @@ import hashlib
 from typing import Any
 
 from repro.atproto.multibase import base32_decode, base32_encode
-from repro.atproto.varint import decode_varint, encode_varint
+from repro.atproto.varint import decode_varint
 
 CODEC_DAG_CBOR = 0x71
 CODEC_RAW = 0x55
 MULTIHASH_SHA2_256 = 0x12
 SHA2_256_LENGTH = 32
+
+# varint(version 1) varint(codec) varint(sha2-256) varint(32): every field
+# fits one varint byte, so the binary prefix is a constant per codec.
+_BINARY_PREFIX = {
+    codec: bytes((1, codec, MULTIHASH_SHA2_256, SHA2_256_LENGTH))
+    for codec in (CODEC_DAG_CBOR, CODEC_RAW)
+}
+# The DAG-CBOR link form prepends tag 42, a 37-byte byte-string head and
+# the identity multibase byte 0x00 to the binary CID.
+_LINK_PREFIX = {
+    codec: b"\xd8\x2a\x58\x25\x00" + prefix for codec, prefix in _BINARY_PREFIX.items()
+}
 
 
 class CidError(ValueError):
@@ -27,7 +39,7 @@ class CidError(ValueError):
 class Cid:
     """An immutable CIDv1 (version, codec, sha2-256 digest)."""
 
-    __slots__ = ("version", "codec", "digest", "_str", "_bytes")
+    __slots__ = ("version", "codec", "digest", "_str", "_link")
 
     def __init__(self, version: int, codec: int, digest: bytes):
         if version != 1:
@@ -36,11 +48,11 @@ class Cid:
             raise CidError("unsupported codec 0x%02x" % codec)
         if len(digest) != SHA2_256_LENGTH:
             raise CidError("sha2-256 digest must be 32 bytes, got %d" % len(digest))
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "codec", codec)
-        object.__setattr__(self, "digest", digest)
-        object.__setattr__(self, "_str", None)
-        object.__setattr__(self, "_bytes", None)
+        _set_version(self, version)
+        _set_codec(self, codec)
+        _set_digest(self, digest)
+        _set_str(self, None)
+        _set_link(self, None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Cid is immutable")
@@ -52,17 +64,19 @@ class Cid:
         return (Cid, (self.version, self.codec, self.digest))
 
     def to_bytes(self) -> bytes:
-        """Binary CID: varint(version) varint(codec) multihash (cached)."""
-        cached = self._bytes
+        """Binary CID: varint(version) varint(codec) multihash."""
+        return _BINARY_PREFIX[self.codec] + self.digest
+
+    def cbor_link(self) -> bytes:
+        """The DAG-CBOR link form (tag 42 + ``0x00`` + binary CID).
+
+        Cached, unlike :meth:`to_bytes`: every re-encode of an MST node
+        embeds the same child and value CIDs again, while the binary form
+        is needed about once per CID (its string form is cached)."""
+        cached = self._link
         if cached is None:
-            cached = (
-                encode_varint(self.version)
-                + encode_varint(self.codec)
-                + encode_varint(MULTIHASH_SHA2_256)
-                + encode_varint(SHA2_256_LENGTH)
-                + self.digest
-            )
-            object.__setattr__(self, "_bytes", cached)
+            cached = _LINK_PREFIX[self.codec] + self.digest
+            _set_link(self, cached)
         return cached
 
     @classmethod
@@ -84,7 +98,7 @@ class Cid:
         cached = self._str
         if cached is None:
             cached = "b" + base32_encode(self.to_bytes())
-            object.__setattr__(self, "_str", cached)
+            _set_str(self, cached)
         return cached
 
     @classmethod
@@ -101,11 +115,22 @@ class Cid:
             return NotImplemented
         return self.codec == other.codec and self.digest == other.digest
 
-    def __lt__(self, other: "Cid") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Cid):
+            return NotImplemented
         return self.to_bytes() < other.to_bytes()
 
     def __hash__(self) -> int:
         return hash((self.codec, self.digest))
+
+
+# The slot descriptors' setters write past the immutability guard; they are
+# the cheapest way to fill a Cid, and every block hash makes one.
+_set_version = Cid.version.__set__
+_set_codec = Cid.codec.__set__
+_set_digest = Cid.digest.__set__
+_set_str = Cid._str.__set__
+_set_link = Cid._link.__set__
 
 
 def cid_for_cbor(obj: Any) -> Cid:

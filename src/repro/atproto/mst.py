@@ -9,9 +9,10 @@ tree shape is a pure function of the key set, so two implementations that
 store the same records always agree on the root CID.
 
 The implementation here supports incremental insert/delete (splitting and
-merging subtrees as the original algorithm requires) with per-node CID
-caching, plus a canonical batch builder used by the property tests to check
-that incremental maintenance always converges to the canonical shape.
+merging subtrees as the original algorithm requires) with per-node block,
+CID and key-fragment caching, plus a canonical batch builder used by the
+property tests to check that incremental maintenance always converges to
+the canonical shape.
 
 Node serialization follows the atproto ``com.atproto.repo`` data model::
 
@@ -24,9 +25,11 @@ the node and ``k`` is the remaining key suffix.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterator, Optional
+import re
+from bisect import bisect_left
+from typing import Iterator, Optional
 
-from repro.atproto.cbor import _encode_head, cbor_encode
+from repro.atproto.cbor import _encode_head
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
 
 
@@ -54,93 +57,49 @@ def key_layer(key: str) -> int:
     return layer
 
 
-VALID_KEY_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._:~-/")
+# ``collection/rkey``: exactly one ``/``, both sides non-empty, and only
+# these characters.  Keys are also capped at 1024 characters.
+_VALID_KEY = re.compile(r"[a-zA-Z0-9._:~-]+/[a-zA-Z0-9._:~-]+")
 
 
 def is_valid_mst_key(key: str) -> bool:
     """MST keys are ``collection/rkey`` paths with a restricted charset."""
-    if not key or len(key) > 1024:
-        return False
-    if key.count("/") != 1:
-        return False
-    collection, _, rkey = key.partition("/")
-    if not collection or not rkey:
-        return False
-    return all(c in VALID_KEY_CHARS for c in key)
+    return len(key) <= 1024 and _VALID_KEY.fullmatch(key) is not None
 
 
-def _append_cid_cbor(out: bytearray, cid: Cid) -> None:
-    """Tag 42 + identity-multibase-prefixed CID bytes (DAG-CBOR link)."""
-    out.append(0xD8)
-    out.append(0x2A)
-    payload = b"\x00" + cid.to_bytes()
-    _encode_head(2, len(payload), out)
-    out.extend(payload)
+# Fixed pieces of a node block.  Map keys are written in canonical
+# (len, bytes) order: ``e`` before ``l`` at the top, ``k``/``p``/``t``/``v``
+# in each entry.
+_V_KEY = b"\x61\x76"  # "v"
+_L_KEY = b"\x61\x6c"  # "l"
+_NULL = b"\xf6"
 
 
-def _encode_node_block(
-    entries: list[tuple[str, Cid]], subtrees: list[Optional["MstNode"]]
-) -> bytes:
-    """Canonical DAG-CBOR for one node, emitted directly from the schema.
-
-    Byte-for-byte equal to ``cbor_encode(node.to_data())``: map keys are
-    written in canonical (len, bytes) order — ``e`` before ``l`` at the
-    top, ``k``/``p``/``t``/``v`` per entry — and keys are prefix-compressed
-    against their left neighbour exactly as in :meth:`MstNode.to_data`.
-    """
-    out = bytearray()
-    append = out.append
-    extend = out.extend
-    append(0xA2)
-    append(0x61)
-    append(0x65)  # "e"
-    count = len(entries)
-    if count < 24:
-        append(0x80 | count)
-    else:
-        _encode_head(4, count, out)
-    previous = b""
-    for index, (key, value) in enumerate(entries):
-        encoded = key.encode("utf-8")
-        prefix_len = 0
-        limit = min(len(previous), len(encoded))
-        while prefix_len < limit and previous[prefix_len] == encoded[prefix_len]:
-            prefix_len += 1
-        suffix = encoded[prefix_len:]
-        append(0xA4)
-        append(0x61)
-        append(0x6B)  # "k"
-        size = len(suffix)
-        if size < 24:
-            append(0x40 | size)
-        else:
-            _encode_head(2, size, out)
-        extend(suffix)
-        append(0x61)
-        append(0x70)  # "p"
-        if prefix_len < 24:
-            append(prefix_len)
-        else:
-            _encode_head(0, prefix_len, out)
-        append(0x61)
-        append(0x74)  # "t"
-        right = subtrees[index + 1]
-        if right is None:
-            append(0xF6)
-        else:
-            _append_cid_cbor(out, right.cid())
-        append(0x61)
-        append(0x76)  # "v"
-        _append_cid_cbor(out, value)
-        previous = encoded
-    append(0x61)
-    append(0x6C)  # "l"
-    left = subtrees[0]
-    if left is None:
-        append(0xF6)
-    else:
-        _append_cid_cbor(out, left.cid())
+def _key_fragment(previous: bytes, encoded: bytes) -> bytes:
+    """The bytes of one entry that depend only on keys: the 4-entry map
+    head, ``k`` (the suffix after the prefix shared with the left
+    neighbour ``previous``), ``p`` (the shared length) and the ``t`` key."""
+    prefix_len = 0
+    limit = min(len(previous), len(encoded))
+    while prefix_len < limit and previous[prefix_len] == encoded[prefix_len]:
+        prefix_len += 1
+    out = bytearray(b"\xa4\x61\x6b")  # "k"
+    _encode_head(2, len(encoded) - prefix_len, out)
+    out += encoded[prefix_len:]
+    out += b"\x61\x70"  # "p"
+    _encode_head(0, prefix_len, out)
+    out += b"\x61\x74"  # "t"
     return bytes(out)
+
+
+def _key_fragments(entries: list[tuple[str, Cid]]) -> list[bytes]:
+    fragments = []
+    previous = b""
+    for key, _ in entries:
+        encoded = key.encode("utf-8")
+        fragments.append(_key_fragment(previous, encoded))
+        previous = encoded
+    return fragments
 
 
 class MstNode:
@@ -148,15 +107,22 @@ class MstNode:
     ``subtrees`` the child pointers: ``subtrees[i]`` sits left of
     ``entries[i]``, and ``subtrees[-1]`` right of the last entry, so
     ``len(subtrees) == len(entries) + 1``.
+
+    ``_fragments[i]`` caches the key-dependent bytes of ``entries[i]``
+    (see :func:`_key_fragment`), or is None until the node is first
+    encoded.  A fragment depends only on its key and the key to its left,
+    so the tree's mutators keep the list in step with ``entries`` and
+    recompute only the fragments next to a change.
     """
 
-    __slots__ = ("layer", "entries", "subtrees", "_cid", "_cbor")
+    __slots__ = ("layer", "entries", "subtrees", "_fragments", "_cid", "_cbor")
 
     def __init__(
         self,
         layer: int,
         entries: Optional[list[tuple[str, Cid]]] = None,
         subtrees: Optional[list[Optional["MstNode"]]] = None,
+        fragments: Optional[list[bytes]] = None,
     ):
         self.layer = layer
         self.entries: list[tuple[str, Cid]] = entries if entries is not None else []
@@ -165,47 +131,45 @@ class MstNode:
         if len(subtrees) != len(self.entries) + 1:
             raise MstError("subtrees must have len(entries)+1 slots")
         self.subtrees: list[Optional[MstNode]] = subtrees
+        self._fragments = fragments
         self._cid: Optional[Cid] = None
         self._cbor: Optional[bytes] = None
 
     # -- serialization ------------------------------------------------------
-
-    def to_data(self) -> dict:
-        """Serialize to the wire form with prefix-compressed keys."""
-        entries = []
-        previous = b""
-        for index, (key, value) in enumerate(self.entries):
-            encoded = key.encode("utf-8")
-            prefix_len = 0
-            limit = min(len(previous), len(encoded))
-            while prefix_len < limit and previous[prefix_len] == encoded[prefix_len]:
-                prefix_len += 1
-            right = self.subtrees[index + 1]
-            entries.append(
-                {
-                    "p": prefix_len,
-                    "k": encoded[prefix_len:],
-                    "v": value,
-                    "t": right.cid() if right is not None else None,
-                }
-            )
-            previous = encoded
-        left = self.subtrees[0]
-        return {"l": left.cid() if left is not None else None, "e": entries}
 
     def to_cbor(self) -> bytes:
         """Serialized node block; cached until the node is invalidated, so
         unchanged subtrees are never re-encoded across inserts/exports.
 
         Node blocks are the single hottest encode in the commit loop (every
-        record write re-serializes the root path), so the fixed node schema
-        is emitted directly instead of going through the generic encoder;
-        the bytes are identical to ``cbor_encode(self.to_data())`` (pinned
-        by a test).
+        record write re-serializes the root path), so the block is joined
+        from the cached key fragments and the children's and values' cached
+        link bytes: re-encoding an ancestor whose only change is one child
+        CID computes no key bytes.  The bytes are identical to the generic
+        encoder's for the ``{"l": ..., "e": [{"p", "k", "v", "t"}, ...]}``
+        data model (pinned by a test).
         """
         cached = self._cbor
         if cached is None:
-            cached = self._cbor = _encode_node_block(self.entries, self.subtrees)
+            entries = self.entries
+            fragments = self._fragments
+            if fragments is None:
+                fragments = self._fragments = _key_fragments(entries)
+            subtrees = self.subtrees
+            head = bytearray(b"\xa2\x61\x65")  # 2-entry map, "e"
+            _encode_head(4, len(entries), head)
+            parts = [bytes(head)]
+            append = parts.append
+            for index in range(len(entries)):
+                append(fragments[index])
+                right = subtrees[index + 1]
+                append(_NULL if right is None else right.cid().cbor_link())
+                append(_V_KEY)
+                append(entries[index][1].cbor_link())
+            append(_L_KEY)
+            left = subtrees[0]
+            append(_NULL if left is None else left.cid().cbor_link())
+            cached = self._cbor = b"".join(parts)
         return cached
 
     def cid(self) -> Cid:
@@ -218,6 +182,30 @@ class MstNode:
     def invalidate(self) -> None:
         self._cid = None
         self._cbor = None
+
+    # -- entry edits (keep ``_fragments`` in step) ---------------------------
+
+    def _refresh_fragment(self, index: int) -> None:
+        """Recompute the fragment of ``entries[index]`` after its left
+        neighbour changed (no-op past the end or before the first encode)."""
+        fragments = self._fragments
+        entries = self.entries
+        if fragments is not None and index < len(entries):
+            previous = entries[index - 1][0].encode("utf-8") if index else b""
+            fragments[index] = _key_fragment(previous, entries[index][0].encode("utf-8"))
+
+    def _insert_entry(self, index: int, entry: tuple[str, Cid]) -> None:
+        self.entries.insert(index, entry)
+        if self._fragments is not None:
+            self._fragments.insert(index, b"")
+            self._refresh_fragment(index)
+            self._refresh_fragment(index + 1)
+
+    def _delete_entry(self, index: int) -> None:
+        del self.entries[index]
+        if self._fragments is not None:
+            del self._fragments[index]
+            self._refresh_fragment(index)
 
     # -- queries ------------------------------------------------------------
 
@@ -244,14 +232,8 @@ class MstNode:
 
     def _gap_for(self, key: str) -> int:
         """Index of the subtree gap whose key range contains ``key``."""
-        low, high = 0, len(self.entries)
-        while low < high:
-            mid = (low + high) // 2
-            if self.entries[mid][0] < key:
-                low = mid + 1
-            else:
-                high = mid
-        return low
+        # ``(key,)`` sorts before ``(key, cid)``, so no CIDs are compared.
+        return bisect_left(self.entries, (key,))
 
     def get(self, key: str) -> Optional[Cid]:
         gap = self._gap_for(key)
@@ -302,8 +284,6 @@ class Mst:
         """Insert a new key or replace the value of an existing one."""
         if not is_valid_mst_key(key):
             raise MstError("invalid MST key %r" % key)
-        if self._replace(self.root, key, value):
-            return
         layer = key_layer(key)
         while layer > self.root.layer:
             old_root = self.root
@@ -311,24 +291,17 @@ class Mst:
             self.root = MstNode(old_root.layer + 1, [], [child])
         self._insert(self.root, key, value, layer)
 
-    def _replace(self, node: MstNode, key: str, value: Cid) -> bool:
-        gap = node._gap_for(key)
-        if gap < len(node.entries) and node.entries[gap][0] == key:
-            node.entries[gap] = (key, value)
-            node.invalidate()
-            return True
-        subtree = node.subtrees[gap]
-        if subtree is not None and self._replace(subtree, key, value):
-            node.invalidate()
-            return True
-        return False
-
     def _insert(self, node: MstNode, key: str, value: Cid, layer: int) -> None:
+        """Put ``key`` into the node at its layer on the search path,
+        replacing the value if the key is already there."""
         node.invalidate()
         gap = node._gap_for(key)
         if layer == node.layer:
+            if gap < len(node.entries) and node.entries[gap][0] == key:
+                node.entries[gap] = (key, value)
+                return
             left_split, right_split = self._split(node.subtrees[gap], key)
-            node.entries.insert(gap, (key, value))
+            node._insert_entry(gap, (key, value))
             node.subtrees[gap : gap + 1] = [left_split, right_split]
             return
         if layer > node.layer:
@@ -349,8 +322,20 @@ class Mst:
         if gap < len(node.entries) and node.entries[gap][0] == key:
             raise MstError("key already present below its own layer")
         left_child, right_child = self._split(node.subtrees[gap], key)
-        left = MstNode(node.layer, node.entries[:gap], node.subtrees[:gap] + [left_child])
-        right = MstNode(node.layer, node.entries[gap:], [right_child] + node.subtrees[gap + 1 :])
+        fragments = node._fragments
+        left = MstNode(
+            node.layer,
+            node.entries[:gap],
+            node.subtrees[:gap] + [left_child],
+            fragments[:gap] if fragments is not None else None,
+        )
+        right = MstNode(
+            node.layer,
+            node.entries[gap:],
+            [right_child] + node.subtrees[gap + 1 :],
+            fragments[gap:] if fragments is not None else None,
+        )
+        right._refresh_fragment(0)
         return (
             left if not left.is_empty() else None,
             right if not right.is_empty() else None,
@@ -376,7 +361,7 @@ class Mst:
         gap = node._gap_for(key)
         if gap < len(node.entries) and node.entries[gap][0] == key:
             merged = self._merge(node.subtrees[gap], node.subtrees[gap + 1])
-            del node.entries[gap]
+            node._delete_entry(gap)
             node.subtrees[gap : gap + 2] = [merged]
             node.invalidate()
             return True
@@ -399,11 +384,16 @@ class Mst:
         if right is None:
             return left
         middle = self._merge(left.subtrees[-1], right.subtrees[0])
+        fragments = None
+        if left._fragments is not None and right._fragments is not None:
+            fragments = left._fragments + right._fragments
         merged = MstNode(
             left.layer,
             left.entries + right.entries,
             left.subtrees[:-1] + [middle] + right.subtrees[1:],
+            fragments,
         )
+        merged._refresh_fragment(len(left.entries))
         return merged
 
     # -- verification -------------------------------------------------------
@@ -461,7 +451,6 @@ def build_canonical(items: dict[str, Cid]) -> Mst:
             # step one layer per level, so we create a pass-through node only
             # at the root.  Within build, elide by recursing directly.
             return _wrap(build(segment, layer - 1), layer)
-        node = MstNode(layer)
         chunk: list[tuple[str, Cid]] = []
         node_entries: list[tuple[str, Cid]] = []
         subtrees: list[Optional[MstNode]] = []
@@ -473,9 +462,7 @@ def build_canonical(items: dict[str, Cid]) -> Mst:
             else:
                 chunk.append((key, value))
         subtrees.append(build(chunk, layer - 1))
-        node.entries = node_entries
-        node.subtrees = subtrees
-        return node
+        return MstNode(layer, node_entries, subtrees)
 
     def _wrap(child: Optional[MstNode], layer: int) -> Optional[MstNode]:
         if child is None:

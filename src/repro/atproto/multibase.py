@@ -9,6 +9,8 @@ ATProto uses three alphabets:
 
 from __future__ import annotations
 
+import base64
+
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 
@@ -22,22 +24,17 @@ class MultibaseError(ValueError):
 
 def base32_encode(data: bytes) -> str:
     """Encode bytes as unpadded lowercase base32 (RFC 4648 alphabet)."""
-    bits = 0
-    bit_count = 0
-    out = []
-    for byte in data:
-        bits = (bits << 8) | byte
-        bit_count += 8
-        while bit_count >= 5:
-            bit_count -= 5
-            out.append(BASE32_ALPHABET[(bits >> bit_count) & 0x1F])
-    if bit_count:
-        out.append(BASE32_ALPHABET[(bits << (5 - bit_count)) & 0x1F])
-    return "".join(out)
+    return base64.b32encode(data).rstrip(b"=").lower().decode("ascii")
 
 
 def base32_decode(text: str) -> bytes:
-    """Decode unpadded lowercase base32 back to bytes."""
+    """Decode unpadded lowercase base32 back to bytes.
+
+    Rejects input no encoder produces: a final character that carries no
+    data (5 or more leftover bits, i.e. an unpadded length of 1, 3 or 6
+    mod 8) or non-zero leftover bits, so every byte string has exactly
+    one accepted text form.
+    """
     bits = 0
     bit_count = 0
     out = bytearray()
@@ -49,6 +46,8 @@ def base32_decode(text: str) -> bytes:
         if bit_count >= 8:
             bit_count -= 8
             out.append((bits >> bit_count) & 0xFF)
+    if bit_count >= 5:
+        raise MultibaseError("base32 input has a trailing character that carries no data")
     if bits & ((1 << bit_count) - 1):
         raise MultibaseError("non-zero padding bits in base32 input")
     return bytes(out)

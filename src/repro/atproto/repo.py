@@ -18,13 +18,49 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.atproto.car import read_car, write_car
-from repro.atproto.cbor import cbor_decode, cbor_encode
+from repro.atproto.cbor import _encode_head, cbor_decode, cbor_encode
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
 from repro.atproto.keys import Keypair, PublicKey
 from repro.atproto.mst import Mst, load_mst
 from repro.atproto.tid import Tid, TidClock
 
 COMMIT_VERSION = 3
+
+# Fixed pieces of a commit block, in canonical DAG-CBOR key order
+# (did, rev, sig, data, prev, version).
+_UNSIGNED_HEAD = b"\xa5"  # 5-entry map
+_SIGNED_HEAD = b"\xa6"  # 6-entry map
+_DID_KEY = b"\x63did"
+_REV_KEY = b"\x63rev"
+_SIG_KEY = b"\x63sig"
+_DATA_KEY = b"\x64data"
+_PREV_VERSION = b"\x64prev\xf6\x67version" + bytes((COMMIT_VERSION,))
+
+
+def _cbor_text(text: str) -> bytes:
+    out = bytearray()
+    encoded = text.encode("utf-8")
+    _encode_head(3, len(encoded), out)
+    out += encoded
+    return bytes(out)
+
+
+def encode_commit(did: str, rev: str, data: Cid, keypair: Keypair) -> tuple[bytes, bytes]:
+    """The unsigned and signed v3 commit blocks for one commit.
+
+    Both share the ``did``/``rev`` and ``data``/``prev``/``version``
+    fragments; the signed block adds ``sig``, the signature over the
+    unsigned block.  Byte-for-byte equal to ``cbor_encode`` of the commit
+    dict without and with ``sig`` (pinned by a test).
+    """
+    did_rev = _DID_KEY + _cbor_text(did) + _REV_KEY + _cbor_text(rev)
+    tail = _DATA_KEY + data.cbor_link() + _PREV_VERSION
+    unsigned = _UNSIGNED_HEAD + did_rev + tail
+    sig = keypair.sign(unsigned)
+    sig_head = bytearray()
+    _encode_head(2, len(sig), sig_head)
+    signed = b"".join((_SIGNED_HEAD, did_rev, _SIG_KEY, sig_head, sig, tail))
+    return unsigned, signed
 
 
 class RepoError(ValueError):
@@ -194,18 +230,9 @@ class Repo:
         now_us: int,
     ) -> CommitMeta:
         rev = str(self.next_tid(now_us))
-        commit = {
-            "did": self.did,
-            "version": COMMIT_VERSION,
-            "data": self.mst.root_cid(),
-            "rev": rev,
-            "prev": None,
-        }
-        # Single-pass encoding: sign the unsigned form, then encode the
-        # signed commit exactly once — those bytes serve as both the stored
-        # block and the input to the commit CID (no third encode).
-        commit["sig"] = self.keypair.sign(cbor_encode(commit))
-        block = cbor_encode(commit)
+        # The signed block serves as both the stored block and the input
+        # to the commit CID.
+        _, block = encode_commit(self.did, rev, self.mst.root_cid(), self.keypair)
         commit_cid = cid_for_dag_cbor_bytes(block)
         self.head = commit_cid
         self.rev = rev

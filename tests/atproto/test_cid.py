@@ -3,14 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.atproto.cbor import cbor_decode, cbor_encode
 from repro.atproto.cid import (
     CODEC_DAG_CBOR,
     CODEC_RAW,
+    MULTIHASH_SHA2_256,
+    SHA2_256_LENGTH,
     Cid,
     CidError,
     cid_for_cbor,
     cid_for_raw,
 )
+from repro.atproto.varint import encode_varint
 
 
 class TestCid:
@@ -60,6 +64,36 @@ class TestCid:
         a, b = cid_for_raw(b"a"), cid_for_raw(b"b")
         assert len({a, b, a}) == 2
         assert (a < b) != (b < a)
+
+    def test_ordering_rejects_non_cid(self):
+        # int has a to_bytes() method; the comparison must not fall into it.
+        cid = cid_for_raw(b"x")
+        with pytest.raises(TypeError):
+            cid < 5
+        with pytest.raises(TypeError):
+            sorted([cid, b"x"])
+
+    def test_parse_rejects_dataless_trailing_char(self):
+        # A character that carries no data would give a second text form
+        # of the same CID.
+        cid = cid_for_raw(b"x")
+        with pytest.raises(ValueError):
+            Cid.parse(str(cid) + "a")
+
+    def test_binary_form_fields(self):
+        for cid in (cid_for_raw(b"x"), cid_for_cbor({"x": 1})):
+            assert cid.to_bytes() == (
+                encode_varint(1)
+                + encode_varint(cid.codec)
+                + encode_varint(MULTIHASH_SHA2_256)
+                + encode_varint(SHA2_256_LENGTH)
+                + cid.digest
+            )
+
+    def test_cbor_link_is_generic_encoding(self):
+        for cid in (cid_for_raw(b"x"), cid_for_cbor({"x": 1})):
+            assert cid.cbor_link() == cbor_encode(cid)
+            assert cbor_decode(cid.cbor_link()) == cid
 
 
 @given(st.binary(max_size=64))

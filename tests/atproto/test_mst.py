@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.atproto.cbor import cbor_encode
 from repro.atproto.cid import cid_for_raw
 from repro.atproto.mst import (
     Mst,
@@ -13,6 +14,7 @@ from repro.atproto.mst import (
     load_mst,
     mst_diff,
 )
+from tests.atproto.oracles import oracle_is_valid_mst_key, oracle_to_data
 
 
 def cid_of(tag: str):
@@ -60,6 +62,15 @@ class TestKeyValidation:
     def test_set_validates(self):
         with pytest.raises(MstError):
             Mst().set("bad key!", cid_of("v"))
+
+    def test_length_cap(self):
+        assert is_valid_mst_key("c/" + "k" * 1022)
+        assert not is_valid_mst_key("c/" + "k" * 1023)
+
+    @given(st.text(alphabet="ab/._:~-Z9 \n\u00e9", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_validator(self, candidate):
+        assert is_valid_mst_key(candidate) == oracle_is_valid_mst_key(candidate)
 
 
 class TestBasicOperations:
@@ -179,24 +190,115 @@ class TestSerialization:
 
     def test_direct_node_encoder_matches_generic(self):
         """The schema-specialized node encoder (the commit-loop fast path)
-        must emit byte-identical blocks to cbor_encode(to_data())."""
-        from repro.atproto.cbor import cbor_encode
-
+        must emit byte-identical blocks to the generic encoder's bytes for
+        the node's wire data model."""
         items = {key(i): cid_of(str(i)) for i in range(300)}
         tree = build_canonical(items)
         for node in tree.root.walk_nodes():
-            assert node.to_cbor() == cbor_encode(node.to_data())
+            assert node.to_cbor() == cbor_encode(oracle_to_data(node))
 
     @given(st.sets(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60))
     @settings(max_examples=30, deadline=None)
     def test_direct_node_encoder_matches_generic_random(self, indices):
-        from repro.atproto.cbor import cbor_encode
-
         tree = Mst()
         for i in indices:
             tree.set(key(i), cid_of(str(i)))
         for node in tree.root.walk_nodes():
-            assert node.to_cbor() == cbor_encode(node.to_data())
+            assert node.to_cbor() == cbor_encode(oracle_to_data(node))
+
+
+# Hand-picked keys spanning layers 0-4 and three collections.  Keys of one
+# collection share a 34-byte prefix, so both the ``p`` and the first
+# entry's ``k`` need a one-byte-length CBOR head.
+MULTI_LAYER_KEYS = [
+    "app.bsky.feed.like/3kq2abcdefgh0000",  # layer 0
+    "app.bsky.feed.like/3kq2abcdefgh0001",  # 0
+    "app.bsky.feed.like/3kq2abcdefgh0002",  # 0
+    "app.bsky.feed.like/3kq2abcdefgh0003",  # 0
+    "app.bsky.feed.like/3kq2abcdefgh0005",  # 1
+    "app.bsky.feed.like/3kq2abcdefgh0014",  # 1
+    "app.bsky.feed.like/3kq2abcdefgh0022",  # 1
+    "app.bsky.feed.like/3kq2abcdefgh0058",  # 2
+    "app.bsky.feed.like/3kq2abcdefgh0063",  # 2
+    "app.bsky.feed.like/3kq2abcdefgh0012",  # 3
+    "app.bsky.feed.like/3kq2abcdefgh0019",  # 3
+    "app.bsky.feed.like/3kq2abcdefgh0530",  # 4
+    "app.bsky.feed.post/3kq2abcdefgh0000",  # 0
+    "app.bsky.feed.post/3kq2abcdefgh0001",  # 0
+    "app.bsky.feed.post/3kq2abcdefgh0013",  # 1
+    "app.bsky.feed.post/3kq2abcdefgh0002",  # 2
+    "app.bsky.feed.post/3kq2abcdefgh0012",  # 2
+    "app.bsky.feed.post/3kq2abcdefgh0075",  # 3
+    "app.bsky.graph.follow/3kq2abcdefgh0000",  # 0
+    "app.bsky.graph.follow/3kq2abcdefgh0005",  # 1
+    "app.bsky.graph.follow/3kq2abcdefgh0026",  # 2
+    "app.bsky.graph.follow/3kq2abcdefgh0365",  # 3
+    "app.bsky.graph.follow/3kq2abcdefgh0029",  # 4
+]
+
+# (delete?, key index, value tag): a delete of an absent key is skipped.
+tree_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, len(MULTI_LAYER_KEYS) - 1), st.integers(0, 3)),
+    max_size=40,
+)
+
+
+def apply_op(tree: Mst, items: dict, op) -> None:
+    delete, index, tag = op
+    path = MULTI_LAYER_KEYS[index]
+    if delete:
+        if path in items:
+            tree.delete(path)
+            del items[path]
+    else:
+        value = cid_of("%s#%d" % (path, tag))
+        tree.set(path, value)
+        items[path] = value
+
+
+def assert_matches_oracles(tree: Mst, items: dict) -> None:
+    for node in tree.root.walk_nodes():
+        assert node.to_cbor() == cbor_encode(oracle_to_data(node))
+    assert tree.root_cid() == build_canonical(items).root_cid()
+
+
+class TestFragmentCache:
+    """Node blocks are joined from per-node cached key fragments that
+    insert, delete, split and merge keep up to date."""
+
+    def test_keys_span_layers(self):
+        assert {key_layer(k) for k in MULTI_LAYER_KEYS} == {0, 1, 2, 3, 4}
+
+    @given(tree_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_match_oracle_after_every_op(self, ops):
+        tree, items = Mst(), {}
+        for op in ops:
+            apply_op(tree, items, op)
+            assert_matches_oracles(tree, items)
+
+    @given(st.lists(st.tuples(tree_ops, st.booleans()), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_match_oracle_with_unencoded_nodes(self, rounds):
+        """Mutations between encodes reach nodes whose fragments were
+        never computed (fresh split/merge/insert results) as well as
+        nodes whose fragments are cached."""
+        tree, items = Mst(), {}
+        for ops, encode in rounds:
+            for op in ops:
+                apply_op(tree, items, op)
+            if encode:
+                tree.root_cid()
+        assert_matches_oracles(tree, items)
+
+    def test_loaded_and_canonical_trees_encode_identically(self):
+        items = {k: cid_of(k) for k in MULTI_LAYER_KEYS}
+        tree = build_canonical(items)
+        loaded = load_mst(tree.blocks(), tree.root_cid())
+        for path in MULTI_LAYER_KEYS[::3]:
+            loaded.delete(path)
+            del items[path]
+        assert_matches_oracles(loaded, items)
 
 
 class TestDiff:

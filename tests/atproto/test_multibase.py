@@ -12,6 +12,7 @@ from repro.atproto.multibase import (
     multibase_decode,
     multibase_encode,
 )
+from tests.atproto.oracles import oracle_base32_encode
 
 
 class TestBase32:
@@ -31,6 +32,17 @@ class TestBase32:
         # 'b' = 1 in the alphabet: a single char leaves non-zero padding bits.
         with pytest.raises(MultibaseError):
             base32_decode("b")
+
+    @pytest.mark.parametrize("length", [1, 3, 6, 9, 11, 14])
+    def test_dataless_trailing_char_rejected(self, length):
+        # Unpadded lengths of 1, 3 or 6 mod 8 end in a character with no
+        # data bits, even when those bits are zero ("a" = 0).
+        with pytest.raises(MultibaseError):
+            base32_decode("a" * length)
+
+    @pytest.mark.parametrize("length", [0, 2, 4, 5, 7, 8, 10])
+    def test_canonical_lengths_accepted(self, length):
+        assert base32_decode("a" * length) == b"\x00" * (length * 5 // 8)
 
 
 class TestBase58:
@@ -71,6 +83,11 @@ class TestMultibase:
 @given(st.binary(max_size=64))
 def test_base32_round_trip(data):
     assert base32_decode(base32_encode(data)) == data
+
+
+@given(st.binary(max_size=64))
+def test_base32_matches_reference_encoder(data):
+    assert base32_encode(data) == oracle_base32_encode(data)
 
 
 @given(st.binary(max_size=64))

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.atproto.car import CarError, read_car, write_car
-from repro.atproto.cid import cid_for_raw
+from repro.atproto.cbor import cbor_decode, cbor_encode
+from repro.atproto.cid import cid_for_cbor, cid_for_dag_cbor_bytes, cid_for_raw
 from repro.atproto.keys import HmacKeypair, Secp256k1Keypair
 from repro.atproto.lexicon import FOLLOW, LIKE, POST
-from repro.atproto.repo import Repo, RepoError, WriteOp, import_car
+from repro.atproto.repo import Repo, RepoError, WriteOp, encode_commit, import_car
 
 
 def make_repo(fast=True) -> Repo:
@@ -135,6 +136,41 @@ class TestCommits:
         repo.create_record(POST, post_record("1"), now_us=100)
         repo.delete_record(POST, repo.commits[0].ops[0][1].split("/")[1], now_us=200)
         assert [m.ops[0][0] for m in repo.commits] == ["create", "delete"]
+
+
+class TestCommitEmitter:
+    """Commit blocks are emitted directly, not through the generic encoder."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_blocks_equal_generic_encoding(self, fast):
+        keypair = make_repo(fast).keypair
+        data = cid_for_cbor({"node": 1})
+        for did in ("did:plc:testuser123", "did:web:" + "x" * 40):
+            rev = "3kq2abcdefgh2"
+            unsigned, signed = encode_commit(did, rev, data, keypair)
+            commit = {"did": did, "version": 3, "data": data, "rev": rev, "prev": None}
+            assert unsigned == cbor_encode(commit)
+            commit["sig"] = keypair.sign(unsigned)
+            assert signed == cbor_encode(commit)
+
+    def test_head_block_decodes_to_signed_commit(self):
+        repo = make_repo()
+        meta = repo.create_record(POST, post_record("x"), now_us=1000)
+        commit_cid, block = repo.signed_commit_block()
+        commit = cbor_decode(block)
+        assert commit_cid == meta.commit_cid == cid_for_dag_cbor_bytes(block)
+        assert commit["data"] == repo.mst.root_cid()
+        assert commit["rev"] == repo.rev
+        assert block == cbor_encode(commit)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_import_verifies_emitted_signature(self, fast):
+        repo = make_repo(fast)
+        repo.create_record(POST, post_record("a"), now_us=1000)
+        repo.create_record(LIKE, {"$type": LIKE, "createdAt": "2024-04-01T00:00:00Z"}, now_us=2000)
+        snapshot = import_car(repo.export_car(), verify_key=repo.keypair.public_key, check_mst=True)
+        assert snapshot.commit_cid == repo.head
+        assert snapshot.rev == repo.rev
 
 
 class TestCarRoundTrip:
