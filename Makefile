@@ -62,4 +62,6 @@ slo:  ## small study; validate the slo.json + metrics.prom SLO artefacts
 		--events-out events.jsonl
 	$(PYTHON) scripts/check_slo.py slo.json metrics.prom
 
-check: test test-faults test-integrity test-telemetry test-shard test-perfbench slo lint lint-determinism  ## what CI would run
+# `test` already covers tests/, so the focused suites above (faults,
+# integrity, telemetry, shard) are for local use and are not re-run here.
+check: lint-determinism test test-perfbench trace slo lint  ## what CI runs, each check once

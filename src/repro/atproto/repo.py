@@ -130,10 +130,6 @@ class Repo:
         self.head: Optional[Cid] = None
         self.rev: Optional[str] = None
         self._head_block: Optional[bytes] = None  # signed commit block cache
-        # (head cid, {str(cid): block}) — batched block lookup, valid for
-        # exactly one head; rebuilt lazily on the first block fetch after
-        # a commit (see block_map / block_map_cached).
-        self._block_map: Optional[tuple[Cid, dict]] = None
 
     # -- record access -------------------------------------------------------
 
@@ -257,33 +253,6 @@ class Repo:
         blocks.extend(self.mst.blocks().items())
         blocks.extend((cid, entry.block) for cid, entry in self._blocks.items())
         return write_car(commit_cid, blocks)
-
-    def block_map_cached(self) -> Optional[dict]:
-        """The batched block lookup if it is still valid for the current
-        head, else None (the caller decides whether to rebuild)."""
-        cached = self._block_map
-        if cached is not None and cached[0] == self.head:
-            return cached[1]
-        return None
-
-    def block_map(self) -> dict:
-        """``str(cid) -> block bytes`` over every block reachable from the
-        current head (signed commit + MST nodes + record blocks).
-
-        One build serves an entire ``getBlocks`` batch — and every later
-        batch at the same head — instead of resolving each CID with its
-        own tree walk."""
-        cached = self.block_map_cached()
-        if cached is not None:
-            return cached
-        commit_cid, commit_block = self.signed_commit_block()
-        mapping = {str(commit_cid): commit_block}
-        for cid, block in self.mst.blocks().items():
-            mapping[str(cid)] = block
-        for cid, entry in self._blocks.items():
-            mapping[str(cid)] = entry.block
-        self._block_map = (commit_cid, mapping)
-        return mapping
 
 
 @dataclass

@@ -70,6 +70,7 @@ class _Indexes:
     following_counts: Counter = field(default_factory=Counter)
     block_counts: Counter = field(default_factory=Counter)
     like_subject_by_path: dict[str, str] = field(default_factory=dict)
+    repost_subject_by_path: dict[str, str] = field(default_factory=dict)
     follow_subject_by_path: dict[str, str] = field(default_factory=dict)
     following: dict[str, set] = field(default_factory=dict)  # did -> followed dids
     posts_by_author: dict[str, list] = field(default_factory=dict)  # did -> [uri]
@@ -82,6 +83,16 @@ class _Indexes:
     # list uri -> member dids (app.bsky.graph.list / listitem)
     list_members: dict[str, set] = field(default_factory=dict)
     non_bsky_records: int = 0
+
+
+def search_hit(post: dict) -> dict:
+    """One searchPosts result item from a hydrated post view."""
+    return {
+        "uri": post["uri"],
+        "author": post["author"],
+        "text": post["record"]["text"],
+        "likeCount": post["likeCount"],
+    }
 
 
 def _uri_author(uri: str) -> str:
@@ -98,25 +109,14 @@ class AppView(XrpcService):
         resolver: DidResolver,
         services: ServiceDirectory,
         official_labeler_did: Optional[str] = None,
-        index_posts: bool = True,
         index_search: bool = False,
-        index_timelines: bool = True,
-        cache_views: bool = True,
         telemetry=None,
     ):
         self.url = url.rstrip("/")
         self.resolver = resolver
         self.services = services
         self.official_labeler_did = official_labeler_did
-        self.index_posts = index_posts
         self.index_search = index_search
-        # Read-path acceleration knobs.  ``index_timelines`` maintains a
-        # per-follower timeline index at ingest (fan-out-on-write) and
-        # ``cache_views`` keeps hydrated post/profile views between reads;
-        # both are semantics-preserving: responses are byte-identical with
-        # either switched off (the scan path stays as the reference).
-        self.index_timelines = index_timelines
-        self.cache_views = cache_views
         self.index = _Indexes()
         self._labelers: dict[str, LabelerService] = {}
         self._label_cursors: dict[str, int] = {}
@@ -125,6 +125,8 @@ class AppView(XrpcService):
         self._takedowns: set[str] = set()
         self.events_consumed = 0
         # -- read-path state ---------------------------------------------------
+        # Responses are byte-identical to the uncached scan reads in
+        # ``repro.bench`` (the reference the tests compare against).
         # author did -> follower dids (insertion-ordered set; event order
         # is deterministic, so iteration is too).
         self._tl_followers: dict[str, dict[str, None]] = {}
@@ -187,34 +189,32 @@ class AppView(XrpcService):
             return
         record = op.record or {}
         if collection == POST:
-            if self.index_posts:
-                embed = record.get("embed") or {}
-                self.index.posts[uri] = PostView(
-                    uri=uri,
-                    author=did,
-                    time_us=time_us,
-                    text=record.get("text", ""),
-                    langs=tuple(record.get("langs") or ()),
-                    created_at=record.get("createdAt", ""),
-                    has_media="images" in embed or "video" in embed,
-                    reply_to=(record.get("reply") or {}).get("parent", {}).get("uri"),
-                )
-                self.index.posts_by_author.setdefault(did, []).append(uri)
-                if self.index_timelines:
-                    # Fan-out-on-write: deliver the post into every
-                    # follower's timeline index at ingest time.
-                    entry = (time_us, uri)
-                    for follower in self._tl_followers.get(did, ()):
-                        timeline = self._timelines.setdefault(follower, [])
-                        if not timeline or timeline[-1] <= entry:
-                            timeline.append(entry)  # common case: in order
-                        else:
-                            insort(timeline, entry)
-                if self.index_search:
-                    from repro.services.feedgen import tokenize
+            embed = record.get("embed") or {}
+            self.index.posts[uri] = PostView(
+                uri=uri,
+                author=did,
+                time_us=time_us,
+                text=record.get("text", ""),
+                langs=tuple(record.get("langs") or ()),
+                created_at=record.get("createdAt", ""),
+                has_media="images" in embed or "video" in embed,
+                reply_to=(record.get("reply") or {}).get("parent", {}).get("uri"),
+            )
+            self.index.posts_by_author.setdefault(did, []).append(uri)
+            # Fan-out-on-write: deliver the post into every follower's
+            # timeline index at ingest time.
+            entry = (time_us, uri)
+            for follower in self._tl_followers.get(did, ()):
+                timeline = self._timelines.setdefault(follower, [])
+                if not timeline or timeline[-1] <= entry:
+                    timeline.append(entry)  # common case: in order
+                else:
+                    insort(timeline, entry)
+            if self.index_search:
+                from repro.services.feedgen import tokenize
 
-                    for token in tokenize(record.get("text", "")):
-                        self.index.search_index.setdefault(token, []).append(uri)
+                for token in tokenize(record.get("text", "")):
+                    self.index.search_index.setdefault(token, []).append(uri)
         elif collection == LIKE:
             subject = (record.get("subject") or {}).get("uri")
             if subject:
@@ -225,6 +225,7 @@ class AppView(XrpcService):
             subject = (record.get("subject") or {}).get("uri")
             if subject:
                 self.index.repost_counts[subject] += 1
+                self.index.repost_subject_by_path[did + "|" + op.path] = subject
                 self._post_views.pop(subject, None)  # repostCount changed
         elif collection == FOLLOW:
             subject = record.get("subject")
@@ -238,8 +239,7 @@ class AppView(XrpcService):
                 followers = self._tl_followers.setdefault(subject, {})
                 if did not in followers:
                     followers[did] = None
-                    if self.index_timelines:
-                        self._merge_author_timeline(did, subject)
+                    self._merge_author_timeline(did, subject)
         elif collection == BLOCK:
             subject = record.get("subject")
             if subject:
@@ -273,7 +273,7 @@ class AppView(XrpcService):
         if collection == POST:
             view = self.index.posts.pop(uri, None)
             self._post_views.pop(uri, None)
-            if view is not None and self.index_timelines:
+            if view is not None:
                 entry = (view.time_us, uri)
                 for follower in self._tl_followers.get(view.author, ()):
                     timeline = self._timelines.get(follower)
@@ -286,6 +286,11 @@ class AppView(XrpcService):
             if subject:
                 self.index.like_counts[subject] -= 1
                 self._post_views.pop(subject, None)  # likeCount changed
+        elif collection == REPOST:
+            subject = self.index.repost_subject_by_path.pop(did + "|" + path, None)
+            if subject:
+                self.index.repost_counts[subject] -= 1
+                self._post_views.pop(subject, None)  # repostCount changed
         elif collection == FOLLOW:
             subject = self.index.follow_subject_by_path.pop(did + "|" + path, None)
             if subject:
@@ -297,8 +302,7 @@ class AppView(XrpcService):
                 followers = self._tl_followers.get(subject)
                 if followers is not None:
                     followers.pop(did, None)
-                if self.index_timelines:
-                    self._drop_author_timeline(did, subject)
+                self._drop_author_timeline(did, subject)
         elif collection == FEED_GENERATOR:
             self.index.feed_generators.pop(uri, None)
         elif collection == LABELER_SERVICE:
@@ -392,20 +396,29 @@ class AppView(XrpcService):
         """The full hydrated view of one post, or None if the post is
         deleted, never indexed, or taken down.
 
-        Shared by getFeed / getTimeline / searchPosts; with ``cache_views``
-        the hydrated dict is cached until an event touching it (like,
-        repost, label, takedown, delete) invalidates the entry."""
+        Shared by getFeed / getTimeline / searchPosts; the hydrated dict
+        is cached until an event touching it (like, repost, label,
+        takedown, delete) invalidates the entry."""
         if uri in self._takedowns:
             return None
-        if self.cache_views:
-            cached = self._post_views.get(uri)
-            if cached is not None:
-                self._m_cache_hits.inc(("post_view",))
-                return cached
+        cached = self._post_views.get(uri)
+        if cached is not None:
+            self._m_cache_hits.inc(("post_view",))
+            return cached
+        post = self.render_post(uri)
+        if post is None:
+            return None
+        self._m_cache_misses.inc(("post_view",))
+        self._post_views[uri] = post
+        return post
+
+    def render_post(self, uri: str) -> Optional[dict]:
+        """Build one indexed post's hydrated view from the indexes (no
+        cache, no takedown check); None when the post is not indexed."""
         view = self.index.posts.get(uri)
         if view is None:
             return None
-        post = {
+        return {
             "uri": view.uri,
             "author": view.author,
             "record": {
@@ -418,10 +431,18 @@ class AppView(XrpcService):
             "indexedAt": view.time_us,
             "labels": [{"src": l.src, "val": l.val} for l in self.labels_for(uri)],
         }
-        if self.cache_views:
-            self._m_cache_misses.inc(("post_view",))
-            self._post_views[uri] = post
-        return post
+
+    def render_profile(self, actor: str) -> dict:
+        """Build one actor's profile view from the indexes (no cache)."""
+        profile = self.index.profiles.get(actor, {})
+        return {
+            "did": actor,
+            "handle": self.index.handles.get(actor, ""),
+            "displayName": profile.get("displayName", ""),
+            "description": profile.get("description", ""),
+            "followersCount": self.index.follower_counts.get(actor, 0),
+            "followsCount": self.index.following_counts.get(actor, 0),
+        }
 
     # -- public API -------------------------------------------------------------
 
@@ -469,38 +490,50 @@ class AppView(XrpcService):
         viewer: Optional[str] = None,
         now_us: int = 0,
     ) -> dict:
+        endpoint = self.feed_endpoint(feed)
+        with self.telemetry.tracer.span("read.getFeed", cat="read", sample=True):
+            return self.fill_feed_page(
+                self._hydrate_post, endpoint, feed, limit, cursor, viewer, now_us
+            )
+
+    def feed_endpoint(self, feed: str) -> str:
+        """The service endpoint hosting ``feed``'s skeleton."""
         info = self.index.feed_generators.get(feed)
         if info is None:
             raise XrpcError(404, "unknown feed generator %s" % feed)
         endpoint = self._feedgen_endpoint(info)
         if endpoint is None:
             raise XrpcError(502, "feed generator has no endpoint")
-        with self.telemetry.tracer.span("read.getFeed", cat="read", sample=True):
-            # Refill: skeleton items can hydrate to nothing (deleted or
-            # taken-down posts), so keep paging the skeleton until the
-            # response holds ``limit`` posts or the skeleton runs dry —
-            # callers no longer see short pages in takedown-heavy feeds.
-            hydrated: list = []
-            page_cursor = cursor
-            while len(hydrated) < limit:
-                skeleton = self.services.call(
-                    endpoint,
-                    "app.bsky.feed.getFeedSkeleton",
-                    feed=feed,
-                    limit=limit - len(hydrated),
-                    cursor=page_cursor,
-                    viewer=viewer,
-                    now_us=now_us,
-                )
-                page = skeleton["feed"]
-                page_cursor = skeleton.get("cursor")
-                for item in page:
-                    post = self._hydrate_post(item["post"])
-                    if post is not None:
-                        hydrated.append({"post": post})
-                if page_cursor is None or not page:
-                    break
-            return {"feed": hydrated, "cursor": page_cursor}
+        return endpoint
+
+    def fill_feed_page(self, hydrate, endpoint, feed, limit, cursor, viewer, now_us) -> dict:
+        """One getFeed page, each skeleton item hydrated by ``hydrate``.
+
+        Refill: skeleton items can hydrate to nothing (deleted or
+        taken-down posts), so keep paging the skeleton until the response
+        holds ``limit`` posts or the skeleton runs dry — callers never see
+        short pages in takedown-heavy feeds."""
+        hydrated: list = []
+        page_cursor = cursor
+        while len(hydrated) < limit:
+            skeleton = self.services.call(
+                endpoint,
+                "app.bsky.feed.getFeedSkeleton",
+                feed=feed,
+                limit=limit - len(hydrated),
+                cursor=page_cursor,
+                viewer=viewer,
+                now_us=now_us,
+            )
+            page = skeleton["feed"]
+            page_cursor = skeleton.get("cursor")
+            for item in page:
+                post = hydrate(item["post"])
+                if post is not None:
+                    hydrated.append({"post": post})
+            if page_cursor is None or not page:
+                break
+        return {"feed": hydrated, "cursor": page_cursor}
 
     def xrpc_searchPosts(self, q: str, limit: int = 25) -> dict:
         """Token-based post search (``app.bsky.feed.searchPosts``).
@@ -510,53 +543,51 @@ class AppView(XrpcService):
         """
         if not self.index_search:
             raise XrpcError(400, "search indexing is disabled on this AppView")
-        from repro.services.feedgen import tokenize
-
         with self.telemetry.tracer.span("read.searchPosts", cat="read", sample=True):
-            if self.cache_views:
-                cached = self._search_pages.get((q, limit))
-                if cached is not None:
-                    self._m_cache_hits.inc(("search_page",))
-                    return cached
-            tokens = sorted(tokenize(q))
-            if not tokens:
+            cached = self._search_pages.get((q, limit))
+            if cached is not None:
+                self._m_cache_hits.inc(("search_page",))
+                return cached
+            ordered = self.search_matches(q)
+            if ordered is None:
                 return {"posts": []}
-            candidate_lists = [self.index.search_index.get(token, []) for token in tokens]
-            if any(not uris for uris in candidate_lists):
-                return {"posts": []}
-            result_uris = set(candidate_lists[0])
-            for uris in candidate_lists[1:]:
-                result_uris &= set(uris)
-            # Most recent matches first, ordered by (-time_us, uri).  The
-            # old code walked matches in uri order and cut at ``limit``
-            # before filtering, so takedown-heavy result sets truncated
-            # away live matches.
-            posts_index = self.index.posts
-            ordered = sorted(
-                (-posts_index[uri].time_us, uri)
-                for uri in result_uris
-                if uri in posts_index
-            )
             posts = []
-            for _neg_time_us, uri in ordered:
+            for uri in ordered:
                 post = self._hydrate_post(uri)
                 if post is None:
                     continue  # taken down
-                posts.append(
-                    {
-                        "uri": post["uri"],
-                        "author": post["author"],
-                        "text": post["record"]["text"],
-                        "likeCount": post["likeCount"],
-                    }
-                )
+                posts.append(search_hit(post))
                 if len(posts) >= limit:
                     break
             response = {"posts": posts}
-            if self.cache_views:
-                self._m_cache_misses.inc(("search_page",))
-                self._search_pages[(q, limit)] = response
+            self._m_cache_misses.inc(("search_page",))
+            self._search_pages[(q, limit)] = response
             return response
+
+    def search_matches(self, q: str) -> Optional[list]:
+        """Uris of indexed posts matching every token of ``q``, most recent
+        first, ordered by ``(-time_us, uri)``; None when no post can match.
+
+        The whole match list is ordered before any ``limit`` cut, so
+        takedowns (filtered at hydration) never truncate live matches."""
+        from repro.services.feedgen import tokenize
+
+        tokens = sorted(tokenize(q))
+        if not tokens:
+            return None
+        candidate_lists = [self.index.search_index.get(token, []) for token in tokens]
+        if any(not uris for uris in candidate_lists):
+            return None
+        result_uris = set(candidate_lists[0])
+        for uris in candidate_lists[1:]:
+            result_uris &= set(uris)
+        posts_index = self.index.posts
+        return [
+            uri
+            for _neg_time_us, uri in sorted(
+                (-posts_index[uri].time_us, uri) for uri in result_uris if uri in posts_index
+            )
+        ]
 
     def xrpc_getList(self, list_uri: str) -> dict:
         """Members of a curation list (``app.bsky.graph.getList``)."""
@@ -570,18 +601,13 @@ class AppView(XrpcService):
         recent live posts of everyone ``actor`` follows, ordered by
         ``(-time_us, uri)`` (the client's default view).
 
-        Served from the per-follower timeline index maintained at ingest
-        when ``index_timelines`` is on; the author-scan fallback produces
-        byte-identical output and stays as the reference semantics."""
+        Served from the per-follower timeline index maintained at ingest;
+        ``repro.bench.reference_timeline`` is the author-scan reference it
+        must match byte for byte."""
         with self.telemetry.tracer.span("read.getTimeline", cat="read", sample=True):
-            if self.index_timelines:
-                self._m_cache_hits.inc(("timeline_index",))
-                selected = self._timeline_from_index(actor, limit)
-            else:
-                self._m_cache_misses.inc(("timeline_index",))
-                selected = self._timeline_from_scan(actor, limit)
+            self._m_cache_hits.inc(("timeline_index",))
             feed = []
-            for uri in selected:
+            for uri in self._timeline_from_index(actor, limit):
                 post = self._hydrate_post(uri)
                 if post is not None:
                     feed.append({"post": post})
@@ -608,44 +634,13 @@ class AppView(XrpcService):
             i = j
         return selected[:limit]
 
-    def _timeline_from_scan(self, actor: str, limit: int) -> list:
-        """Reference implementation: scan every followed author.  Live
-        posts are filtered *before* the per-author ``[-limit:]`` cut (a
-        taken-down post must not push a live one out of the window) and
-        authors are visited in sorted order so ties resolve identically
-        under any hash seed."""
-        followed = self.index.following.get(actor, set())
-        posts = self.index.posts
-        candidates: list = []
-        for did in sorted(followed):
-            live = [
-                uri
-                for uri in self.index.posts_by_author.get(did, ())
-                if uri in posts and uri not in self._takedowns
-            ]
-            for uri in live[-limit:]:
-                candidates.append((-posts[uri].time_us, uri))
-        candidates.sort()
-        return [uri for _neg_time_us, uri in candidates[:limit]]
-
     def xrpc_getProfile(self, actor: str) -> dict:
         with self.telemetry.tracer.span("read.getProfile", cat="read", sample=True):
-            if self.cache_views:
-                cached = self._profile_views.get(actor)
-                if cached is not None:
-                    self._m_cache_hits.inc(("profile_view",))
-                    return dict(cached)
-                self._m_cache_misses.inc(("profile_view",))
-            profile = self.index.profiles.get(actor, {})
-            view = {
-                "did": actor,
-                "handle": self.index.handles.get(actor, ""),
-                "displayName": profile.get("displayName", ""),
-                "description": profile.get("description", ""),
-                "followersCount": self.index.follower_counts.get(actor, 0),
-                "followsCount": self.index.following_counts.get(actor, 0),
-            }
-            if self.cache_views:
-                self._profile_views[actor] = view
-                return dict(view)
-            return view
+            cached = self._profile_views.get(actor)
+            if cached is not None:
+                self._m_cache_hits.inc(("profile_view",))
+                return dict(cached)
+            self._m_cache_misses.inc(("profile_view",))
+            view = self.render_profile(actor)
+            self._profile_views[actor] = view
+            return dict(view)

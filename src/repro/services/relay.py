@@ -142,7 +142,6 @@ class Relay(XrpcService):
         self,
         url: str = "https://bsky.network",
         retention_us: int = RETENTION_US,
-        cache_reads: bool = True,
     ):
         self.url = url.rstrip("/")
         self.firehose = Firehose(retention_us)
@@ -153,7 +152,6 @@ class Relay(XrpcService):
         # to repeat getRepo calls at an unchanged head.  Bounded (oldest
         # insertion evicted first — deterministic, no wall clock) and
         # explicitly invalidated by publish_commit / publish_tombstone.
-        self.cache_reads = cache_reads
         self._car_cache: dict[str, tuple[str, bytes]] = {}
         self.set_telemetry(NULL_TELEMETRY)
 
@@ -178,19 +176,16 @@ class Relay(XrpcService):
         """
         if pds in self._pdses:
             return
-        self._pdses.append(pds)
-        for did in pds.dids():
-            self._repo_locations[did] = pds
+        self.register_pds(pds)
         pds.on_commit(lambda did, meta, pds=pds: self.publish_commit(pds, did, meta))
         pds.on_tombstone(self.publish_tombstone)
 
     def register_pds(self, pds: Pds) -> None:
         """Track a PDS's repos without subscribing to its commit stream.
 
-        Used by the sharded engine, which publishes commits explicitly in
-        merged order; behaviourally identical to :meth:`crawl_pds` for
-        location bookkeeping (locations update on the first published
-        commit either way).
+        Used directly by the sharded engine, which publishes commits
+        explicitly in merged order, and by :meth:`crawl_pds` before it
+        subscribes (locations update on every published commit either way).
         """
         if pds in self._pdses:
             return
@@ -280,55 +275,20 @@ class Relay(XrpcService):
         Serialized exports are cached per DID and keyed by the head CID,
         so repeat fetches at an unchanged head skip re-serialization."""
         with self.telemetry.tracer.span("read.getRepo", cat="read", sample=True):
-            head = self._current_head(did)
-            if self.cache_reads and head is not None:
-                cached = self._car_cache.get(did)
-                if cached is not None and cached[0] == head:
-                    self._m_cache_hits.inc(("repo_car",))
-                    return cached[1]
-                self._m_cache_misses.inc(("repo_car",))
-            car = self._fetch_car(did)
-            if self.cache_reads and head is not None:
-                while len(self._car_cache) >= CAR_CACHE_MAX:
-                    del self._car_cache[next(iter(self._car_cache))]
-                self._car_cache[did] = (head, car)
-            return car
-
-    def _current_head(self, did: str) -> Optional[str]:
-        """Head CID string of a mirrored repo, or None when unknown."""
-        repo = self.cached_repo(did)
-        if repo is None or repo.head is None:
-            return None
-        return str(repo.head)
-
-    def _fetch_car(self, did: str) -> bytes:
-        repo = self.cached_repo(did)
-        if repo is None or repo.head is None:
-            raise XrpcError(404, "repo %s not mirrored" % did)
-        return repo.export_car()
-
-    def xrpc_getBlocks(self, did: str, cids: list) -> dict:
-        """Batched block fetch (``com.atproto.sync.getBlocks``): many CIDs
-        resolved in one call against a single per-head block map, instead
-        of one tree walk per block.  The map is built lazily by the repo
-        and reused for every batch at the same head."""
-        with self.telemetry.tracer.span("read.getBlocks", cat="read", sample=True):
             repo = self.cached_repo(did)
             if repo is None or repo.head is None:
                 raise XrpcError(404, "repo %s not mirrored" % did)
-            mapping = repo.block_map_cached()
-            if mapping is not None:
-                self._m_cache_hits.inc(("repo_blocks",))
-            else:
-                self._m_cache_misses.inc(("repo_blocks",))
-                mapping = repo.block_map()
-            blocks = []
-            for cid in cids:
-                block = mapping.get(str(cid))
-                if block is None:
-                    raise XrpcError(404, "block %s not in repo %s" % (cid, did))
-                blocks.append({"cid": str(cid), "block": block})
-            return {"blocks": blocks}
+            head = str(repo.head)
+            cached = self._car_cache.get(did)
+            if cached is not None and cached[0] == head:
+                self._m_cache_hits.inc(("repo_car",))
+                return cached[1]
+            self._m_cache_misses.inc(("repo_car",))
+            car = repo.export_car()
+            while len(self._car_cache) >= CAR_CACHE_MAX:
+                del self._car_cache[next(iter(self._car_cache))]
+            self._car_cache[did] = (head, car)
+            return car
 
     def xrpc_subscribeRepos(self, cursor: int = 0, limit: Optional[int] = None) -> list:
         """Cursor-based replay of the firehose backlog."""

@@ -135,12 +135,6 @@ class SimulationConfig:
     activity_scale: float = 1.0
     # Use fast HMAC keypairs instead of real secp256k1 (see keys.py).
     fast_keys: bool = True
-    # Keep full post index in the AppView (needed for getFeed hydration).
-    index_posts: bool = True
-    # Read-path acceleration: per-follower timeline index + hydrated view
-    # caches in the AppView, CAR/block caches in the Relay.  Artefacts are
-    # byte-identical either way; off forces the reference scan paths.
-    read_caches: bool = True
     start_us: int = LAUNCH_US
     end_us: int = SIM_END_US
     # Extension scenario (the paper's footnote 6): extend the timeline to

@@ -111,7 +111,7 @@ class World:
             for index in range(N_DEFAULT_PDS_SHARDS)
         ]
         self.self_hosted_pdses: list[Pds] = []
-        self.relay = Relay("https://bsky.network", cache_reads=config.read_caches)
+        self.relay = Relay("https://bsky.network")
         self.relay.set_telemetry(self.telemetry)
         for shard in self.pds_shards:
             # Registered, not crawled: the engine publishes every commit
@@ -123,9 +123,6 @@ class World:
             "https://api.bsky.app",
             self.resolver,
             self.services,
-            index_posts=config.index_posts,
-            index_timelines=config.read_caches,
-            cache_views=config.read_caches,
             telemetry=self.telemetry,
         )
         self.appview.attach(self.relay)

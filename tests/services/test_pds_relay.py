@@ -7,7 +7,7 @@ from repro.atproto.keys import HmacKeypair
 from repro.atproto.lexicon import FOLLOW, POST
 from repro.atproto.repo import import_car
 from repro.services.pds import Pds, PdsError
-from repro.services.relay import Firehose, Relay
+from repro.services.relay import CAR_CACHE_MAX, Firehose, Relay
 from repro.services.xrpc import XrpcError
 
 
@@ -275,3 +275,49 @@ class TestListReposTombstonedCursor:
         dids = self.seed_users(net)
         assert self.drain(net.relay) == dids
         assert self.drain(net.pds) == dids
+
+
+class TestRelayCarCache:
+    """getRepo serves a cached export while the head is unchanged; every
+    new head or removal invalidates it, and the bound evicts oldest first."""
+
+    def test_repeat_get_repo_matches_fresh_export(self, net):
+        did, _ = net.create_user("alice")
+        net.pds.create_record(did, POST, post("cached"), net.tick())
+        first = net.relay.xrpc_getRepo(did=did)
+        assert net.relay._car_cache[did][1] is first
+        again = net.relay.xrpc_getRepo(did=did)
+        assert again is first  # served from the cache
+        assert again == net.pds.repo(did).export_car()
+
+    def test_publish_commit_serves_new_head(self, net):
+        did, _ = net.create_user("alice")
+        net.pds.create_record(did, POST, post("one"), net.tick())
+        before = net.relay.xrpc_getRepo(did=did)
+        net.pds.create_record(did, POST, post("two"), net.tick())
+        after = net.relay.xrpc_getRepo(did=did)
+        assert after != before
+        snapshot = import_car(after)
+        assert str(snapshot.commit_cid) == str(net.pds.repo(did).head)
+        assert after == net.pds.repo(did).export_car()
+
+    def test_publish_tombstone_gives_404(self, net):
+        did, _ = net.create_user("alice")
+        net.pds.create_record(did, POST, post("gone soon"), net.tick())
+        net.relay.xrpc_getRepo(did=did)
+        net.pds.remove_account(did, net.tick())
+        assert did not in net.relay._car_cache
+        with pytest.raises(XrpcError) as err:
+            net.relay.xrpc_getRepo(did=did)
+        assert err.value.status == 404
+
+    def test_oldest_entry_evicted_first(self, net):
+        dids = []
+        for index in range(CAR_CACHE_MAX + 1):
+            did, _ = net.create_user("user%d" % index)
+            net.pds.create_record(did, POST, post("p"), net.tick())
+            net.relay.xrpc_getRepo(did=did)
+            dids.append(did)
+        cached = list(net.relay._car_cache)
+        assert len(cached) == CAR_CACHE_MAX
+        assert cached == dids[1:]  # the first fetch was evicted

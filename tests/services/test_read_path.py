@@ -3,8 +3,9 @@
 The AppView serves getTimeline from a per-follower index and getFeed /
 searchPosts / getProfile through hydrated-view caches.  All of it is an
 acceleration, never a semantic: every response must be byte-identical
-with the features switched off, across repeated (cache-warm) reads, and
-across interpreters launched with different ``PYTHONHASHSEED`` values.
+to the uncached scan reads of ``repro.bench.ReferenceReads`` over the
+same indexes, across repeated (cache-warm) reads, and across
+interpreters launched with different ``PYTHONHASHSEED`` values.
 """
 
 import json
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 from repro.atproto.events import CommitEvent, CommitOp
+from repro.bench import ReferenceReads
 from repro.identity.plc import PlcDirectory
 from repro.identity.resolver import DidResolver
 from repro.netsim.web import WebHostRegistry
@@ -43,39 +45,29 @@ def canon(response) -> str:
 
 
 class ReadHarness:
-    """One event stream applied to several AppViews with different
-    read-path flags, so their responses can be compared byte for byte."""
+    """One event stream applied to one AppView, read both through the
+    AppView and through the uncached reference over its indexes, so the
+    two answers can be compared byte for byte."""
 
-    def __init__(self, cached_flags=(True, False), telemetry=None):
+    def __init__(self, telemetry=None):
         self.services = ServiceDirectory()
         self.resolver = DidResolver(PlcDirectory(), WebHostRegistry())
-        self.views = [
-            AppView(
-                "https://appview%d.test" % index,
-                self.resolver,
-                self.services,
-                official_labeler_did=OFFICIAL,
-                index_search=True,
-                index_timelines=cached,
-                cache_views=cached,
-                telemetry=telemetry if cached else None,
-            )
-            for index, cached in enumerate(cached_flags)
-        ]
+        self.appview = AppView(
+            "https://appview.test",
+            self.resolver,
+            self.services,
+            official_labeler_did=OFFICIAL,
+            index_search=True,
+            telemetry=telemetry,
+        )
+        self.reference = ReferenceReads(self.appview)
+        self.views = (self.appview, self.reference)
         self.host = FeedGeneratorHost(FEEDGEN_DID, FEEDGEN_URL)
         self.services.register(FEEDGEN_URL, self.host)
         self.feed = None
         self.seq = 0
         self.label_seq = 0
         self.now = BASE_US
-
-    @property
-    def cached(self) -> AppView:
-        return self.views[0]
-
-    @property
-    def uncached(self) -> AppView:
-        return self.views[-1]
 
     def emit(self, did, path, record=None, action="create", step=1_000_000):
         self.seq += 1
@@ -86,8 +78,7 @@ class ReadHarness:
             time_us=self.now,
             ops=(CommitOp(action, path, None, record),),
         )
-        for view in self.views:
-            view.consume_event(event)
+        self.appview.consume_event(event)
         return "at://%s/%s" % (did, path)
 
     def post(self, did, rkey, text, step=1_000_000):
@@ -134,8 +125,7 @@ class ReadHarness:
             neg=neg,
             cts=self.now,
         )
-        for view in self.views:
-            view._ingest_label(label)
+        self.appview._ingest_label(label)
 
     def publish_feed(self, creator, rkey="stream", rule=None):
         uri = "at://%s/app.bsky.feed.generator/%s" % (creator, rkey)
@@ -234,29 +224,29 @@ class TestCacheTransparency:
     def test_all_reads_byte_identical_cache_on_off(self, harness):
         dids, _uris, feed_uri = build_busy_network(harness)
         now = harness.now + 1_000_000
-        # Two rounds: the second one reads through warm caches on the
-        # cached view and must still match the scan path byte for byte.
+        # Two rounds: the second one reads through warm caches and must
+        # still match the reference scan path byte for byte.
         for _round in range(2):
             for actor in dids:
-                assert canon(harness.cached.xrpc_getTimeline(actor, limit=7)) == canon(
-                    harness.uncached.xrpc_getTimeline(actor, limit=7)
+                assert canon(harness.appview.xrpc_getTimeline(actor, limit=7)) == canon(
+                    harness.reference.xrpc_getTimeline(actor, limit=7)
                 )
-                assert canon(harness.cached.xrpc_getProfile(actor)) == canon(
-                    harness.uncached.xrpc_getProfile(actor)
+                assert canon(harness.appview.xrpc_getProfile(actor)) == canon(
+                    harness.reference.xrpc_getProfile(actor)
                 )
-            assert canon(harness.cached.xrpc_searchPosts("shared", limit=9)) == canon(
-                harness.uncached.xrpc_searchPosts("shared", limit=9)
+            assert canon(harness.appview.xrpc_searchPosts("shared", limit=9)) == canon(
+                harness.reference.xrpc_searchPosts("shared", limit=9)
             )
             assert canon(
-                harness.cached.xrpc_getFeed(feed_uri, limit=6, now_us=now)
-            ) == canon(harness.uncached.xrpc_getFeed(feed_uri, limit=6, now_us=now))
+                harness.appview.xrpc_getFeed(feed_uri, limit=6, now_us=now)
+            ) == canon(harness.reference.xrpc_getFeed(feed_uri, limit=6, now_us=now))
 
     def test_invalidation_keeps_views_equal_after_writes(self, harness):
         dids, uris, _feed_uri = build_busy_network(harness)
-        live = [uri for uri in uris if uri in harness.cached.index.posts]
+        live = [uri for uri in uris if uri in harness.appview.index.posts]
         reader = dids[0]
-        before = canon(harness.cached.xrpc_getTimeline(reader, limit=10))
-        assert before == canon(harness.uncached.xrpc_getTimeline(reader, limit=10))
+        before = canon(harness.appview.xrpc_getTimeline(reader, limit=10))
+        assert before == canon(harness.reference.xrpc_getTimeline(reader, limit=10))
         # Mutate through every invalidation path, reading in between so
         # stale cache entries would be observable.
         harness.like(dids[1], "lx", live[0])
@@ -264,11 +254,11 @@ class TestCacheTransparency:
         harness.take_down(live[1], neg=True)  # and reversed again
         harness.delete(live[2])
         for actor in dids:
-            assert canon(harness.cached.xrpc_getTimeline(actor, limit=10)) == canon(
-                harness.uncached.xrpc_getTimeline(actor, limit=10)
+            assert canon(harness.appview.xrpc_getTimeline(actor, limit=10)) == canon(
+                harness.reference.xrpc_getTimeline(actor, limit=10)
             )
-        assert canon(harness.cached.xrpc_searchPosts("shared")) == canon(
-            harness.uncached.xrpc_searchPosts("shared")
+        assert canon(harness.appview.xrpc_searchPosts("shared")) == canon(
+            harness.reference.xrpc_searchPosts("shared")
         )
 
     def test_warm_reads_hit_and_match_cold_reads(self):
@@ -276,9 +266,9 @@ class TestCacheTransparency:
         harness = ReadHarness(telemetry=telemetry)
         dids, _uris, _feed_uri = build_busy_network(harness)
         reader = dids[0]
-        cold = canon(harness.cached.xrpc_getTimeline(reader, limit=10))
+        cold = canon(harness.appview.xrpc_getTimeline(reader, limit=10))
         hits_before = _read_counters(telemetry)[0]
-        warm = canon(harness.cached.xrpc_getTimeline(reader, limit=10))
+        warm = canon(harness.appview.xrpc_getTimeline(reader, limit=10))
         hits_after = _read_counters(telemetry)[0]
         assert warm == cold
         assert sum(hits_after.values()) > sum(hits_before.values())
@@ -288,14 +278,14 @@ class TestCacheTransparency:
         harness = ReadHarness(telemetry=telemetry)
         dids, _uris, _feed_uri = build_busy_network(harness)
         reader = dids[0]
-        first = canon(harness.cached.xrpc_getTimeline(reader, limit=10))
-        harness.cached.xrpc_searchPosts("shared")
-        harness.cached.flush_read_caches()
-        assert harness.cached._post_views == {}
-        assert harness.cached._search_pages == {}
-        assert harness.cached._timelines  # the index is not a cache
+        first = canon(harness.appview.xrpc_getTimeline(reader, limit=10))
+        harness.appview.xrpc_searchPosts("shared")
+        harness.appview.flush_read_caches()
+        assert harness.appview._post_views == {}
+        assert harness.appview._search_pages == {}
+        assert harness.appview._timelines  # the index is not a cache
         _hits, misses_before = _read_counters(telemetry)
-        assert canon(harness.cached.xrpc_getTimeline(reader, limit=10)) == first
+        assert canon(harness.appview.xrpc_getTimeline(reader, limit=10)) == first
         _hits, misses_after = _read_counters(telemetry)
         # Post-flush reads re-hydrate: the miss counters move again, which
         # is exactly what makes crash/resume counter totals reproducible.
@@ -488,25 +478,32 @@ class TestHashSeedDeterminism:
         assert run_a["counters"]  # the deterministic hit/miss series exist
 
 
-@pytest.mark.slow
-def test_study_artefacts_identical_with_read_caches_off():
-    """End to end: the full tiny study produces the same data artefacts
-    (Table 1 + firehose wire frames) with the read path accelerated and
-    with it in reference (scan) mode.  The metrics registry is excluded
-    on purpose: its cache hit/miss counters *should* differ between the
-    two modes — that is what they measure."""
-    from repro.core import report
-    from repro.core.export import firehose_frame_observer
-    from repro.core.pipeline import MeasurementPipeline
-    from repro.simulation.config import SimulationConfig
-    from repro.simulation.world import World
-
-    artefacts = []
-    for read_caches in (True, False):
-        config = SimulationConfig.tiny()
-        config.read_caches = read_caches
-        world = World(config)
-        digest = firehose_frame_observer(world)
-        datasets = MeasurementPipeline(world).run()
-        artefacts.append((report.render_table1(datasets), digest()))
-    assert artefacts[0] == artefacts[1]
+def test_study_reads_match_reference(study):
+    """End to end on the shared tiny study world: every user's getTimeline
+    and getProfile, served through whatever the study left in the view
+    caches, byte-match the reference reads.  The AppView reads run against
+    a throwaway telemetry and the caches are put back afterwards, so the
+    shared study's metrics stay byte-identical."""
+    world, datasets = study
+    appview = world.appview
+    reference = ReferenceReads(appview)
+    metrics_before = datasets.telemetry.metrics_json()
+    saved_caches = (
+        dict(appview._post_views),
+        dict(appview._profile_views),
+        dict(appview._search_pages),
+    )
+    appview.set_telemetry(Telemetry())
+    try:
+        dids = [user.did for user in world.users if user.did]
+        non_empty = 0
+        for did in dids:
+            timeline = appview.xrpc_getTimeline(did)
+            assert canon(timeline) == canon(reference.xrpc_getTimeline(did))
+            assert canon(appview.xrpc_getProfile(did)) == canon(reference.xrpc_getProfile(did))
+            non_empty += bool(timeline["feed"])
+        assert non_empty > len(dids) // 4  # the comparison is not vacuous
+    finally:
+        appview.set_telemetry(datasets.telemetry)
+        appview._post_views, appview._profile_views, appview._search_pages = saved_caches
+    assert datasets.telemetry.metrics_json() == metrics_before

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.atproto.lexicon import REPOST
 from repro.services.client import Client, LabelAction
 from repro.services.labeler import LabelerPolicies, LabelerService
 
@@ -65,6 +66,21 @@ class TestGetTimeline:
         alice.post("a2", net.tick())
         texts = [item["record"]["text"] for item in carol.home_timeline()]
         assert texts == ["a2", "b1", "a1"]
+
+    def test_deleted_repost_drops_repost_count(self, net):
+        alice = make_client(net, "alice")
+        bob = make_client(net, "bob")
+        carol = make_client(net, "carol")
+        carol.follow(alice.did, net.tick())
+        meta = alice.post("share me", net.tick())
+        uri = "at://%s/%s" % (alice.did, meta.ops[0][1])
+        repost = bob.repost(uri, str(meta.ops[0][2]), net.tick())
+        # Read once so the hydrated view is cached before the delete.
+        assert net.appview.xrpc_getTimeline(actor=carol.did)["feed"][0]["post"]["repostCount"] == 1
+        rkey = repost.ops[0][1].split("/")[1]
+        net.pds.delete_record(bob.did, REPOST, rkey, net.tick())
+        assert net.appview.index.repost_counts[uri] == 0
+        assert net.appview.xrpc_getTimeline(actor=carol.did)["feed"][0]["post"]["repostCount"] == 0
 
     def test_moderation_applies_to_timeline(self, net):
         alice = make_client(net, "alice")
