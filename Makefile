@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard test-perfbench bench bench-perf lint lint-determinism report trace slo check
+.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard test-perfbench bench bench-perf lint lint-determinism report trace check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -50,18 +50,12 @@ lint:  ## ruff, when available (not part of the baked toolchain)
 report:  ## full study at default scale, all tables and figures
 	$(PYTHON) -m repro
 
-trace:  ## small traced study; validate the trace + metrics + event-log artefacts
+trace:  ## small traced study; validate the trace, metrics, event-log and OpenMetrics artefacts
 	$(PYTHON) -m repro telemetry --scale 60000 --feed-scale 1200 --quiet \
 		--fault-seed 7 --trace-out trace.json --metrics-out metrics.json \
 		--events-out events.jsonl
-	$(PYTHON) scripts/check_trace.py trace.json metrics.json events.jsonl
-
-slo:  ## small study; validate the slo.json + metrics.prom SLO artefacts
-	$(PYTHON) -m repro telemetry --scale 60000 --feed-scale 1200 --quiet \
-		--fault-seed 7 --metrics-out metrics.json --slo-out slo.json \
-		--events-out events.jsonl
-	$(PYTHON) scripts/check_slo.py slo.json metrics.prom
+	$(PYTHON) scripts/check_trace.py trace.json metrics.json events.jsonl metrics.prom
 
 # `test` already covers tests/, so the focused suites above (faults,
 # integrity, telemetry, shard) are for local use and are not re-run here.
-check: lint-determinism test test-perfbench trace slo lint  ## what CI runs, each check once
+check: lint-determinism test test-perfbench trace lint  ## what CI runs, each check once

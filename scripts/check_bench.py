@@ -9,8 +9,8 @@ Fails (exit 1) if:
     variant measured in the same run, or
   * the deterministic read-cache hit/miss counters disappeared from the
     benchmark output, or
-  * the SLO/observability export (metrics.prom + slo.json + events.jsonl
-    rendering) costs more than MAX_SLO_OVERHEAD_PCT of the pipeline wall
+  * the observability export (metrics.prom + events.jsonl rendering)
+    costs more than MAX_SLO_OVERHEAD_PCT of the pipeline wall
     it reports on (with a small absolute-seconds slack so a noisy
     single-core CI box can't flake the build on a 0.1s delta).
 
@@ -57,26 +57,26 @@ def check(document: dict) -> list[str]:
             problems.append("no read_cache_hits_total series in counters")
         if not any(key.startswith("read_cache_misses_total") for key in counters):
             problems.append("no read_cache_misses_total series in counters")
-    problems.extend(check_slo_overhead(optimized))
+    problems.extend(check_export_overhead(optimized))
     return problems
 
 
-def check_slo_overhead(optimized: dict) -> list[str]:
+def check_export_overhead(optimized: dict) -> list[str]:
     problems = []
-    export_wall = optimized.get("slo_export_wall_s")
-    reference = optimized.get("slo_pipeline_reference_wall_s")
+    export_wall = optimized.get("obs_export_wall_s")
+    reference = optimized.get("obs_export_pipeline_reference_wall_s")
     if not isinstance(export_wall, (int, float)) or not isinstance(
         reference, (int, float)
     ) or reference <= 0:
         problems.append(
-            "missing slo_export_wall_s / slo_pipeline_reference_wall_s for "
-            "the SLO-export overhead guardrail"
+            "missing obs_export_wall_s / obs_export_pipeline_reference_wall_s "
+            "for the observability-export overhead guardrail"
         )
         return problems
     overhead_pct = export_wall / reference * 100
     if overhead_pct > MAX_SLO_OVERHEAD_PCT and export_wall > SLO_OVERHEAD_SLACK_S:
         problems.append(
-            "SLO/observability export costs %.2f%% of the pipeline wall "
+            "observability export costs %.2f%% of the pipeline wall "
             "(%.3fs export vs %.2fs pipeline), above the %.1f%% guardrail"
             % (overhead_pct, export_wall, reference, MAX_SLO_OVERHEAD_PCT)
         )
@@ -100,10 +100,10 @@ def main(argv: list[str]) -> int:
         uncached = optimized[name.replace("_ops_per_s", "_uncached_ops_per_s")]
         ratios.append("%s %.1fx" % (name.split("_")[0], optimized[name] / uncached))
     ratios.append(
-        "slo export %.2f%%"
+        "obs export %.2f%%"
         % (
-            optimized["slo_export_wall_s"]
-            / optimized["slo_pipeline_reference_wall_s"]
+            optimized["obs_export_wall_s"]
+            / optimized["obs_export_pipeline_reference_wall_s"]
             * 100
         )
     )

@@ -35,7 +35,6 @@ ARTEFACTS = {
     "health": report.render_collection_health,
     "integrity": report.render_integrity,
     "telemetry": report.render_telemetry,
-    "slo": report.render_slo,
 }
 
 
@@ -139,12 +138,6 @@ def main(argv=None) -> int:
         "text rendering of the same registry next to it (.prom)",
     )
     parser.add_argument(
-        "--slo-out",
-        metavar="PATH",
-        help="write the tail-latency SLO evaluation (deterministic JSON; "
-        "see the 'slo' artefact) to PATH",
-    )
-    parser.add_argument(
         "--events-out",
         metavar="PATH",
         help="write the structured study event log (JSONL: phase "
@@ -173,12 +166,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.no_telemetry and (
-        args.metrics_out or args.trace_out or args.slo_out or args.events_out
-    ):
+    if args.no_telemetry and (args.metrics_out or args.trace_out or args.events_out):
         parser.error(
             "--no-telemetry is incompatible with "
-            "--metrics-out/--trace-out/--slo-out/--events-out"
+            "--metrics-out/--trace-out/--events-out"
         )
 
     config = SimulationConfig(
@@ -287,16 +278,6 @@ def main(argv=None) -> int:
                 % (args.metrics_out, prom_path),
                 file=sys.stderr,
             )
-    if args.slo_out:
-        from repro.core.atomicio import atomic_write_text
-        from repro.obs.slo import slo_json, study_window_days
-
-        atomic_write_text(
-            args.slo_out,
-            slo_json(telemetry.metrics_snapshot(), window_days=study_window_days()),
-        )
-        if not args.quiet:
-            print("wrote SLO evaluation to %s" % args.slo_out, file=sys.stderr)
     if args.events_out:
         from repro.core.atomicio import atomic_write_text
 

@@ -411,37 +411,33 @@ def bench_telemetry_overhead(repeats: int = 2) -> dict:
     return {"pipeline_tiny_no_telemetry_wall_s": wall}
 
 
-def bench_slo_overhead(repeats: int = 3) -> dict:
-    """Cost of the SLO/observability export relative to the study (<5%).
+def bench_obs_export_overhead(repeats: int = 3) -> dict:
+    """Cost of the observability export relative to the study (<5%).
 
     Runs the tiny pipeline once to get a populated registry + event log,
-    then times the full artefact rendering — OpenMetrics exposition,
-    ``slo.json`` evaluation, ``events.jsonl`` serialization — against the
-    pipeline wall measured in the same process, so the ratio is robust
-    to the absolute speed of the machine.  ``scripts/check_bench.py``
-    enforces the guardrail on ``slo_overhead_pct``.
+    then times the artefact rendering — OpenMetrics exposition and
+    ``events.jsonl`` serialization — against the pipeline wall measured
+    in the same process, so the ratio is robust to the absolute speed of
+    the machine.  ``scripts/check_bench.py`` enforces the guardrail on
+    ``obs_export_overhead_pct``.
     """
     from repro.core.pipeline import run_study
-    from repro.obs.slo import slo_json, study_window_days
     from repro.simulation.config import SimulationConfig
 
     t0 = time.perf_counter()
     _, datasets = run_study(SimulationConfig.tiny())
     pipeline_wall = time.perf_counter() - t0
     telemetry = datasets.telemetry
-    window_days = study_window_days()
 
     def export():
-        snapshot = telemetry.registry.snapshot()
         telemetry.metrics_openmetrics()
-        slo_json(snapshot, window_days=window_days)
         telemetry.events_jsonl()
 
     export_wall = best_of(export, repeats)
     return {
-        "slo_export_wall_s": export_wall,
-        "slo_pipeline_reference_wall_s": pipeline_wall,
-        "slo_overhead_pct": round(export_wall / pipeline_wall * 100, 2),
+        "obs_export_wall_s": export_wall,
+        "obs_export_pipeline_reference_wall_s": pipeline_wall,
+        "obs_export_overhead_pct": round(export_wall / pipeline_wall * 100, 2),
     }
 
 
@@ -454,7 +450,7 @@ def run_benchmarks(include_pipeline: bool = True, progress=None) -> dict:
             [
                 bench_pipeline,
                 bench_telemetry_overhead,
-                bench_slo_overhead,
+                bench_obs_export_overhead,
             ]
         )
     for stage in stages:
@@ -535,10 +531,10 @@ def main(out_path: str = "BENCH_perf.json", quiet: bool = False) -> int:
     overhead = measured.get("telemetry_overhead_pct")
     if overhead is not None and not quiet:
         print("telemetry overhead: %.2f%% (instrumented vs --no-telemetry)" % overhead)
-    slo_overhead = measured.get("slo_overhead_pct")
-    if slo_overhead is not None and not quiet:
+    export_overhead = measured.get("obs_export_overhead_pct")
+    if export_overhead is not None and not quiet:
         print(
-            "SLO/export overhead: %.2f%% (metrics.prom + slo.json + "
-            "events.jsonl render vs pipeline wall)" % slo_overhead
+            "observability export overhead: %.2f%% (metrics.prom + "
+            "events.jsonl render vs pipeline wall)" % export_overhead
         )
     return 0

@@ -24,7 +24,7 @@ from repro.netsim.faults import CrashPlan, StudyCrashed
 from repro.obs.telemetry import NULL_TELEMETRY
 
 CHECKPOINT_FILENAME = "study.ckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -171,8 +171,8 @@ class StudyCheckpointer:
         A small atomically-replaced JSON next to the journal that
         ``python -m repro top`` tails: the full registry snapshot
         (volatile families included — the dashboard is exactly where
-        wall-clock counters belong) plus the newest
-        events.  Purely informational: never read back, never
+        wall-clock counters belong), the phases open right now, and the
+        newest events.  Purely informational: never read back, never
         fingerprinted.
         """
         telemetry = self.telemetry
@@ -187,6 +187,7 @@ class StudyCheckpointer:
             "ticks": self.ticks,
             "done_actions": len(self.done),
             "metrics": telemetry.registry.snapshot(include_volatile=True),
+            "open_phases": telemetry.open_phases,
             "events_tail": telemetry.events.events[-30:],
         }
         path = os.path.join(self.journal.directory, "status.json")

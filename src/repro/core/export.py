@@ -231,18 +231,12 @@ def export_artefacts(datasets: StudyDatasets, directory: str) -> list[str]:
     if telemetry is not None and telemetry.enabled:
         # Deterministic by construction: only virtual-time / counted
         # series are non-volatile, so two same-seed runs (and a resumed
-        # run) write byte-identical files.  ``metrics.prom`` and
-        # ``slo.json`` are pure functions of the same snapshot and
-        # inherit the guarantee; ``events.jsonl`` carries a wall clock
-        # column by design (dual clocks) — strip it to compare runs.
-        from repro.obs.slo import slo_json, study_window_days
-
+        # run) write byte-identical files.  ``metrics.prom`` renders the
+        # same registry and inherits the guarantee; ``events.jsonl``
+        # carries a wall clock column by design (dual clocks) — strip
+        # it to compare runs.
         atomic_write_text(out("metrics.json"), telemetry.metrics_json())
         atomic_write_text(out("metrics.prom"), telemetry.metrics_openmetrics())
-        atomic_write_text(
-            out("slo.json"),
-            slo_json(telemetry.metrics_snapshot(), window_days=study_window_days()),
-        )
         events = telemetry.events_jsonl()
         if events:
             atomic_write_text(out("events.jsonl"), events)

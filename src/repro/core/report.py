@@ -404,10 +404,9 @@ def render_telemetry(datasets: StudyDatasets) -> str:
     """The telemetry section: phases, hot hosts/NSIDs, call outcomes.
 
     Reads the study's metrics registry back (see ``repro.obs``): per-phase
-    virtual/wall durations, the top hosts by call volume with injected-
-    latency percentiles, the hottest method NSIDs, and the outcome
-    breakdown that attributes connection errors (unknown host vs down
-    host vs injected faults).
+    virtual/wall durations, the top hosts and method NSIDs by call
+    volume, and the outcome breakdown that attributes connection errors
+    (unknown host vs down host vs injected faults).
     """
     from repro.obs import profile
 
@@ -434,16 +433,8 @@ def render_telemetry(datasets: StudyDatasets) -> str:
     hosts = profile.host_rows(registry, top_n=10)
     if hosts:
         lines.append("")
-        lines.append("top hosts by XRPC calls (latency = injected, virtual):")
-        lines.append(
-            format_table(
-                ("host", "calls", "errors", "p50", "p90", "p99"),
-                [
-                    (host, calls, errors, _fmt_us(p50), _fmt_us(p90), _fmt_us(p99))
-                    for host, calls, errors, p50, p90, p99 in hosts
-                ],
-            )
-        )
+        lines.append("top hosts by XRPC calls:")
+        lines.append(format_table(("host", "calls", "errors"), hosts))
     nsids = profile.nsid_rows(registry, top_n=10)
     if nsids:
         lines.append("")
@@ -458,8 +449,6 @@ def render_telemetry(datasets: StudyDatasets) -> str:
         )
 
     lines.append("")
-    lines.append(_slo_summary(datasets))
-
     stats = telemetry.tracer.stats()
     if telemetry.tracer.enabled:
         lines.append(
@@ -473,86 +462,6 @@ def render_telemetry(datasets: StudyDatasets) -> str:
         lines.append(
             "events: %d recorded (%d dropped past cap)"
             % (event_stats["events"], event_stats["dropped"])
-        )
-    return "\n".join(lines)
-
-
-def _slo_summary(datasets: StudyDatasets) -> str:
-    """The objectives table shared by 'telemetry' and 'slo' artefacts."""
-    from repro.obs.slo import evaluate_slos, study_window_days
-
-    document = evaluate_slos(
-        datasets.telemetry.metrics_snapshot(), window_days=study_window_days()
-    )
-    rows = [
-        (
-            obj["name"],
-            obj["quantile"],
-            _fmt_us(obj["observed_us"]),
-            _fmt_us(obj["threshold_us"]),
-            "%.4f" % obj["error_rate"],
-            "%.4f" % obj["budget_burn_per_day"],
-            "ok" if obj["ok"] else "BREACH",
-        )
-        for obj in document["objectives"]
-    ]
-    table = format_table(
-        ("objective", "q", "observed", "target", "err-rate", "burn/day", "status"),
-        rows,
-    )
-    return "SLOs (bundle %s, %d breach%s over %.0f virtual days):\n%s" % (
-        document["bundle"],
-        document["breaches"],
-        "" if document["breaches"] == 1 else "es",
-        document["window_days"],
-        table,
-    )
-
-
-def render_slo(datasets: StudyDatasets) -> str:
-    """Tail-latency SLO artefact: objectives plus per-NSID/per-host tails.
-
-    Everything derives from the deterministic registry snapshot — the
-    same data ``slo.json`` exports — so the numbers here match the
-    artefact byte-for-byte semantics (p50/p95/p99/p999 are bucket
-    upper-bound estimates from the widened log-spaced buckets).
-    """
-    lines = ["SLO report: tail latency and error budgets"]
-    telemetry = datasets.telemetry
-    if telemetry is None or not telemetry.enabled:
-        lines.append("telemetry: disabled (--no-telemetry run)")
-        return "\n".join(lines)
-    from repro.obs.slo import evaluate_slos, study_window_days
-
-    document = evaluate_slos(
-        telemetry.metrics_snapshot(), window_days=study_window_days()
-    )
-    lines.append("")
-    lines.append(_slo_summary(datasets))
-    for title, key in (
-        ("per-NSID latency (virtual, injected):", "by_method"),
-        ("per-host latency (virtual, injected):", "by_host"),
-    ):
-        entries = document["latency"][key]
-        if not entries:
-            continue
-        lines.append("")
-        lines.append(title)
-        lines.append(
-            format_table(
-                ("series", "calls", "p50", "p95", "p99", "p999"),
-                [
-                    (
-                        name,
-                        row["count"],
-                        _fmt_us(row["p50"]),
-                        _fmt_us(row["p95"]),
-                        _fmt_us(row["p99"]),
-                        _fmt_us(row["p999"]),
-                    )
-                    for name, row in entries.items()
-                ],
-            )
         )
     return "\n".join(lines)
 

@@ -43,17 +43,6 @@ DEFAULT_MAX_EVENTS = 200_000
 #: The keys every event object carries, in serialization order.
 _EVENT_KEYS = ("seq", "virtual_us", "wall_us", "kind", "span", "fields")
 
-#: Kinds the pipeline emits; the validator accepts any non-empty kind,
-#: this list is documentation plus the dashboard's grouping order.
-KNOWN_KINDS = (
-    "phase.start",
-    "phase.end",
-    "fault.injected",
-    "integrity.quarantine",
-    "cache.flush",
-    "checkpoint.save",
-)
-
 
 class EventLog:
     """Append-only dual-clock event recorder with checkpoint plumbing."""
@@ -237,7 +226,7 @@ class NullEventLog:
 
 
 # ---------------------------------------------------------------------------
-# JSONL schema validation (scripts/check_trace.py, scripts/check_slo.py)
+# JSONL schema validation (scripts/check_trace.py)
 # ---------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters and gauges.
 
 Design constraints, in order:
 
@@ -22,42 +22,29 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from typing import Iterable, Optional
-
-#: Default histogram bounds for injected/virtual latencies, in µs:
-#: log-spaced (~1-2.5-5 per decade) from sub-millisecond through the
-#: minute-scale backoff ceiling and into the multi-minute tail.  The
-#: tail buckets exist so p999 is *resolvable*: with the old coarse
-#: bounds every tail quantile collapsed into the same bucket and
-#: p99 == p999 by construction (see ``repro.obs.slo``).
-LATENCY_BUCKETS_US = (
-    1_000,
-    2_500,
-    5_000,
-    10_000,
-    25_000,
-    50_000,
-    100_000,
-    250_000,
-    500_000,
-    1_000_000,
-    2_500_000,
-    5_000_000,
-    10_000_000,
-    25_000_000,
-    60_000_000,
-    150_000_000,
-    300_000_000,
-    600_000_000,
-)
-
 
 def series_key(name: str, label_names: tuple, labels: tuple) -> str:
     if not label_names:
         return name
     inner = ",".join("%s=%s" % pair for pair in zip(label_names, labels))
     return "%s{%s}" % (name, inner)
+
+
+def parse_series_key(key: str) -> tuple[str, dict]:
+    """Split a snapshot series key ``name{k=v,...}`` into (name, labels).
+
+    Inverse of :func:`series_key` for the label alphabets the study
+    uses (hosts, NSIDs, outcome slugs — no commas or braces in values).
+    """
+    brace = key.find("{")
+    if brace < 0:
+        return key, {}
+    labels: dict = {}
+    for pair in key[brace + 1 : -1].split(","):
+        label, _, value = pair.partition("=")
+        labels[label] = value
+    return key[:brace], labels
 
 
 class _Family:
@@ -118,97 +105,6 @@ class GaugeFamily(_Family):
         return sum(self._data.values())
 
 
-class HistogramFamily(_Family):
-    """Fixed upper-bound buckets; one extra overflow bucket.
-
-    Per-series storage is ``[bucket_counts, sum, count, overflow_sum]``
-    so an observe is a bisect plus in-place updates.  ``overflow_sum``
-    tracks only the observations that landed past ``bounds[-1]``, so the
-    overflow quantile estimate is the mean of the *overflow* population,
-    not the mean of everything (the global mean is dragged down by the
-    finite buckets and produced tail estimates below the last bound).
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        label_names: Iterable[str] = (),
-        bounds: tuple = LATENCY_BUCKETS_US,
-        volatile: bool = False,
-    ):
-        super().__init__(name, label_names, volatile)
-        self.bounds = tuple(bounds)
-
-    def observe(self, labels: tuple = (), value=0) -> None:
-        record = self._data.get(labels)
-        if record is None:
-            record = [[0] * (len(self.bounds) + 1), 0, 0, 0]
-            self._data[labels] = record
-        index = bisect_right(self.bounds, value)
-        record[0][index] += 1
-        record[1] += value
-        record[2] += 1
-        if index == len(self.bounds):
-            record[3] += value
-
-    def count(self, labels: tuple = ()) -> int:
-        record = self._data.get(labels)
-        return record[2] if record is not None else 0
-
-    def sum(self, labels: tuple = ()):
-        record = self._data.get(labels)
-        return record[1] if record is not None else 0
-
-    def percentile(self, labels: tuple, q: float):
-        """Bucket-resolution quantile estimate; None without data.
-
-        For a quantile landing in a finite bucket the estimate is that
-        bucket's upper bound, so the error is bounded by the bucket
-        width: the true quantile lies in ``(bounds[i-1], bounds[i]]``
-        and the estimate never undershoots it.  For the overflow bucket
-        the estimate is the mean of the overflow observations clamped to
-        ``max(bounds[-1], overflow_mean)``.  Both halves are constant
-        within a bucket and cumulative across buckets, so the estimate
-        is monotone non-decreasing in ``q`` — the property the SLO
-        report relies on (p50 <= p95 <= p99 <= p999).
-        """
-        record = self._data.get(labels)
-        if record is None or record[2] == 0:
-            return None
-        return percentile_from_record(
-            self.bounds, record[0], record[2], record[3], q
-        )
-
-
-def percentile_from_record(bounds, counts, count: int, overflow_sum, q: float):
-    """Shared bucket-walk quantile estimate (see ``HistogramFamily.percentile``).
-
-    Module-level so the SLO evaluator and the live dashboard can compute
-    the same estimate from a *snapshot* dict (``le``/``counts``/``count``/
-    ``overflow_sum``) without holding the family object.
-    """
-    if not count:
-        return None
-    target = q * count
-    seen = 0
-    last = len(bounds)
-    for index, bucket_count in enumerate(counts):
-        seen += bucket_count
-        if seen >= target and bucket_count:
-            if index < last:
-                return bounds[index]
-            # Overflow bucket: the mean of the overflow population,
-            # clamped so the tail estimate never dips below the last
-            # finite bound (which the cumulative walk already crossed).
-            return max(bounds[-1], int(overflow_sum) // max(1, counts[-1]))
-    # q above 1.0 (or float slack at exactly 1.0): the max-ish estimate.
-    if counts[-1]:
-        return max(bounds[-1], int(overflow_sum) // max(1, counts[-1]))
-    return bounds[-1]
-
-
 class MetricsRegistry:
     """Named family store with idempotent creation and stable snapshots."""
 
@@ -222,19 +118,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, label_names=(), volatile: bool = False) -> GaugeFamily:
         return self._family(GaugeFamily, name, label_names, volatile)
-
-    def histogram(
-        self, name: str, label_names=(), bounds=LATENCY_BUCKETS_US, volatile: bool = False
-    ) -> HistogramFamily:
-        family = self.families.get(name)
-        if family is None:
-            family = HistogramFamily(name, label_names, bounds=bounds, volatile=volatile)
-            self.families[name] = family
-            return family
-        self._check_existing(family, HistogramFamily, name, label_names)
-        if family.bounds != tuple(bounds):
-            raise ValueError("histogram %s re-declared with different bounds" % name)
-        return family
 
     def _family(self, cls, name, label_names, volatile):
         family = self.families.get(name)
@@ -262,33 +145,14 @@ class MetricsRegistry:
         """A deterministic, JSON-ready view of every non-volatile series."""
         counters: dict = {}
         gauges: dict = {}
-        histograms: dict = {}
         for name in sorted(self.families):
             family = self.families[name]
             if family.volatile and not include_volatile:
                 continue
-            if isinstance(family, HistogramFamily):
-                for labels in sorted(family._data, key=_label_sort_key):
-                    record = family._data[labels]
-                    histograms[series_key(name, family.label_names, labels)] = {
-                        "le": list(family.bounds) + ["+Inf"],
-                        "counts": list(record[0]),
-                        "sum": record[1],
-                        "count": record[2],
-                        "overflow_sum": record[3],
-                    }
-            else:
-                target = counters if isinstance(family, CounterFamily) else gauges
-                for labels in sorted(family._data, key=_label_sort_key):
-                    target[series_key(name, family.label_names, labels)] = family._data[
-                        labels
-                    ]
-        return {
-            "schema": "repro-metrics-v1",
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
+            target = counters if isinstance(family, CounterFamily) else gauges
+            for labels in sorted(family._data, key=_label_sort_key):
+                target[series_key(name, family.label_names, labels)] = family._data[labels]
+        return {"schema": "repro-metrics-v1", "counters": counters, "gauges": gauges}
 
     def snapshot_json(self, include_volatile: bool = False) -> str:
         return (
@@ -306,37 +170,12 @@ class MetricsRegistry:
         is byte-identical across fault seeds, hash seeds, and
         crash/resume chains.  Counters follow the spec's naming rule
         (the ``_total`` suffix belongs to the sample, not the family);
-        histograms render cumulative ``_bucket`` series plus ``_sum``
-        and ``_count``; the document ends with the mandatory ``# EOF``.
+        the document ends with the mandatory ``# EOF``.
         """
         lines: list[str] = []
         for name in sorted(self.families):
             family = self.families[name]
             if (family.volatile and not include_volatile) or not family._data:
-                continue
-            if isinstance(family, HistogramFamily):
-                lines.append("# TYPE %s histogram" % name)
-                for labels in sorted(family._data, key=_label_sort_key):
-                    record = family._data[labels]
-                    cumulative = 0
-                    for bound, bucket_count in zip(
-                        list(family.bounds) + ["+Inf"], record[0]
-                    ):
-                        cumulative += bucket_count
-                        lines.append(
-                            "%s_bucket{%s} %d"
-                            % (
-                                name,
-                                _openmetrics_labels(
-                                    family.label_names, labels, ("le", str(bound))
-                                ),
-                                cumulative,
-                            )
-                        )
-                    series = _openmetrics_labels(family.label_names, labels)
-                    suffix = "{%s}" % series if series else ""
-                    lines.append("%s_sum%s %s" % (name, suffix, _om_number(record[1])))
-                    lines.append("%s_count%s %d" % (name, suffix, record[2]))
                 continue
             if isinstance(family, CounterFamily):
                 base = name[:-6] if name.endswith("_total") else name
@@ -362,18 +201,10 @@ class MetricsRegistry:
         for name, family in self.families.items():
             if family.volatile:
                 continue
-            if isinstance(family, HistogramFamily):
-                data = {
-                    labels: [list(rec[0]), rec[1], rec[2], rec[3]]
-                    for labels, rec in family._data.items()
-                }
-            else:
-                data = dict(family._data)
             out[name] = {
                 "kind": family.kind,
                 "label_names": family.label_names,
-                "bounds": getattr(family, "bounds", None),
-                "data": data,
+                "data": dict(family._data),
             }
         return out
 
@@ -387,22 +218,9 @@ class MetricsRegistry:
         for family in self.families.values():
             family.clear()
         for name, entry in state.items():
-            kind = entry["kind"]
-            if kind == "histogram":
-                family = self.histogram(
-                    name, entry["label_names"], bounds=entry["bounds"]
-                )
-                family._data = {
-                    # rec[3] defaults for states written before the
-                    # overflow-sum slot existed (same-version journals
-                    # only carry 4-element records).
-                    labels: [list(rec[0]), rec[1], rec[2], rec[3] if len(rec) > 3 else 0]
-                    for labels, rec in entry["data"].items()
-                }
-            else:
-                maker = self.counter if kind == "counter" else self.gauge
-                family = maker(name, entry["label_names"])
-                family._data = dict(entry["data"])
+            maker = self.counter if entry["kind"] == "counter" else self.gauge
+            family = maker(name, entry["label_names"])
+            family._data = dict(entry["data"])
 
 
 def _label_sort_key(labels: tuple) -> tuple:
@@ -419,11 +237,10 @@ def _om_escape(value) -> str:
     )
 
 
-def _openmetrics_labels(label_names: tuple, labels: tuple, extra=None) -> str:
-    pairs = ['%s="%s"' % (name, _om_escape(value)) for name, value in zip(label_names, labels)]
-    if extra is not None:
-        pairs.append('%s="%s"' % (extra[0], _om_escape(extra[1])))
-    return ",".join(pairs)
+def _openmetrics_labels(label_names: tuple, labels: tuple) -> str:
+    return ",".join(
+        '%s="%s"' % (name, _om_escape(value)) for name, value in zip(label_names, labels)
+    )
 
 
 def _om_number(value) -> str:
@@ -449,15 +266,11 @@ class _NullFamily:
     name = "null"
     label_names = ()
     volatile = True
-    bounds = ()
 
     def inc(self, labels=(), amount=1):
         pass
 
     def set(self, labels=(), value=0):
-        pass
-
-    def observe(self, labels=(), value=0):
         pass
 
     def clear(self):
@@ -475,15 +288,6 @@ class _NullFamily:
     def sum_by(self, index):
         return {}
 
-    def count(self, labels=()):
-        return 0
-
-    def sum(self, labels=()):
-        return 0
-
-    def percentile(self, labels, q):
-        return None
-
 
 _NULL_FAMILY = _NullFamily()
 
@@ -495,9 +299,6 @@ class NullRegistry(MetricsRegistry):
         return _NULL_FAMILY
 
     def gauge(self, name, label_names=(), volatile=False):
-        return _NULL_FAMILY
-
-    def histogram(self, name, label_names=(), bounds=LATENCY_BUCKETS_US, volatile=False):
         return _NULL_FAMILY
 
     def family(self, name):

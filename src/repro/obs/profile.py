@@ -93,43 +93,31 @@ def populate_final_metrics(telemetry, datasets) -> None:
 
 
 def host_rows(registry, top_n: int = 10) -> list[tuple]:
-    """Top-N hosts by call volume: (host, calls, errors, p50, p90, p99)."""
+    """Top-N hosts by call volume: (host, calls, errors)."""
     calls = registry.family("xrpc_calls_total")
-    latency = registry.family("xrpc_latency_us")
-    if calls is None:
-        return []
-    per_host: dict[str, list] = {}
-    for (host, _method, outcome), count in calls.items():
-        row = per_host.setdefault(host, [0, 0])
-        row[0] += count
-        if outcome != OUTCOME_OK:
-            row[1] += count
-    ranked = sorted(per_host.items(), key=lambda kv: (-kv[1][0], kv[0]))[:top_n]
-    rows = []
-    for host, (total, errors) in ranked:
-        if latency is not None:
-            p50 = latency.percentile((host,), 0.50)
-            p90 = latency.percentile((host,), 0.90)
-            p99 = latency.percentile((host,), 0.99)
-        else:
-            p50 = p90 = p99 = None
-        rows.append((host, total, errors, p50, p90, p99))
-    return rows
+    return ranked_call_rows(calls.items(), 0, top_n) if calls is not None else []
 
 
 def nsid_rows(registry, top_n: int = 10) -> list[tuple]:
     """Top-N XRPC methods (NSIDs) by call volume: (nsid, calls, errors)."""
     calls = registry.family("xrpc_calls_total")
-    if calls is None:
-        return []
-    per_nsid: dict[str, list] = {}
-    for (_host, method, outcome), count in calls.items():
-        row = per_nsid.setdefault(method, [0, 0])
+    return ranked_call_rows(calls.items(), 1, top_n) if calls is not None else []
+
+
+def ranked_call_rows(items, index: int, top_n: int) -> list[tuple]:
+    """Sum ``xrpc_calls_total`` series over one label, busiest first.
+
+    ``items`` are ``((host, method, outcome), count)`` pairs; rows are
+    ``(label value, calls, errors)``.
+    """
+    totals: dict[str, list] = {}
+    for labels, count in items:
+        row = totals.setdefault(labels[index], [0, 0])
         row[0] += count
-        if outcome != OUTCOME_OK:
+        if labels[2] != OUTCOME_OK:
             row[1] += count
-    ranked = sorted(per_nsid.items(), key=lambda kv: (-kv[1][0], kv[0]))[:top_n]
-    return [(nsid, total, errors) for nsid, (total, errors) in ranked]
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1][0], kv[0]))[:top_n]
+    return [(value, total, errors) for value, (total, errors) in ranked]
 
 
 def outcome_rows(registry) -> list[tuple]:

@@ -169,6 +169,15 @@ class Telemetry:
         """The innermost open phase's correlation id (None outside)."""
         return self._phase_spans[-1] if self._phase_spans else None
 
+    @property
+    def open_phases(self) -> list[str]:
+        """Names of the phases open right now, outermost first.
+
+        Read from the span ids (``phase:<name>#<n>``, see
+        ``EventLog.phase_span``), which is the one stack of open phases.
+        """
+        return [span[len("phase:") :].rpartition("#")[0] for span in self._phase_spans]
+
     def emit_event(
         self,
         kind: str,

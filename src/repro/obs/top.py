@@ -3,8 +3,8 @@
 Tails the ``status.json`` feed a checkpointed run publishes on every
 journal save (see ``StudyCheckpointer._write_status``) — or, post-hoc,
 any exported ``metrics.json`` snapshot — and renders the run at a
-glance: current phase, call throughput, per-endpoint tail latency,
-and SLO error-budget burn.
+glance: current phase, call throughput, and per-endpoint calls and
+errors.
 
 Rendering is curses when a terminal is available, with a plain-text
 fallback (``--plain`` / non-tty / no curses module) that prints one
@@ -21,13 +21,10 @@ import sys
 import time
 from typing import Optional
 
-from repro.obs.metrics import percentile_from_record
-from repro.obs.slo import (
-    METHOD_LATENCY_FAMILY,
-    evaluate_slos,
-    parse_series_key,
-    study_window_days,
-)
+from repro.obs.metrics import parse_series_key
+from repro.obs.profile import ranked_call_rows
+
+CALLS_FAMILY = "xrpc_calls_total"
 
 REFRESH_DEFAULT_S = 2.0
 
@@ -67,44 +64,20 @@ def _counter_total(metrics: dict, family: str) -> int:
     return total
 
 
-def _fmt_us(value) -> str:
-    if value is None:
-        return "-"
-    if value >= 60_000_000:
-        return "%.1fm" % (value / 60_000_000)
-    if value >= 1_000_000:
-        return "%.1fs" % (value / 1_000_000)
-    if value >= 1_000:
-        return "%.1fms" % (value / 1_000)
-    return "%dus" % value
-
-
 def _current_phase(status: dict) -> str:
-    """The innermost phase still open in the event tail."""
-    stack: list = []
-    for event in status.get("events_tail", ()):
-        kind = event.get("kind")
-        name = event.get("fields", {}).get("phase")
-        if kind == "phase.start":
-            stack.append(name)
-        elif kind == "phase.end" and name in stack:
-            stack.remove(name)
-    return stack[-1] if stack else "(idle)"
+    """The innermost phase open when the feed was written."""
+    open_phases = status.get("open_phases") or ()
+    return open_phases[-1] if open_phases else "(idle)"
 
 
-def _method_p99_rows(metrics: dict, top_n: int = 8) -> list:
-    rows = []
-    for key, entry in metrics.get("histograms", {}).items():
+def _method_rows(metrics: dict, top_n: int = 8) -> list:
+    """Top-N method NSIDs by call volume: (method, calls, errors)."""
+    items = []
+    for key, value in metrics.get("counters", {}).items():
         name, labels = parse_series_key(key)
-        if name != METHOD_LATENCY_FAMILY:
-            continue
-        bounds = tuple(b for b in entry["le"] if b != "+Inf")
-        p99 = percentile_from_record(
-            bounds, entry["counts"], entry["count"], entry.get("overflow_sum", 0), 0.99
-        )
-        rows.append((labels.get("method", "?"), entry["count"], p99))
-    rows.sort(key=lambda row: (-row[1], row[0]))
-    return rows[:top_n]
+        if name == CALLS_FAMILY:
+            items.append(((labels["host"], labels["method"], labels["outcome"]), value))
+    return ranked_call_rows(items, 1, top_n)
 
 
 def render_frame(
@@ -126,37 +99,19 @@ def render_frame(
         )
     )
 
-    calls = _counter_total(metrics, "xrpc_calls_total")
+    calls = _counter_total(metrics, CALLS_FAMILY)
     rate = ""
     if previous is not None and interval_s > 0:
-        prev_calls = _counter_total(previous.get("metrics", {}), "xrpc_calls_total")
+        prev_calls = _counter_total(previous.get("metrics", {}), CALLS_FAMILY)
         rate = "  (%.0f calls/s)" % (max(0, calls - prev_calls) / interval_s)
     lines.append("xrpc calls: %d%s" % (calls, rate))
 
-    rows = _method_p99_rows(metrics)
+    rows = _method_rows(metrics)
     if rows:
         lines.append("")
-        lines.append("  %-44s %10s %10s" % ("endpoint", "calls", "p99"))
-        for method, count, p99 in rows:
-            lines.append("  %-44s %10d %10s" % (method, count, _fmt_us(p99)))
-
-    slo = evaluate_slos(metrics, window_days=study_window_days())
-    lines.append("")
-    lines.append(
-        "SLOs (%s bundle): %d breach(es)" % (slo["bundle"], slo["breaches"])
-    )
-    for objective in slo["objectives"]:
-        lines.append(
-            "  %-24s %-5s %10s / %-10s burn %.4f/day  %s"
-            % (
-                objective["name"],
-                objective["quantile"],
-                _fmt_us(objective["observed_us"]),
-                _fmt_us(objective["threshold_us"]),
-                objective["budget_burn_per_day"],
-                "ok" if objective["ok"] else "BREACH",
-            )
-        )
+        lines.append("  %-44s %10s %10s" % ("endpoint", "calls", "errors"))
+        for method, count, errors in rows:
+            lines.append("  %-44s %10d %10d" % (method, count, errors))
     return "\n".join(lines)
 
 

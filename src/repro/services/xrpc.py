@@ -82,8 +82,8 @@ class ServiceDirectory:
     apply correctly.
 
     Every dispatch attempt counts into the telemetry registry labelled by
-    host, method NSID, and outcome; injected latency feeds a per-host
-    histogram.
+    host, method NSID, and outcome; injected latency adds up in
+    ``xrpc_injected_latency_us_total``.
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None):
@@ -100,10 +100,6 @@ class ServiceDirectory:
         self.telemetry = telemetry
         registry = telemetry.registry
         self._m_calls = registry.counter("xrpc_calls_total", ("host", "method", "outcome"))
-        self._m_latency = registry.histogram("xrpc_latency_us", ("host",))
-        self._m_method_latency = registry.histogram(
-            "xrpc_method_latency_us", ("method",)
-        )
         self._m_injected = registry.counter("xrpc_injected_latency_us_total")
 
     def register(self, url: str, service: XrpcService) -> None:
@@ -182,8 +178,6 @@ class ServiceDirectory:
             raise
         finally:
             self._m_calls.inc((normalized, method, outcome))
-            self._m_latency.observe((normalized,), self.last_call_latency_us)
-            self._m_method_latency.observe((method,), self.last_call_latency_us)
             if trace_this:
                 tracer.complete(
                     method,

@@ -137,13 +137,16 @@ class TestJournal:
         assert os.listdir(str(tmp_path)) == ["study.ckpt"]
         assert journal.load()["n"] == 2
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    # Version 1 journals carry histogram registry state, which the
+    # registry can no longer adopt.
+    @pytest.mark.parametrize("version", [999, 1])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         journal = CheckpointJournal(str(tmp_path))
         journal.save({"n": 1})
         path = os.path.join(str(tmp_path), "study.ckpt")
         with open(path, "rb") as fh:
             state = pickle.load(fh)
-        state["__version__"] = 999
+        state["__version__"] = version
         with open(path, "wb") as fh:
             pickle.dump(state, fh)
         with pytest.raises(CheckpointError):

@@ -1,18 +1,10 @@
-"""Tests for the metrics registry (counters, gauges, histograms)."""
+"""Tests for the metrics registry (counters and gauges)."""
 
 import json
-import random
-from bisect import bisect_right
 
 import pytest
 
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_US,
-    MetricsRegistry,
-    NullRegistry,
-    percentile_from_record,
-    series_key,
-)
+from repro.obs.metrics import MetricsRegistry, NullRegistry, parse_series_key, series_key
 
 
 class TestSeriesKey:
@@ -22,6 +14,16 @@ class TestSeriesKey:
     def test_labels_render_in_declared_order(self):
         key = series_key("calls_total", ("host", "outcome"), ("a.test", "ok"))
         assert key == "calls_total{host=a.test,outcome=ok}"
+
+
+class TestParseSeriesKey:
+    def test_bare_name(self):
+        assert parse_series_key("a_total") == ("a_total", {})
+
+    def test_labels(self):
+        name, labels = parse_series_key("xrpc_calls_total{host=h.test,outcome=ok}")
+        assert name == "xrpc_calls_total"
+        assert labels == {"host": "h.test", "outcome": "ok"}
 
 
 class TestCounters:
@@ -65,133 +67,12 @@ class TestCounters:
             registry.gauge("x_total", ("a",))
 
 
-class TestHistograms:
-    def test_observations_land_in_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_us", ("host",))
-        hist.observe(("h",), 500)            # <= 1ms bucket
-        hist.observe(("h",), 40_000)         # <= 50ms bucket
-        hist.observe(("h",), 10**9)          # overflow bucket
-        counts, total, count, overflow_sum = hist.get(("h",))
-        assert count == 3
-        assert total == 500 + 40_000 + 10**9
-        assert sum(counts) == 3
-        assert counts[-1] == 1  # the +Inf bucket
-        assert overflow_sum == 10**9  # only the overflow observation
-
-    def test_percentile_reports_bucket_upper_bound(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_us")
-        for _ in range(99):
-            hist.observe((), 500)
-        hist.observe((), 40_000)
-        assert hist.percentile((), 0.50) == LATENCY_BUCKETS_US[0]
-        assert hist.percentile((), 0.99) == LATENCY_BUCKETS_US[0]
-        assert hist.percentile((), 1.0) == 50_000
-
-    def test_percentile_empty_is_none(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_us")
-        assert hist.percentile((), 0.5) is None
-
-    def test_overflow_estimate_is_overflow_mean(self):
-        # The tail estimate must be the mean of the *overflow* population
-        # only — the old everything-mean was dragged below bounds[-1] by
-        # the finite buckets.
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_us")
-        for _ in range(1000):
-            hist.observe((), 2_000)
-        for value in (700_000_000, 900_000_000):
-            hist.observe((), value)
-        assert hist.percentile((), 0.999) == 800_000_000
-
-    def test_overflow_estimate_clamped_to_last_bound(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_us")
-        hist.observe((), LATENCY_BUCKETS_US[-1] + 1)
-        assert hist.percentile((), 0.999) >= LATENCY_BUCKETS_US[-1]
-
-
-class TestPercentileProperty:
-    """The estimate vs exact quantiles on seeded random samples.
-
-    For a quantile whose order statistic lands in a finite bucket, the
-    estimate is exactly that bucket's upper bound: it never undershoots
-    the true quantile and overshoots by less than one bucket width.
-    """
-
-    QS = (0.01, 0.10, 0.25, 0.50, 0.90, 0.95, 0.99, 0.999)
-
-    def _samples(self, seed):
-        rng = random.Random(seed)
-        # Log-normal-ish latencies, clamped inside the finite buckets so
-        # every order statistic has a well-defined bucket upper bound.
-        return [
-            min(int(rng.lognormvariate(9.5, 2.0)) + 1, LATENCY_BUCKETS_US[-1] - 1)
-            for _ in range(5000)
-        ]
-
-    @staticmethod
-    def _exact_order_statistic(ordered, q):
-        # The value the bucket walk's ``seen >= q * count`` rank selects.
-        target = q * len(ordered)
-        seen = 0
-        for value in ordered:
-            seen += 1
-            if seen >= target:
-                return value
-        return ordered[-1]
-
-    @pytest.mark.parametrize("seed", [7, 1234, 999])
-    def test_estimate_is_bucket_upper_bound_of_exact_quantile(self, seed):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat_us")
-        samples = self._samples(seed)
-        for value in samples:
-            hist.observe((), value)
-        ordered = sorted(samples)
-        for q in self.QS:
-            exact = self._exact_order_statistic(ordered, q)
-            expected = LATENCY_BUCKETS_US[bisect_right(LATENCY_BUCKETS_US, exact)]
-            estimate = hist.percentile((), q)
-            assert estimate == expected
-            assert estimate >= exact  # never undershoots
-
-    @pytest.mark.parametrize("seed", [7, 1234, 999])
-    def test_estimate_monotone_in_q(self, seed):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat_us")
-        for value in self._samples(seed):
-            hist.observe((), value)
-        estimates = [hist.percentile((), q) for q in self.QS]
-        assert estimates == sorted(estimates)
-
-    def test_snapshot_record_matches_family(self):
-        # percentile_from_record over the snapshot entry must agree with
-        # the family's own estimate (the SLO evaluator's code path).
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat_us")
-        for value in self._samples(42):
-            hist.observe((), value)
-        hist.observe((), 10**9)
-        entry = registry.snapshot()["histograms"]["lat_us"]
-        bounds = tuple(b for b in entry["le"] if b != "+Inf")
-        for q in self.QS:
-            assert percentile_from_record(
-                bounds, entry["counts"], entry["count"], entry["overflow_sum"], q
-            ) == hist.percentile((), q)
-
-
 class TestOpenMetrics:
     def build(self):
         registry = MetricsRegistry()
         registry.counter("calls_total", ("host", "outcome")).inc(("a.test", "ok"), 3)
         registry.counter("calls_total", ("host", "outcome")).inc(("a.test", "error"), 1)
         registry.gauge("depth", ("host",)).set(("h",), 7)
-        hist = registry.histogram("lat_us", ("host",))
-        hist.observe(("h",), 500)
-        hist.observe(("h",), 40_000)
         registry.counter("wall_us_total", volatile=True).inc((), 99)
         return registry
 
@@ -200,14 +81,6 @@ class TestOpenMetrics:
         assert "# TYPE calls counter\n" in text
         assert 'calls_total{host="a.test",outcome="ok"} 3\n' in text
         assert "# TYPE calls_total" not in text
-
-    def test_histogram_buckets_cumulative_with_sum_and_count(self):
-        text = self.build().render_openmetrics()
-        assert 'lat_us_bucket{host="h",le="1000"} 1\n' in text
-        assert 'lat_us_bucket{host="h",le="50000"} 2\n' in text
-        assert 'lat_us_bucket{host="h",le="+Inf"} 2\n' in text
-        assert 'lat_us_sum{host="h"} 40500\n' in text
-        assert 'lat_us_count{host="h"} 2\n' in text
 
     def test_gauge_and_eof_terminator(self):
         text = self.build().render_openmetrics()
@@ -241,7 +114,6 @@ class TestSnapshot:
         registry.counter("b_total", ("k",)).inc(("a",), 2)
         registry.counter("a_total").inc()
         registry.gauge("depth", ("host",)).set(("h",), 7)
-        registry.histogram("lat_us").observe((), 3_000)
         registry.counter("wall_us_total", volatile=True).inc((), 123)
         return registry
 
@@ -252,8 +124,7 @@ class TestSnapshot:
         assert keys == sorted(keys)
         assert "wall_us_total" not in snapshot["counters"]
         assert snapshot["gauges"]["depth{host=h}"] == 7
-        hist = snapshot["histograms"]["lat_us"]
-        assert hist["count"] == 1 and hist["le"][-1] == "+Inf"
+        assert set(snapshot) == {"schema", "counters", "gauges"}
 
     def test_snapshot_json_deterministic(self):
         a = self.build().snapshot_json()
@@ -276,7 +147,7 @@ class TestStateAdopt:
         fresh = MetricsRegistry()
         fresh_counter = fresh.counter("calls_total", ("host",))
         fresh_counter.inc(("stale.test",), 99)  # must be cleared by adopt
-        fresh.histogram("lat_us")
+        fresh.gauge("depth")
         fresh.adopt(state)
         assert fresh.snapshot_json() == registry.snapshot_json()
         # adopt() keeps family objects alive: bound references still work.
@@ -293,7 +164,6 @@ class TestStateAdopt:
     def populated():
         registry = MetricsRegistry()
         registry.counter("calls_total", ("host",)).inc(("a.test",), 4)
-        registry.histogram("lat_us").observe((), 2_000)
         registry.gauge("depth").set((), 3)
         return registry
 
@@ -305,8 +175,6 @@ class TestNullRegistry:
         counter.inc(("v",))
         assert counter.total() == 0
         assert counter.get(("v",)) == 0
-        registry.histogram("h").observe((), 5)
-        assert registry.histogram("h").percentile((), 0.5) is None
         registry.gauge("g").set((), 1)
         assert registry.state() == {}
         assert registry.snapshot()["counters"] == {}

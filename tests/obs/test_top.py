@@ -2,9 +2,23 @@
 
 import json
 
+from repro.core.checkpoint import CheckpointJournal, StudyCheckpointer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.obs.top import _current_phase, _load, _resolve_path, main, render_frame
 
-from tests.obs.test_slo import seeded_registry
+GET_REPO = "com.atproto.sync.getRepo"
+
+
+def seeded_registry(errors=0):
+    """A registry shaped like a study's ``xrpc_calls_total``."""
+    registry = MetricsRegistry()
+    calls = registry.counter("xrpc_calls_total", ("host", "method", "outcome"))
+    calls.inc(("pds.test", GET_REPO, "ok"), 200)
+    calls.inc(("pds.test", GET_REPO, "error-500"), errors)
+    calls.inc(("labeler.test", "com.atproto.label.queryLabels", "ok"), 3)
+    calls.inc(("ghost.test", GET_REPO, "host-down"), 50)
+    return registry
 
 
 def status_document(errors=0):
@@ -14,6 +28,7 @@ def status_document(errors=0):
         "ticks": 1234,
         "done_actions": 7,
         "metrics": registry.snapshot(include_volatile=True),
+        "open_phases": ["study", "repo-crawl"],
         "events_tail": [
             {"kind": "phase.start", "fields": {"phase": "study"}},
             {"kind": "phase.start", "fields": {"phase": "simulation"}},
@@ -24,18 +39,20 @@ def status_document(errors=0):
 
 
 class TestRenderFrame:
-    def test_frame_shows_phase_counts_and_slos(self):
+    def test_frame_shows_phase_counts_and_endpoints(self):
         frame = render_frame(status_document(), source="test-feed")
         assert "test-feed" in frame
         assert "phase: repo-crawl" in frame
         assert "ticks: 1234" in frame
-        assert "com.atproto.sync.getRepo" in frame
-        assert "SLOs (default bundle)" in frame
-        assert "xrpc-aggregate-p99" in frame
+        assert "xrpc calls: 253" in frame
+        assert GET_REPO in frame
+        assert "SLO" not in frame and "p99" not in frame
 
-    def test_breach_rendered(self):
+    def test_endpoint_errors_rendered(self):
         frame = render_frame(status_document(errors=40))
-        assert "BREACH" in frame
+        row = next(line for line in frame.splitlines() if GET_REPO in line)
+        # 200 ok + 40 error-500 + 50 host-down calls; 90 are errors.
+        assert row.split()[1:] == ["290", "90"]
 
     def test_call_rate_delta(self):
         status = status_document()
@@ -57,7 +74,23 @@ class TestCurrentPhase:
         assert _current_phase(status_document()) == "repo-crawl"
 
     def test_idle_without_events(self):
-        assert _current_phase({"events_tail": []}) == "(idle)"
+        assert _current_phase({"open_phases": [], "events_tail": []}) == "(idle)"
+
+    def test_open_phase_survives_event_tail_scroll(self, tmp_path):
+        # The feed keeps only the newest 30 events, so the phase.start of a
+        # long phase scrolls out; the open phase must still be reported.
+        telemetry = Telemetry()
+        checkpointer = StudyCheckpointer(
+            CheckpointJournal(str(tmp_path)), telemetry=telemetry
+        )
+        checkpointer.bind(dict)
+        with telemetry.phase("study"), telemetry.phase("simulation"):
+            for index in range(40):
+                telemetry.emit_event("fault.injected", fields={"n": index})
+            checkpointer.save()
+        status = _load(str(tmp_path / "status.json"))
+        assert _current_phase(status) == "simulation"
+        assert status["open_phases"] == ["study", "simulation"]
 
 
 class TestFeedLoading:
@@ -90,7 +123,7 @@ class TestMain:
         path.write_text(json.dumps(status_document()))
         assert main([str(path), "--once"]) == 0
         out = capsys.readouterr().out
-        assert "repro top" in out and "SLOs" in out
+        assert "repro top" in out and GET_REPO in out
 
     def test_missing_feed_exits_nonzero(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json"), "--once"]) == 1

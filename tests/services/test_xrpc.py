@@ -103,5 +103,3 @@ class TestDirectory:
         assert calls.get(
             ("https://gone.test", "com.example.echo", REASON_UNKNOWN_HOST)
         ) == 1
-        latency = directory.telemetry.registry.family("xrpc_latency_us")
-        assert latency.get(("https://svc.test",))[2] == 3  # observation count

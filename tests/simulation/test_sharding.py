@@ -31,7 +31,7 @@ from repro.simulation.world import World
 # study_fingerprint of SimulationConfig.tiny() (seed 2024).  It may change
 # only with a reason recorded in CHANGES.md.
 TINY_STUDY_FINGERPRINT = (
-    "9229788a33034d3ca25835b46e9dd183504884d06c3d7ba7cf3f98209708c34c"
+    "d304d9194abdca2b56e4e2e4db7d7834f6c50b0e66d471927a71560aecd56058"
 )
 
 

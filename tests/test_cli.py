@@ -19,12 +19,11 @@ class TestCli:
         assert "Skyfeed" in out
 
     def test_artefact_registry_complete(self):
-        # 21 dynamic artefacts + table5 handled separately.
-        assert len(ARTEFACTS) == 21
+        # 20 dynamic artefacts + table5 handled separately.
+        assert len(ARTEFACTS) == 20
         assert "fig12" in ARTEFACTS and "table6" in ARTEFACTS
         assert "health" in ARTEFACTS
         assert "integrity" in ARTEFACTS
-        assert "slo" in ARTEFACTS
 
     def test_unknown_artefact_rejected(self):
         with pytest.raises(SystemExit):
