@@ -18,8 +18,8 @@ test-fast:  ## tier-1 suite minus the slow scenario worlds
 test-faults:  ## fault-injection + resilience suite only
 	$(PYTHON) -m pytest -x -q tests/netsim/test_faults.py tests/core/test_resilience.py tests/services/test_firehose_retention.py
 
-test-integrity:  ## Byzantine-data hardening + checkpoint/resume suite only
-	$(PYTHON) -m pytest -x -q tests/atproto/test_car_fuzz.py tests/atproto/test_crypto.py tests/core/test_integrity.py tests/core/test_checkpoint_resume.py
+test-integrity:  ## Byzantine-data hardening (CBOR/CAR parse boundary) + checkpoint/resume suite only
+	$(PYTHON) -m pytest -x -q tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_car_fuzz.py tests/atproto/test_crypto.py tests/core/test_integrity.py tests/core/test_checkpoint_resume.py
 
 test-telemetry:  ## metrics registry + tracer + telemetry determinism suite only
 	$(PYTHON) -m pytest -x -q tests/obs tests/core/test_telemetry.py

@@ -8,8 +8,13 @@ Reading is *self-certifying* by default: every block's payload is hashed
 and compared against the digest its CID claims, so a PDS (or a relay
 cache) serving tampered bytes is caught at the parse boundary instead of
 polluting whatever consumes the repository.  Structural garbage —
-truncated sections, overlong varints, zero-length sections, trailing
-bytes — is rejected as :class:`CarError`.
+truncated sections, overlong or non-minimal length varints, zero-length
+sections, trailing bytes — is rejected as :class:`CarError`.
+
+:func:`read_car` and :func:`iter_car_blocks` share one walker that reads
+the sections by offset into the input bytes.  A section whose CID starts
+with the constant CIDv1/sha2-256 prefix is split at byte 36 without
+parsing the CID's varints.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import io
 from typing import Iterable, Iterator
 
 from repro.atproto.cbor import cbor_decode, cbor_encode
-from repro.atproto.cid import Cid
-from repro.atproto.varint import VarintError, encode_varint, read_varint
+from repro.atproto.cid import CID_LENGTH, CID_PREFIXES, Cid
+from repro.atproto.varint import VarintError, decode_varint, encode_varint
 
 CAR_VERSION = 1
 
@@ -47,20 +52,38 @@ def write_car(root: Cid, blocks: Iterable[tuple[Cid, bytes]]) -> bytes:
     return out.getvalue()
 
 
-def _read_header(stream: io.BytesIO) -> list[Cid]:
+def _read_length(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The varint length at ``data[pos]`` and the offset after it.
+
+    One- and two-byte forms are read inline.  A zero second byte (a
+    non-minimal form), longer varints and EOF go to :func:`decode_varint`,
+    which rejects non-minimal, overlong and truncated varints."""
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    second = data[pos + 1] if pos + 1 < len(data) else 0
+    if 0 < second < 0x80:
+        return (byte & 0x7F) | (second << 7), pos + 2
     try:
-        header_len = read_varint(stream)
-    except EOFError as exc:
-        raise CarError("empty CAR file") from exc
+        return decode_varint(data, pos)
     except VarintError as exc:
-        raise CarError("malformed CAR header length: %s" % exc) from exc
+        # Trailing garbage, an overlong or non-minimal varint, or EOF where
+        # a length should be.
+        raise CarError("malformed CAR %s length: %s" % (what, exc)) from exc
+
+
+def _read_header(data: bytes) -> tuple[list[Cid], int]:
+    """The header's root CIDs and the offset of the first section."""
+    if not data:
+        raise CarError("empty CAR file")
+    header_len, pos = _read_length(data, 0, "header")
     if header_len == 0:
         raise CarError("zero-length CAR header")
-    header_bytes = stream.read(header_len)
-    if len(header_bytes) != header_len:
+    end = pos + header_len
+    if end > len(data):
         raise CarError("truncated CAR header")
     try:
-        header = cbor_decode(header_bytes)
+        header = cbor_decode(data[pos:end])
     except ValueError as exc:
         raise CarError("undecodable CAR header: %s" % exc) from exc
     if not isinstance(header, dict) or header.get("version") != CAR_VERSION:
@@ -68,50 +91,11 @@ def _read_header(stream: io.BytesIO) -> list[Cid]:
     roots = header.get("roots")
     if not isinstance(roots, list) or not all(isinstance(r, Cid) for r in roots):
         raise CarError("CAR header must list root CIDs")
-    return roots
-
-
-def _read_section(stream: io.BytesIO, verify_digest: bool) -> tuple[Cid, bytes] | None:
-    try:
-        section_len = read_varint(stream)
-    except EOFError:
-        return None
-    except VarintError as exc:
-        # Trailing garbage or an overlong varint where a section length
-        # should be.
-        raise CarError("malformed CAR section length: %s" % exc) from exc
-    if section_len == 0:
-        raise CarError("zero-length CAR section")
-    section = stream.read(section_len)
-    if len(section) != section_len:
-        raise CarError("truncated CAR section")
-    cid, body = _split_cid(section)
-    if verify_digest and hashlib.sha256(body).digest() != cid.digest:
-        raise BlockDigestError("block payload does not hash to %s" % cid)
-    return cid, body
-
-
-def read_car(data: bytes, verify_digests: bool = True) -> tuple[list[Cid], dict[Cid, bytes]]:
-    """Parse a CARv1 file into its roots and a CID → block map.
-
-    ``verify_digests`` (default on) hashes every block payload and raises
-    :class:`BlockDigestError` when it disagrees with the claimed CID.
-    """
-    stream = io.BytesIO(data)
-    roots = _read_header(stream)
-    blocks: dict[Cid, bytes] = {}
-    while True:
-        section = _read_section(stream, verify_digests)
-        if section is None:
-            break
-        cid, body = section
-        blocks[cid] = body
-    return roots, blocks
+    return roots, end
 
 
 def _split_cid(section: bytes) -> tuple[Cid, bytes]:
-    from repro.atproto.varint import decode_varint
-
+    """Split a section whose CID is not the common 36-byte form."""
     pos = 0
     try:
         version, pos = decode_varint(section, pos)
@@ -132,6 +116,40 @@ def _split_cid(section: bytes) -> tuple[Cid, bytes]:
     return cid, section[end:]
 
 
+def _sections(data: bytes, pos: int, verify_digests: bool) -> Iterator[tuple[Cid, bytes]]:
+    """Walk the ``varint(len) || CID || block`` sections from ``pos`` on;
+    the walk ends cleanly only at a section boundary."""
+    size = len(data)
+    sha256 = hashlib.sha256
+    while pos < size:
+        section_len, pos = _read_length(data, pos, "section")
+        if section_len == 0:
+            raise CarError("zero-length CAR section")
+        end = pos + section_len
+        if end > size:
+            raise CarError("truncated CAR section")
+        if section_len >= CID_LENGTH and data.startswith(CID_PREFIXES, pos):
+            cid = Cid.from_bytes(data[pos : pos + CID_LENGTH])
+            body = data[pos + CID_LENGTH : end]
+        else:
+            cid, body = _split_cid(data[pos:end])
+        if verify_digests and sha256(body).digest() != cid.digest:
+            raise BlockDigestError("block payload does not hash to %s" % cid)
+        yield cid, body
+        pos = end
+
+
+def read_car(data: bytes, verify_digests: bool = True) -> tuple[list[Cid], dict[Cid, bytes]]:
+    """Parse a CARv1 file into its roots and a CID → block map.
+
+    ``verify_digests`` (default on) hashes every block payload and raises
+    :class:`BlockDigestError` when it disagrees with the claimed CID.
+    """
+    data = bytes(data)  # the same object for bytes; blocks are bytes for any buffer
+    roots, pos = _read_header(data)
+    return roots, dict(_sections(data, pos, verify_digests))
+
+
 def iter_car_blocks(data: bytes, verify_digests: bool = True) -> Iterator[tuple[Cid, bytes]]:
     """Stream the block sections of a CAR file without building a dict.
 
@@ -139,10 +157,6 @@ def iter_car_blocks(data: bytes, verify_digests: bool = True) -> Iterator[tuple[
     :func:`read_car`, and the same structural / digest checks apply to
     each section.
     """
-    stream = io.BytesIO(data)
-    _read_header(stream)
-    while True:
-        section = _read_section(stream, verify_digests)
-        if section is None:
-            return
-        yield section
+    data = bytes(data)
+    _, pos = _read_header(data)
+    yield from _sections(data, pos, verify_digests)

@@ -14,6 +14,14 @@ encoding (length first, then lexicographic), integers use the shortest
 possible encoding, floats are always 64-bit, and indefinite-length items are
 forbidden.  The decoder enforces these rules so that every encodable value
 round-trips to exactly one byte sequence.
+
+Decoding is one recursive function, ``_decode(data, pos, depth)``, which
+reads each item in place by offset and returns it with the offset where it
+ends: no decoder object, no per-slice method call, one bounds check per
+item, and map-key order checked on the raw key bytes.  :func:`cbor_decode`
+wraps it for one complete item; the firehose frame reader calls it twice
+for the header and payload.  Every rule above raises :class:`CborError`,
+as do truncation, trailing bytes and nesting deeper than 128 levels.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ from typing import Any
 from repro.atproto.cid import Cid
 
 _MAX_NESTING = 128
+
+# Heads with ``info`` 24..27 carry a 1-, 2-, 4- or 8-byte argument, which
+# DAG-CBOR requires to be the shortest form: at least the given minimum.
+_ARG_WIDTH = {24: 1, 25: 2, 26: 4, 27: 8}
+_ARG_MIN = {24: 24, 25: 0x100, 26: 0x10000, 27: 0x100000000}
+_unpack_double = struct.Struct(">d").unpack_from
+_LINK_PAYLOAD = b"\x58\x25\x00"  # byte-string head (37 bytes), identity prefix
 
 
 class CborError(ValueError):
@@ -199,111 +214,120 @@ def cbor_encode(value: Any) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class _Decoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _decode(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+    """Decode the item starting at ``data[pos]``; return it and its end.
 
-    def _take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise CborError("truncated CBOR input")
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def _read_head(self) -> tuple[int, int]:
-        byte = self._take(1)[0]
-        major = byte >> 5
-        info = byte & 0x1F
-        if info < 24:
-            return major, info
-        if info == 24:
-            value = self._take(1)[0]
-            if value < 24:
-                raise CborError("non-minimal integer encoding")
-            return major, value
-        if info == 25:
-            value = int.from_bytes(self._take(2), "big")
-            if value < 0x100:
-                raise CborError("non-minimal integer encoding")
-            return major, value
-        if info == 26:
-            value = int.from_bytes(self._take(4), "big")
-            if value < 0x10000:
-                raise CborError("non-minimal integer encoding")
-            return major, value
-        if info == 27:
-            value = int.from_bytes(self._take(8), "big")
-            if value < 0x100000000:
-                raise CborError("non-minimal integer encoding")
-            return major, value
-        raise CborError("indefinite-length items are forbidden in DAG-CBOR")
-
-    def decode_value(self, depth: int = 0) -> Any:
-        if depth > _MAX_NESTING:
-            raise CborError("input nests deeper than %d levels" % _MAX_NESTING)
-        byte = self.data[self.pos] if self.pos < len(self.data) else None
-        if byte is None:
-            raise CborError("truncated CBOR input")
+    One bounds check per item: the head's argument bytes and a string's
+    payload are checked against ``len(data)`` before they are sliced.
+    """
+    if depth > _MAX_NESTING:
+        raise CborError("input nests deeper than %d levels" % _MAX_NESTING)
+    size = len(data)
+    if pos >= size:
+        raise CborError("truncated CBOR input")
+    byte = data[pos]
+    pos += 1
+    major = byte >> 5
+    info = byte & 0x1F
+    if major == 7:
         # Simple values and floats share major type 7 but have non-integer
-        # heads, so handle them before _read_head's minimality checks.
-        if byte >> 5 == 7:
-            self.pos += 1
-            info = byte & 0x1F
-            if info == 20:
-                return False
-            if info == 21:
-                return True
-            if info == 22:
-                return None
-            if info == 27:
-                value = struct.unpack(">d", self._take(8))[0]
-                if math.isnan(value) or math.isinf(value):
-                    raise CborError("DAG-CBOR forbids NaN and infinities")
-                return value
-            raise CborError("unsupported simple/float head 0x%02x" % byte)
-        major, arg = self._read_head()
-        if major == 0:
-            return arg
-        if major == 1:
-            return -1 - arg
-        if major == 2:
-            return self._take(arg)
-        if major == 3:
-            raw = self._take(arg)
-            try:
-                return raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CborError("invalid UTF-8 in text string") from exc
-        if major == 4:
-            return [self.decode_value(depth + 1) for _ in range(arg)]
-        if major == 5:
-            result: dict[str, Any] = {}
-            previous: tuple[int, bytes] | None = None
-            for _ in range(arg):
-                key = self.decode_value(depth + 1)
-                if not isinstance(key, str):
+        # heads, so they skip the minimality checks below.
+        if info == 20:
+            return False, pos
+        if info == 21:
+            return True, pos
+        if info == 22:
+            return None, pos
+        if info == 27:
+            if pos + 8 > size:
+                raise CborError("truncated CBOR input")
+            value = _unpack_double(data, pos)[0]
+            if not math.isfinite(value):
+                raise CborError("DAG-CBOR forbids NaN and infinities")
+            return value, pos + 8
+        raise CborError("unsupported simple/float head 0x%02x" % byte)
+    if info < 24:
+        arg = info
+    elif info < 28:
+        width = _ARG_WIDTH[info]
+        end = pos + width
+        if end > size:
+            raise CborError("truncated CBOR input")
+        arg = data[pos] if width == 1 else int.from_bytes(data[pos:end], "big")
+        if arg < _ARG_MIN[info]:
+            raise CborError("non-minimal integer encoding")
+        pos = end
+    else:
+        raise CborError("indefinite-length items are forbidden in DAG-CBOR")
+    if major == 3:
+        end = pos + arg
+        if end > size:
+            raise CborError("truncated CBOR input")
+        try:
+            return data[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise CborError("invalid UTF-8 in text string") from exc
+    if major == 5:
+        result: dict[str, Any] = {}
+        previous = b""
+        previous_len = -1  # below any key, so the first key is in order
+        for _ in range(arg):
+            # Keys are text strings; a short key's head is one byte.
+            key_head = data[pos] if pos < size else 0
+            if 0x60 <= key_head < 0x78 and depth < _MAX_NESTING:
+                key_len = key_head - 0x60
+                start = pos + 1
+                pos = start + key_len
+                if pos > size:
+                    raise CborError("truncated CBOR input")
+                raw = data[start:pos]
+                try:
+                    key = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CborError("invalid UTF-8 in text string") from exc
+            else:
+                key, pos = _decode(data, pos, depth + 1)
+                if key.__class__ is not str:
                     raise CborError("DAG-CBOR map keys must be strings")
-                sort_key = _map_key_sort_key(key)
-                if previous is not None and sort_key <= previous:
-                    raise CborError("map keys out of canonical order")
-                previous = sort_key
-                result[key] = self.decode_value(depth + 1)
-            return result
-        if major == 6:
-            if arg != 42:
-                raise CborError("only tag 42 (CID) is allowed, got %d" % arg)
-            payload = self.decode_value(depth + 1)
-            if not isinstance(payload, bytes) or not payload.startswith(b"\x00"):
-                raise CborError("tag 42 payload must be identity-multibase CID bytes")
-            return Cid.from_bytes(payload[1:])
-        raise CborError("unsupported major type %d" % major)
+                raw = key.encode("utf-8")
+                key_len = len(raw)
+            # Canonical order is (length, bytes), strictly increasing.
+            if key_len < previous_len or (key_len == previous_len and raw <= previous):
+                raise CborError("map keys out of canonical order")
+            previous, previous_len = raw, key_len
+            result[key], pos = _decode(data, pos, depth + 1)
+        return result, pos
+    if major == 0:
+        return arg, pos
+    if major == 4:
+        items = []
+        append = items.append
+        for _ in range(arg):
+            item, pos = _decode(data, pos, depth + 1)
+            append(item)
+        return items, pos
+    if major == 2:
+        end = pos + arg
+        if end > size:
+            raise CborError("truncated CBOR input")
+        return data[pos:end], end
+    if major == 6:
+        if arg != 42:
+            raise CborError("only tag 42 (CID) is allowed, got %d" % arg)
+        # The usual payload: a 37-byte string, ``0x00`` + a 36-byte CID.
+        end = pos + 39
+        if end <= size and depth < _MAX_NESTING and data.startswith(_LINK_PAYLOAD, pos):
+            return Cid.from_bytes(data[pos + 3 : end]), end
+        payload, pos = _decode(data, pos, depth + 1)
+        if payload.__class__ is not bytes or not payload.startswith(b"\x00"):
+            raise CborError("tag 42 payload must be identity-multibase CID bytes")
+        return Cid.from_bytes(payload[1:]), pos
+    return -1 - arg, pos
 
 
 def cbor_decode(data: bytes) -> Any:
     """Decode DAG-CBOR bytes, requiring the input be a single complete item."""
-    decoder = _Decoder(data)
-    value = decoder.decode_value()
-    if decoder.pos != len(data):
-        raise CborError("%d trailing bytes after CBOR item" % (len(data) - decoder.pos))
+    value, end = _decode(data, 0, 0)
+    if end != len(data):
+        raise CborError("%d trailing bytes after CBOR item" % (len(data) - end))
     return value

@@ -25,6 +25,10 @@ _BINARY_PREFIX = {
     codec: bytes((1, codec, MULTIHASH_SHA2_256, SHA2_256_LENGTH))
     for codec in (CODEC_DAG_CBOR, CODEC_RAW)
 }
+# So a binary CID is 36 bytes behind one of two 4-byte prefixes; any other
+# shape (a longer varint, another hash) is parsed field by field.
+CID_LENGTH = 4 + SHA2_256_LENGTH
+CID_PREFIXES = tuple(_BINARY_PREFIX.values())
 # The DAG-CBOR link form prepends tag 42, a 37-byte byte-string head and
 # the identity multibase byte 0x00 to the binary CID.
 _LINK_PREFIX = {
@@ -81,6 +85,8 @@ class Cid:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Cid":
+        if len(data) == CID_LENGTH and data.startswith(CID_PREFIXES):
+            return cls(1, data[1], data[4:])
         version, pos = decode_varint(data)
         codec, pos = decode_varint(data, pos)
         hash_fn, pos = decode_varint(data, pos)

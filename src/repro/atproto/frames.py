@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.atproto.cbor import CborError, cbor_encode, _Decoder
+from repro.atproto.cbor import _decode, cbor_encode
 from repro.atproto.cid import Cid
 from repro.atproto.events import (
     KIND_COMMIT,
@@ -44,12 +44,21 @@ class FrameError(ValueError):
     """Raised on malformed frames."""
 
 
+def _require(item, *names: str) -> tuple:
+    """The named fields of a decoded map, or :class:`FrameError`."""
+    if not isinstance(item, dict):
+        raise FrameError("frame item must be a map, got %s" % type(item).__name__)
+    try:
+        return tuple(item[name] for name in names)
+    except KeyError as exc:
+        raise FrameError("frame item is missing %r" % exc.args[0]) from None
+
+
 def _decode_two(data: bytes):
     """Decode exactly two concatenated DAG-CBOR items."""
-    decoder = _Decoder(data)
-    header = decoder.decode_value()
-    payload = decoder.decode_value()
-    if decoder.pos != len(data):
+    header, pos = _decode(data, 0, 0)
+    payload, pos = _decode(data, pos, 0)
+    if pos != len(data):
         raise FrameError("trailing bytes after frame payload")
     return header, payload
 
@@ -90,26 +99,24 @@ def decode_event_frame(data: bytes) -> FirehoseEvent:
     if not isinstance(header, dict) or header.get("op") != 1:
         raise FrameError("not a message frame: %r" % (header,))
     kind = header.get("t")
-    seq = payload["seq"]
-    did = payload["repo"]
-    time_us = payload["timeUs"]
+    seq, did, time_us = _require(payload, "seq", "repo", "timeUs")
     if kind == KIND_COMMIT:
-        ops = tuple(
-            CommitOp(
-                action=op["action"],
-                path=op["path"],
-                cid=op.get("cid"),
-                record=op.get("record"),
+        raw_ops = payload.get("ops", [])
+        if not isinstance(raw_ops, list):
+            raise FrameError("commit ops must be a list")
+        ops = []
+        for op in raw_ops:
+            action, path = _require(op, "action", "path")
+            ops.append(
+                CommitOp(action=action, path=path, cid=op.get("cid"), record=op.get("record"))
             )
-            for op in payload.get("ops", [])
-        )
         return CommitEvent(
             seq=seq,
             did=did,
             time_us=time_us,
             rev=payload.get("rev", ""),
             commit_cid=payload.get("commit"),
-            ops=ops,
+            ops=tuple(ops),
             too_big=payload.get("tooBig", False),
         )
     if kind == KIND_IDENTITY:
@@ -173,9 +180,12 @@ def encode_label_frame(label, signature: Optional[bytes] = None) -> bytes:
 def decode_label_frame(data: bytes):
     """Parse a label frame into (seq, list-of-label-dicts)."""
     header, payload = _decode_two(data)
-    if header.get("t") != "#labels":
+    if not isinstance(header, dict) or header.get("t") != "#labels":
         raise FrameError("not a label frame")
-    return payload["seq"], payload["labels"]
+    seq, labels = _require(payload, "seq", "labels")
+    if not isinstance(labels, list):
+        raise FrameError("labels must be a list")
+    return seq, labels
 
 
 def frame_size(event: FirehoseEvent) -> int:

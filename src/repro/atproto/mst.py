@@ -29,7 +29,7 @@ import re
 from bisect import bisect_left
 from typing import Iterator, Optional
 
-from repro.atproto.cbor import _encode_head
+from repro.atproto.cbor import _encode_head, cbor_decode
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
 
 
@@ -504,23 +504,17 @@ def verify_inclusion(
     root_cid: Cid, key: str, value: Cid, proof: list[bytes]
 ) -> bool:
     """Check an inclusion proof against a trusted MST root CID."""
-    from repro.atproto.cbor import cbor_decode
-
     expected = root_cid
     for block in proof:
         if Cid(1, expected.codec, hashlib.sha256(block).digest()) != expected:
             return False
-        data = cbor_decode(block)
-        # Reconstruct this node's entries (prefix-compressed keys).
-        previous = b""
-        next_cid: Optional[Cid] = data.get("l")
-        for entry in data.get("e", []):
-            entry_key = (previous[: entry["p"]] + entry["k"]).decode("utf-8")
-            previous = previous[: entry["p"]] + entry["k"]
+        entries, links = _node_entries(expected, cbor_decode(block))
+        next_cid = links[0]
+        for index, (entry_key, entry_value) in enumerate(entries):
             if entry_key == key:
-                return entry["v"] == value
+                return entry_value == value
             if entry_key < key:
-                next_cid = entry.get("t")
+                next_cid = links[index + 1]
             else:
                 break
         if next_cid is None:
@@ -544,35 +538,64 @@ def mst_diff(old: Mst, new: Mst) -> dict[str, tuple[Optional[Cid], Optional[Cid]
     return out
 
 
+def _node_entries(cid: Cid, data) -> tuple[list[tuple[str, Cid]], list[Optional[Cid]]]:
+    """A decoded node block's ``(key, value)`` entries and its subtree
+    links (``links[i]`` left of ``entries[i]``, the last one right of the
+    last entry), with every field checked against the node data model."""
+    if data.__class__ is not dict:
+        raise MstError("MST node %s is not a map" % cid)
+    left = data.get("l")
+    raw_entries = data.get("e", [])
+    if left is not None and left.__class__ is not Cid:
+        raise MstError("MST node %s has a non-CID left link" % cid)
+    if raw_entries.__class__ is not list:
+        raise MstError("MST node %s entries are not a list" % cid)
+    entries: list[tuple[str, Cid]] = []
+    links: list[Optional[Cid]] = [left]
+    previous = b""
+    for entry in raw_entries:
+        if entry.__class__ is not dict:
+            raise MstError("MST node %s has a non-map entry" % cid)
+        prefix_len = entry.get("p")
+        suffix = entry.get("k")
+        value = entry.get("v")
+        right = entry.get("t")
+        if prefix_len.__class__ is not int or not 0 <= prefix_len <= len(previous):
+            raise MstError("MST node %s has an invalid prefix length" % cid)
+        if suffix.__class__ is not bytes:
+            raise MstError("MST node %s has a non-bytes key suffix" % cid)
+        if value.__class__ is not Cid or (right is not None and right.__class__ is not Cid):
+            raise MstError("MST node %s has a non-CID value or subtree link" % cid)
+        encoded = previous[:prefix_len] + suffix
+        try:
+            key = encoded.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MstError("MST node %s has a non-UTF-8 key" % cid) from exc
+        entries.append((key, value))
+        links.append(right)
+        previous = encoded
+    return entries, links
+
+
 def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> Mst:
-    """Reconstruct an MST from a block map (e.g. parsed from a CAR file)."""
-    from repro.atproto.cbor import cbor_decode
+    """Reconstruct an MST from a block map (e.g. parsed from a CAR file).
+
+    A node block that does not have the node shape (see the module
+    docstring) raises :class:`MstError`, as does a missing block.
+    """
 
     def load(cid: Cid, layer_hint: Optional[int]) -> MstNode:
-        if cid not in blocks:
+        block = blocks.get(cid)
+        if block is None:
             raise MstError("missing MST block %s" % cid)
-        data = cbor_decode(blocks[cid])
-        entries: list[tuple[str, Cid]] = []
-        subtree_cids: list[Optional[Cid]] = [data.get("l")]
-        previous = b""
-        for entry in data.get("e", []):
-            encoded = previous[: entry["p"]] + entry["k"]
-            entries.append((encoded.decode("utf-8"), entry["v"]))
-            subtree_cids.append(entry.get("t"))
-            previous = encoded
+        entries, links = _node_entries(cid, cbor_decode(block))
         if entries:
             layer = key_layer(entries[0][0])
         elif layer_hint is not None:
             layer = layer_hint
         else:
             layer = 0
-        subtrees: list[Optional[MstNode]] = []
-        for child_cid in subtree_cids:
-            if child_cid is None:
-                subtrees.append(None)
-            else:
-                subtrees.append(load(child_cid, layer - 1))
-        node = MstNode(layer, entries, subtrees)
-        return node
+        subtrees = [None if link is None else load(link, layer - 1) for link in links]
+        return MstNode(layer, entries, subtrees)
 
     return Mst(load(root_cid, None))

@@ -308,6 +308,8 @@ def import_car(
         raise RepoError("root block is not a v%d commit" % COMMIT_VERSION)
     if not isinstance(commit.get("did"), str) or not isinstance(commit.get("rev"), str):
         raise RepoError("commit is missing did/rev fields")
+    if not isinstance(commit.get("data"), Cid):
+        raise RepoError("commit has no data link")
     if verify_key is not None:
         sig = commit.get("sig")
         unsigned = {k: v for k, v in commit.items() if k != "sig"}

@@ -49,28 +49,3 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
                 raise VarintError("varint has redundant trailing zero byte")
             return result, pos
         shift += 7
-
-
-def read_varint(stream) -> int:
-    """Read a varint from a binary file-like object.
-
-    Raises :class:`EOFError` if the stream is exhausted before the first
-    byte, and :class:`VarintError` on truncation mid-varint.
-    """
-    result = 0
-    shift = 0
-    count = 0
-    while True:
-        chunk = stream.read(1)
-        if not chunk:
-            if count == 0:
-                raise EOFError("end of stream")
-            raise VarintError("truncated varint in stream")
-        if count >= MAX_VARINT_BYTES:
-            raise VarintError("varint longer than %d bytes" % MAX_VARINT_BYTES)
-        byte = chunk[0]
-        result |= (byte & 0x7F) << shift
-        count += 1
-        if not byte & 0x80:
-            return result
-        shift += 7

@@ -61,6 +61,25 @@ class TestStructuralGarbage:
         with pytest.raises(CarError):
             exhaust(car + b"\x81\x00" + b"x")
 
+    def test_non_minimal_section_and_header_lengths_rejected(self):
+        # A valid 75-byte section, its length written 0xcb 0x00 instead of
+        # 0x4b: the bytes after the length still parse, so only the
+        # minimality check can reject it.
+        payload = bytes(range(39))
+        cid = cid_for_raw(payload)
+        section = cid.to_bytes() + payload
+        assert len(section) == 75
+        header = cbor_encode({"version": 1, "roots": [cid]})
+        assert len(header) < 0x80
+        minimal = encode_varint(len(header)) + header + b"\x4b" + section
+        assert read_car(minimal)[1] == {cid: payload}
+        for car in (
+            encode_varint(len(header)) + header + b"\xcb\x00" + section,
+            bytes((len(header) | 0x80, 0)) + header + b"\x4b" + section,
+        ):
+            with pytest.raises(CarError):
+                exhaust(car)
+
     def test_zero_length_section_rejected(self):
         car = sample_car(1)
         with pytest.raises(CarError):

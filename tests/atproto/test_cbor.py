@@ -92,6 +92,17 @@ class TestContainers:
         with pytest.raises(CborError):
             cbor_encode(value)
 
+    def test_decode_nesting_limit(self):
+        # 200 one-item arrays around an empty one: a CborError at depth
+        # 129, not a RecursionError.
+        with pytest.raises(CborError):
+            cbor_decode(b"\x81" * 200 + b"\x80")
+        nested = b"\x81" * 128 + b"\x80"
+        value = cbor_decode(nested)
+        for _ in range(128):
+            (value,) = value
+        assert value == []
+
 
 class TestCidLinks:
     def test_cid_round_trip(self):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.atproto.cbor import cbor_encode
 from repro.atproto.cid import cid_for_cbor, cid_for_raw
 from repro.atproto.events import (
     CommitEvent,
@@ -125,6 +126,37 @@ class TestLabelFrames:
     def test_wrong_frame_type_rejected(self):
         with pytest.raises(FrameError):
             decode_label_frame(encode_event_frame(commit_event()))
+
+
+COMMIT_HEADER = {"op": 1, "t": "#commit"}
+LABEL_HEADER = {"op": 1, "t": "#labels"}
+EVENT_FIELDS = {"seq": 1, "repo": DID, "timeUs": T}
+
+
+@pytest.mark.parametrize(
+    "decode, header, payload",
+    [
+        pytest.param(decode_event_frame, COMMIT_HEADER, {"repo": DID, "timeUs": T}, id="no-seq"),
+        pytest.param(decode_event_frame, COMMIT_HEADER, [1, DID, T], id="list-payload"),
+        pytest.param(decode_event_frame, COMMIT_HEADER, {**EVENT_FIELDS, "ops": 5}, id="ops-int"),
+        pytest.param(decode_event_frame, COMMIT_HEADER, {**EVENT_FIELDS, "ops": [5]}, id="op-int"),
+        pytest.param(decode_label_frame, [LABEL_HEADER], {"seq": 1, "labels": []}, id="label-hdr"),
+        pytest.param(decode_label_frame, LABEL_HEADER, {"seq": 1}, id="no-labels"),
+        pytest.param(decode_label_frame, LABEL_HEADER, {"seq": 1, "labels": "x"}, id="labels-str"),
+    ],
+)
+def test_misshapen_frame_raises_frame_error(decode, header, payload):
+    """Frames that decode as DAG-CBOR but not as an event are FrameErrors,
+    which the integrity monitor quarantines instead of crashing on."""
+    from repro.core.integrity import IntegrityMonitor
+
+    data = cbor_encode(header) + cbor_encode(payload)
+    with pytest.raises(FrameError):
+        decode(data)
+    if decode is decode_event_frame:
+        monitor = IntegrityMonitor()
+        assert not monitor.check_frame_bytes("https://relay.example", 1, data)
+        assert [q.kind for q in monitor.report.quarantined] == ["frame"]
 
 
 @settings(max_examples=30, deadline=None)

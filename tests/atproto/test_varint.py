@@ -1,16 +1,12 @@
 """Tests for unsigned varint encoding."""
 
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.atproto.varint import (
-    VarintError,
-    decode_varint,
-    encode_varint,
-    read_varint,
-)
+from repro.atproto.car import CarError, read_car, write_car
+from repro.atproto.cbor import cbor_encode
+from repro.atproto.cid import cid_for_dag_cbor_bytes
+from repro.atproto.varint import VarintError, decode_varint, encode_varint
 
 
 class TestEncode:
@@ -63,19 +59,32 @@ class TestDecode:
             decode_varint(b"\x80\x00")
 
 
-class TestStream:
-    def test_read_from_stream(self):
-        stream = io.BytesIO(encode_varint(300) + encode_varint(7))
-        assert read_varint(stream) == 300
-        assert read_varint(stream) == 7
+def _block(value):
+    data = cbor_encode(value)
+    return cid_for_dag_cbor_bytes(data), data
 
-    def test_eof_at_start(self):
-        with pytest.raises(EOFError):
-            read_varint(io.BytesIO(b""))
 
-    def test_truncated_mid_varint(self):
-        with pytest.raises(VarintError):
-            read_varint(io.BytesIO(b"\x80"))
+class TestCarSectionLengths:
+    """The CAR reader walks ``varint(length)`` section prefixes in memory."""
+
+    def test_consecutive_sections_read(self):
+        blocks = [_block({"n": n}) for n in range(3)]
+        roots, parsed = read_car(write_car(blocks[0][0], blocks))
+        assert roots == [blocks[0][0]]
+        assert list(parsed.items()) == blocks
+
+    def test_eof_at_section_boundary_ends_cleanly(self):
+        cid, data = _block("only")
+        assert read_car(write_car(cid, []))[1] == {}
+        assert read_car(write_car(cid, [(cid, data)]))[1] == {cid: data}
+
+    def test_eof_mid_varint_is_car_error(self):
+        cid, data = _block("only")
+        car = write_car(cid, [(cid, data)])
+        with pytest.raises(CarError):
+            read_car(car + b"\x80")
+        with pytest.raises(CarError):
+            read_car(b"\x80")
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))

@@ -292,6 +292,75 @@ class TestHandleBidiCheck:
         assert monitor.report.total_quarantined() == 1
 
 
+REPO_DID = "did:plc:" + "c" * 24
+RECORD_PATH = b"app.bsky.feed.post/3kabc"
+
+
+def _well_hashed_car(node, commit_data=True) -> bytes:
+    """A CAR whose every block hashes to its CID, holding ``node`` as the
+    MST root under an unsigned v3 commit (without ``data`` if asked)."""
+    from repro.atproto.car import write_car
+    from repro.atproto.cbor import cbor_encode
+    from repro.atproto.cid import cid_for_dag_cbor_bytes
+
+    record = cbor_encode({"$type": "app.bsky.feed.post", "text": "hi"})
+    node_block = cbor_encode(node(cid_for_dag_cbor_bytes(record)))
+    commit = {"did": REPO_DID, "version": 3, "rev": "3kabcdefghi22", "prev": None}
+    if commit_data:
+        commit["data"] = cid_for_dag_cbor_bytes(node_block)
+    commit_block = cbor_encode(commit)
+    blocks = [commit_block, node_block, record]
+    root = cid_for_dag_cbor_bytes(commit_block)
+    return write_car(root, [(cid_for_dag_cbor_bytes(block), block) for block in blocks])
+
+
+def _entry(value, **fields) -> dict:
+    """A valid single MST entry for ``RECORD_PATH``, with ``fields`` replaced."""
+    return {"p": 0, "k": RECORD_PATH, "v": value, "t": None, **fields}
+
+
+SCHEMA_INVALID_CASES = [
+    pytest.param(
+        lambda v: {"l": None, "e": [{"k": RECORD_PATH, "v": v, "t": None}]}, True, "mst-invalid",
+        id="entry-without-p",
+    ),
+    pytest.param(lambda v: {"l": None, "e": _entry(v)}, True, "mst-invalid", id="e-not-list"),
+    pytest.param(
+        lambda v: {"l": None, "e": [_entry(v, k=RECORD_PATH.decode())]}, True, "mst-invalid",
+        id="k-not-bytes",
+    ),
+    pytest.param(lambda v: [_entry(v)], True, "mst-invalid", id="node-is-list"),
+    pytest.param(
+        lambda v: {"l": None, "e": [_entry(v)]}, False, "car-malformed",
+        id="commit-without-data",
+    ),
+]
+
+
+class TestSchemaInvalidRepoBlocks:
+    """Blocks that decode and hash correctly but break the repo data model
+    are quarantined, never raised out of the crawl."""
+
+    @pytest.mark.parametrize("node, commit_data, kind", SCHEMA_INVALID_CASES)
+    def test_quarantined_by_kind(self, node, commit_data, kind):
+        from repro.core.integrity import IntegrityMonitor
+
+        monitor = IntegrityMonitor(directory=None)
+        car = _well_hashed_car(node, commit_data)
+        assert monitor.verify_repo_car("https://pds.example", REPO_DID, car) is None
+        (item,) = monitor.report.quarantined
+        assert (item.kind, item.item) == (kind, REPO_DID)
+
+    def test_well_formed_control_is_admitted(self):
+        from repro.core.integrity import IntegrityMonitor
+
+        monitor = IntegrityMonitor(directory=None)
+        car = _well_hashed_car(lambda v: {"l": None, "e": [_entry(v)]})
+        snapshot = monitor.verify_repo_car("https://pds.example", REPO_DID, car)
+        assert snapshot is not None
+        assert list(snapshot.records) == [RECORD_PATH.decode()]
+
+
 class TestReportRendering:
     def test_integrity_section_lists_hosts_and_kinds(self, adversarial_datasets):
         from repro.core.report import render_integrity
