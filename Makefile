@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-telemetry test-shard test-perfbench bench bench-perf lint lint-determinism report trace check
+.PHONY: test test-fast test-faults test-integrity test-writepath test-telemetry test-shard test-perfbench bench bench-perf lint lint-determinism report trace check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -20,6 +20,9 @@ test-faults:  ## fault-injection + resilience suite only
 
 test-integrity:  ## Byzantine-data hardening (CBOR/CAR parse boundary) + checkpoint/resume suite only
 	$(PYTHON) -m pytest -x -q tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_car_fuzz.py tests/atproto/test_crypto.py tests/core/test_integrity.py tests/core/test_checkpoint_resume.py
+
+test-writepath:  ## record write path: lexicon, TID, base32, frames, CBOR, commits, oracle differentials, PDS blob refs
+	$(PYTHON) -m pytest -x -q tests/atproto/test_lexicon.py tests/atproto/test_tid.py tests/atproto/test_multibase.py tests/atproto/test_frames.py tests/atproto/test_cbor.py tests/atproto/test_repo_car.py tests/atproto/test_writepath_differential.py tests/services/test_pds_blob_sync.py
 
 test-telemetry:  ## metrics registry + tracer + telemetry determinism suite only
 	$(PYTHON) -m pytest -x -q tests/obs tests/core/test_telemetry.py
@@ -57,5 +60,6 @@ trace:  ## small traced study; validate the trace, metrics, event-log and OpenMe
 	$(PYTHON) scripts/check_trace.py trace.json metrics.json events.jsonl metrics.prom
 
 # `test` already covers tests/, so the focused suites above (faults,
-# integrity, telemetry, shard) are for local use and are not re-run here.
+# integrity, writepath, telemetry, shard) are for local use and are not
+# re-run here.
 check: lint-determinism test test-perfbench trace lint  ## what CI runs, each check once

@@ -15,6 +15,12 @@ possible encoding, floats are always 64-bit, and indefinite-length items are
 forbidden.  The decoder enforces these rules so that every encodable value
 round-trips to exactly one byte sequence.
 
+Encoding dispatches on the exact type of each value.  Maps go through a
+shape cache: the tuple of a map's keys, in insertion order, maps to the
+keys in canonical order, each with its encoded head and bytes, so a map
+of a known shape sorts and encodes no key.  Text strings of up to 255
+bytes get their one- or two-byte head inline.
+
 Decoding is one recursive function, ``_decode(data, pos, depth)``, which
 reads each item in place by offset and returns it with the offset where it
 ends: no decoder object, no per-slice method call, one bounds check per
@@ -75,21 +81,39 @@ def _map_key_sort_key(key: str) -> tuple[int, bytes]:
     return (len(encoded), encoded)
 
 
+def _encode_text(text: str) -> bytes:
+    """A text string with its head; one-byte and two-byte heads inline."""
+    encoded = text.encode("utf-8")
+    size = len(encoded)
+    if size < 24:
+        return bytes((0x60 | size,)) + encoded
+    if size < 0x100:
+        return bytes((0x78, size)) + encoded
+    out = bytearray()
+    _encode_head(3, size, out)
+    return bytes(out) + encoded
+
+
 # Map-shape cache: most encoded maps are records/commits/MST nodes sharing a
-# handful of key tuples, so the canonical key order is memoised per shape
-# (bounded; a shape is the tuple of keys in insertion order).
+# handful of key tuples, so each shape (the tuple of keys in insertion
+# order) maps to its keys in canonical order, each paired with its encoded
+# head and bytes.  Bounded; shapes past the bound are ordered and encoded
+# on every call.
 _SHAPE_CACHE: dict[tuple, tuple] = {}
 _SHAPE_CACHE_MAX = 4096
 
 
 def _map_key_order(value: dict) -> tuple:
+    """``((key, encoded key), ...)`` in canonical order for a map's keys."""
     shape = tuple(value)
     order = _SHAPE_CACHE.get(shape)
     if order is None:
         for key in shape:
             if not isinstance(key, str):
                 raise CborError("DAG-CBOR map keys must be strings, got %r" % (key,))
-        order = tuple(sorted(shape, key=_map_key_sort_key))
+        order = tuple(
+            (key, _encode_text(key)) for key in sorted(shape, key=_map_key_sort_key)
+        )
         if len(_SHAPE_CACHE) < _SHAPE_CACHE_MAX:
             _SHAPE_CACHE[shape] = order
     return order
@@ -107,23 +131,20 @@ def _encode_value(value: Any, out: bytearray, depth: int) -> None:
         size = len(encoded)
         if size < 24:
             out.append(0x60 | size)
+        elif size < 0x100:
+            out.append(0x78)
+            out.append(size)
         else:
             _encode_head(3, size, out)
-        out.extend(encoded)
+        out += encoded
     elif t is dict:
         size = len(value)
         if size < 24:
             out.append(0xA0 | size)
         else:
             _encode_head(5, size, out)
-        for key in _map_key_order(value):
-            encoded = key.encode("utf-8")
-            key_size = len(encoded)
-            if key_size < 24:
-                out.append(0x60 | key_size)
-            else:
-                _encode_head(3, key_size, out)
-            out.extend(encoded)
+        for key, encoded_key in _map_key_order(value):
+            out += encoded_key
             _encode_value(value[key], out, depth + 1)
     elif t is int:
         if 0 <= value < 24:

@@ -6,14 +6,20 @@ errors) followed by the *payload*.  This module implements that framing
 for the firehose event types and for label streams, so the simulator's
 streams can be serialized to actual bytes — which is also what the
 Section 9 bandwidth estimate is grounded in.
+
+``#commit`` frames, one per record write, are emitted directly: a
+constant header, then the payload's eight keys and each op's four keys in
+canonical DAG-CBOR order, with every value encoded at the depth the
+generic encoder would reach it.  The bytes equal ``cbor_encode`` of the
+header and payload dicts (pinned by a differential test).  The other
+frame kinds build those dicts and go through ``cbor_encode``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.atproto.cbor import _decode, cbor_encode
-from repro.atproto.cid import Cid
+from repro.atproto.cbor import _decode, _encode_head, _encode_value, cbor_encode
 from repro.atproto.events import (
     KIND_COMMIT,
     KIND_HANDLE,
@@ -28,16 +34,7 @@ from repro.atproto.events import (
     InfoEvent,
     TombstoneEvent,
 )
-
-
-def iso_timestamp(time_us: int) -> str:
-    """ISO-8601 rendering with millisecond precision (wire `time` field)."""
-    import datetime
-
-    moment = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc) + datetime.timedelta(
-        microseconds=time_us
-    )
-    return moment.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+from repro.atproto.timestamps import iso_timestamp
 
 
 class FrameError(ValueError):
@@ -63,25 +60,56 @@ def _decode_two(data: bytes):
     return header, payload
 
 
+# ``{"op": 1, "t": "#commit"}`` and the head of its 8-key payload map.
+_COMMIT_HEADER = cbor_encode({"op": 1, "t": KIND_COMMIT}) + b"\xa8"
+
+
+def _encode_commit_frame(event: CommitEvent) -> bytes:
+    """The ``#commit`` frame, keys in canonical order: ops, rev, seq,
+    repo, time, commit, timeUs, tooBig."""
+    out = bytearray(_COMMIT_HEADER)
+    ops = event.ops
+    out += b"\x63ops"
+    if len(ops) < 24:
+        out.append(0x80 | len(ops))
+    else:
+        _encode_head(4, len(ops), out)
+    for op in ops:
+        # A 4-key map, keys in canonical order: cid, path, action, record.
+        # Payload values sit at depth 1, so op fields sit at depth 3.
+        out += b"\xa4\x63cid"
+        _encode_value(op.cid, out, 3)
+        out += b"\x64path"
+        _encode_value(op.path, out, 3)
+        out += b"\x66action"
+        _encode_value(op.action, out, 3)
+        out += b"\x66record"
+        _encode_value(op.record, out, 3)
+    out += b"\x63rev"
+    _encode_value(event.rev, out, 1)
+    out += b"\x63seq"
+    _encode_value(event.seq, out, 1)
+    out += b"\x64repo"
+    _encode_value(event.did, out, 1)
+    out += b"\x64time"
+    _encode_value(iso_timestamp(event.time_us), out, 1)
+    out += b"\x66commit"
+    _encode_value(event.commit_cid, out, 1)
+    out += b"\x66timeUs"
+    _encode_value(event.time_us, out, 1)
+    out += b"\x66tooBig"
+    _encode_value(event.too_big, out, 1)
+    return bytes(out)
+
+
 def encode_event_frame(event: FirehoseEvent) -> bytes:
     """Serialize a firehose event to its two-item wire frame."""
+    if isinstance(event, CommitEvent):
+        return _encode_commit_frame(event)
     header = {"op": 1, "t": event.kind}
     payload: dict = {"seq": event.seq, "repo": event.did, "time": iso_timestamp(event.time_us)}
     payload["timeUs"] = event.time_us
-    if isinstance(event, CommitEvent):
-        payload["rev"] = event.rev
-        payload["commit"] = event.commit_cid
-        payload["tooBig"] = event.too_big
-        payload["ops"] = [
-            {
-                "action": op.action,
-                "path": op.path,
-                "cid": op.cid,
-                "record": op.record,
-            }
-            for op in event.ops
-        ]
-    elif isinstance(event, (HandleEvent, IdentityEvent)):
+    if isinstance(event, (HandleEvent, IdentityEvent)):
         if getattr(event, "handle", None):
             payload["handle"] = event.handle
     elif isinstance(event, InfoEvent):

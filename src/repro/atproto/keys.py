@@ -87,6 +87,49 @@ class Secp256k1Keypair(Keypair):
         return self._public
 
 
+# RFC 2104 inner and outer pads, applied to a key byte by byte.
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+_SHA256_BLOCK = 64
+
+
+class _HmacSha256:
+    """HMAC-SHA256 (RFC 2104) under one key, for the simulator signature.
+
+    The SHA-256 states after the inner and the outer padded key are
+    computed once per key and copied for each MAC; the :mod:`hmac`
+    functions hash the padded key again on every call.
+    """
+
+    __slots__ = ("_secret", "_inner", "_outer")
+
+    def __init__(self, secret: bytes):
+        self._secret = secret
+        if len(secret) > _SHA256_BLOCK:
+            secret = hashlib.sha256(secret).digest()
+        key = secret.ljust(_SHA256_BLOCK, b"\x00")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def __reduce__(self):
+        # Hash states do not pickle; keys do, so rebuild them from the secret.
+        return (_HmacSha256, (self._secret,))
+
+    def signature(self, message: bytes) -> bytes:
+        """64 bytes: ``HMAC(message)``, then ``HMAC(first half + message)``."""
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        first = outer.digest()
+        inner = self._inner.copy()
+        inner.update(first)
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return first + outer.digest()
+
+
 class HmacPublicKey(PublicKey):
     """The 'public' half of an HMAC key.
 
@@ -98,22 +141,16 @@ class HmacPublicKey(PublicKey):
 
     def __init__(self, secret: bytes):
         self.secret = secret
+        self._mac = _HmacSha256(secret)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         if len(signature) != 64:
             return False
-        expected = _hmac_sig(self.secret, message)
-        return hmac.compare_digest(expected, signature)
+        return hmac.compare_digest(self._mac.signature(message), signature)
 
     def to_did_key(self) -> str:
         payload = encode_varint(MULTICODEC_HMAC_SIM) + self.secret
         return DID_KEY_PREFIX + "z" + base58btc_encode(payload)
-
-
-def _hmac_sig(secret: bytes, message: bytes) -> bytes:
-    first = hmac.new(secret, message, hashlib.sha256).digest()
-    second = hmac.new(secret, first + message, hashlib.sha256).digest()
-    return first + second
 
 
 class HmacKeypair(Keypair):
@@ -130,7 +167,7 @@ class HmacKeypair(Keypair):
         return cls(hashlib.sha256(b"hmac-keypair:" + seed).digest())
 
     def sign(self, message: bytes) -> bytes:
-        return _hmac_sig(self.secret, message)
+        return self._public._mac.signature(message)
 
     @property
     def public_key(self) -> PublicKey:

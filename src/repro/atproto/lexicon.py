@@ -9,11 +9,15 @@ blogging), and a small declarative schema language to validate records.
 Unknown collections are allowed through by default, exactly as the real
 network behaves: the Firehose relays records that Bluesky's own AppView
 cannot decode (Section 4, "Non-Bluesky content").
+
+Each :class:`RecordSchema` compiles its checks when it is built, and the
+registry validates an NSID once, at registration, so validating a record
+of a registered collection is a dict lookup plus one check per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.atproto.cid import Cid
@@ -35,13 +39,44 @@ class Field:
     known_values: Optional[tuple[str, ...]] = None
 
 
+# Field type -> the check its values must pass.
+_CHECKERS: dict[str, Callable[[Any], bool]] = {
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "bytes": lambda v: isinstance(v, bytes),
+    "cid": lambda v: isinstance(v, Cid),
+    "dict": lambda v: isinstance(v, dict),
+    "list": lambda v: isinstance(v, list),
+    "ref": lambda v: isinstance(v, dict) and "uri" in v,
+}
+
+
 @dataclass(frozen=True)
 class RecordSchema:
-    """Schema for one record collection."""
+    """Schema for one record collection.
+
+    The checks are compiled once, when the schema is built: the names of
+    the required fields, and per field name its spec and type check.  A
+    field with an unknown type raises :class:`LexiconError` here rather
+    than on the first record that carries it.
+    """
 
     nsid: str
     fields: tuple[Field, ...]
     allow_extra: bool = True
+
+    def __post_init__(self):
+        checks: dict[str, tuple[Field, Callable[[Any], bool]]] = {}
+        for spec in self.fields:
+            check = _CHECKERS.get(spec.type)
+            if check is None:
+                raise LexiconError("unknown field type %r in schema" % spec.type)
+            if spec.name != "$type":  # $type is checked against the NSID
+                checks[spec.name] = (spec, check)
+        required = tuple(spec.name for spec in self.fields if spec.required)
+        object.__setattr__(self, "_checks", checks)
+        object.__setattr__(self, "_required", required)
 
     def validate(self, record: dict) -> None:
         if record.get("$type") != self.nsid:
@@ -49,45 +84,34 @@ class RecordSchema:
                 "record $type %r does not match collection %r"
                 % (record.get("$type"), self.nsid)
             )
-        by_name = {f.name: f for f in self.fields}
-        for spec in self.fields:
-            if spec.required and spec.name not in record:
-                raise LexiconError("%s: missing required field %r" % (self.nsid, spec.name))
+        for name in self._required:
+            if name not in record:
+                raise LexiconError("%s: missing required field %r" % (self.nsid, name))
+        checks = self._checks
         for name, value in record.items():
-            if name == "$type":
-                continue
-            spec = by_name.get(name)
-            if spec is None:
-                if self.allow_extra:
+            compiled = checks.get(name)
+            if compiled is None:
+                if name == "$type" or self.allow_extra:
                     continue
                 raise LexiconError("%s: unknown field %r" % (self.nsid, name))
-            self._check_field(spec, value)
-
-    def _check_field(self, spec: Field, value: Any) -> None:
-        checkers: dict[str, Callable[[Any], bool]] = {
-            "string": lambda v: isinstance(v, str),
-            "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "boolean": lambda v: isinstance(v, bool),
-            "bytes": lambda v: isinstance(v, bytes),
-            "cid": lambda v: isinstance(v, Cid),
-            "dict": lambda v: isinstance(v, dict),
-            "list": lambda v: isinstance(v, list),
-            "ref": lambda v: isinstance(v, dict) and "uri" in v,
-        }
-        check = checkers.get(spec.type)
-        if check is None:
-            raise LexiconError("unknown field type %r in schema" % spec.type)
-        if not check(value):
-            raise LexiconError(
-                "%s: field %r must be %s, got %r"
-                % (self.nsid, spec.name, spec.type, type(value).__name__)
-            )
-        if spec.max_length is not None and isinstance(value, str) and len(value) > spec.max_length:
-            raise LexiconError(
-                "%s: field %r longer than %d" % (self.nsid, spec.name, spec.max_length)
-            )
-        if spec.known_values is not None and value not in spec.known_values:
-            raise LexiconError("%s: field %r has unknown value %r" % (self.nsid, spec.name, value))
+            spec, check = compiled
+            if not check(value):
+                raise LexiconError(
+                    "%s: field %r must be %s, got %r"
+                    % (self.nsid, name, spec.type, type(value).__name__)
+                )
+            if (
+                spec.max_length is not None
+                and isinstance(value, str)
+                and len(value) > spec.max_length
+            ):
+                raise LexiconError(
+                    "%s: field %r longer than %d" % (self.nsid, name, spec.max_length)
+                )
+            if spec.known_values is not None and value not in spec.known_values:
+                raise LexiconError(
+                    "%s: field %r has unknown value %r" % (self.nsid, name, value)
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +164,16 @@ class LexiconRegistry:
         return nsid.startswith("app.bsky.") or nsid.startswith("chat.bsky.")
 
     def validate(self, collection: str, record: dict) -> None:
-        """Validate a record if its collection is known; else pass through."""
-        if not Nsid.is_valid(collection):
-            raise LexiconError("invalid collection NSID %r" % collection)
+        """Validate a record if its collection is known; else pass through.
+
+        A registered collection's NSID was checked by :meth:`register`, so
+        only unregistered collections are parsed here.
+        """
         schema = self._schemas.get(collection)
         if schema is not None:
             schema.validate(record)
+        elif not Nsid.is_valid(collection):
+            raise LexiconError("invalid collection NSID %r" % collection)
 
 
 def default_registry() -> LexiconRegistry:

@@ -9,12 +9,12 @@ ATProto uses three alphabets:
 
 from __future__ import annotations
 
-import base64
-
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 
 _B32_INDEX = {c: i for i, c in enumerate(BASE32_ALPHABET)}
+# Every 10-bit value as its two base32 characters.
+_B32_PAIRS = tuple(a + b for a in BASE32_ALPHABET for b in BASE32_ALPHABET)
 _B58_INDEX = {c: i for i, c in enumerate(BASE58_ALPHABET)}
 
 
@@ -23,8 +23,19 @@ class MultibaseError(ValueError):
 
 
 def base32_encode(data: bytes) -> str:
-    """Encode bytes as unpadded lowercase base32 (RFC 4648 alphabet)."""
-    return base64.b32encode(data).rstrip(b"=").lower().decode("ascii")
+    """Encode bytes as unpadded lowercase base32 (RFC 4648 alphabet).
+
+    The bytes are read as one integer, zero-padded on the right to a whole
+    number of 10-bit pairs, and rendered a pair at a time; an odd final
+    character (the padding's) is dropped.
+    """
+    bit_count = 8 * len(data)
+    chars = (bit_count + 4) // 5
+    pair_bits = 10 * ((chars + 1) // 2)
+    value = int.from_bytes(data, "big") << (pair_bits - bit_count)
+    pairs = _B32_PAIRS
+    text = "".join([pairs[(value >> shift) & 0x3FF] for shift in range(pair_bits - 10, -1, -10)])
+    return text[:chars] if chars & 1 else text
 
 
 def base32_decode(text: str) -> bytes:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.atproto.car import read_car, write_car
-from repro.atproto.cbor import _encode_head, cbor_decode, cbor_encode
+from repro.atproto.cbor import _encode_head, _encode_text, cbor_decode, cbor_encode
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
 from repro.atproto.keys import Keypair, PublicKey
 from repro.atproto.mst import Mst, load_mst
@@ -37,14 +37,6 @@ _DATA_KEY = b"\x64data"
 _PREV_VERSION = b"\x64prev\xf6\x67version" + bytes((COMMIT_VERSION,))
 
 
-def _cbor_text(text: str) -> bytes:
-    out = bytearray()
-    encoded = text.encode("utf-8")
-    _encode_head(3, len(encoded), out)
-    out += encoded
-    return bytes(out)
-
-
 def encode_commit(did: str, rev: str, data: Cid, keypair: Keypair) -> tuple[bytes, bytes]:
     """The unsigned and signed v3 commit blocks for one commit.
 
@@ -53,7 +45,7 @@ def encode_commit(did: str, rev: str, data: Cid, keypair: Keypair) -> tuple[byte
     unsigned block.  Byte-for-byte equal to ``cbor_encode`` of the commit
     dict without and with ``sig`` (pinned by a test).
     """
-    did_rev = _DID_KEY + _cbor_text(did) + _REV_KEY + _cbor_text(rev)
+    did_rev = _DID_KEY + _encode_text(did) + _REV_KEY + _encode_text(rev)
     tail = _DATA_KEY + data.cbor_link() + _PREV_VERSION
     unsigned = _UNSIGNED_HEAD + did_rev + tail
     sig = keypair.sign(unsigned)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 SORTABLE_ALPHABET = "234567abcdefghijklmnopqrstuvwxyz"
 _SORT_INDEX = {c: i for i, c in enumerate(SORTABLE_ALPHABET)}
+# Every 10-bit value as its two characters: a TID is one character for the
+# top 3 bits and six pairs for the remaining 60.
+_PAIRS = tuple(a + b for a in SORTABLE_ALPHABET for b in SORTABLE_ALPHABET)
 
 TID_LENGTH = 13
 _MICROS_BITS = 53
@@ -46,11 +49,20 @@ class Tid:
         return cls(value >> _CLOCK_BITS, value & MAX_CLOCK_ID)
 
     def __str__(self) -> str:
-        value = self.to_int()
-        chars = []
-        for shift in range(60, -1, -5):
-            chars.append(SORTABLE_ALPHABET[(value >> shift) & 0x1F])
-        return "".join(chars)
+        # The clock id is exactly the low pair; the micros fill the rest.
+        micros = self.micros
+        pairs = _PAIRS
+        return "".join(
+            (
+                SORTABLE_ALPHABET[micros >> 50],
+                pairs[(micros >> 40) & 0x3FF],
+                pairs[(micros >> 30) & 0x3FF],
+                pairs[(micros >> 20) & 0x3FF],
+                pairs[(micros >> 10) & 0x3FF],
+                pairs[micros & 0x3FF],
+                pairs[self.clock_id],
+            )
+        )
 
     @classmethod
     def parse(cls, text: str) -> "Tid":

@@ -122,51 +122,71 @@ class Pds(XrpcService):
         record: dict,
         now_us: int,
         rkey: Optional[str] = None,
-        validate: bool = True,
     ) -> CommitMeta:
-        if validate:
-            self.lexicons.validate(collection, record)
-        self._reference_blobs(record)
-        meta = self.repo(did).create_record(collection, record, now_us, rkey=rkey)
-        self._notify(did, meta)
-        return meta
+        self.lexicons.validate(collection, record)
+        if rkey is None:
+            rkey = str(self.repo(did).next_tid(now_us))
+        return self._write(did, [WriteOp("create", collection, rkey, record)], now_us)
 
     def update_record(
         self, did: str, collection: str, rkey: str, record: dict, now_us: int
     ) -> CommitMeta:
         self.lexicons.validate(collection, record)
-        old = self.repo(did).get_record(collection, rkey)
-        self._reference_blobs(record)
-        meta = self.repo(did).update_record(collection, rkey, record, now_us)
-        if old is not None:
-            self._release_blobs(old)
-        self._notify(did, meta)
-        return meta
+        return self._write(did, [WriteOp("update", collection, rkey, record)], now_us)
 
     def delete_record(self, did: str, collection: str, rkey: str, now_us: int) -> CommitMeta:
-        old = self.repo(did).get_record(collection, rkey)
-        meta = self.repo(did).delete_record(collection, rkey, now_us)
-        if old is not None:
-            self._release_blobs(old)
-        self._notify(did, meta)
-        return meta
-
-    def _reference_blobs(self, record: dict) -> None:
-        for ref in extract_blob_refs(record):
-            if self.blobs.has(ref.cid):
-                self.blobs.add_ref(ref.cid)
-
-    def _release_blobs(self, record: dict) -> None:
-        for ref in extract_blob_refs(record):
-            self.blobs.release(ref.cid)
+        return self._write(did, [WriteOp("delete", collection, rkey)], now_us)
 
     def apply_writes(self, did: str, writes: list[WriteOp], now_us: int) -> CommitMeta:
         for write in writes:
             if write.record is not None:
                 self.lexicons.validate(write.collection, write.record)
-        meta = self.repo(did).apply_writes(writes, now_us)
+        return self._write(did, writes, now_us)
+
+    def _write(self, did: str, writes: list[WriteOp], now_us: int) -> CommitMeta:
+        """Commit a batch, then move blob references from the records it
+        replaced or deleted to the records it wrote.
+
+        The references change only once the commit succeeded.  New refs
+        are taken before old ones are released, so a blob kept across an
+        update is never collected.  With no blobs stored no reference can
+        match, and the records are not walked at all.
+        """
+        repo = self.repo(did)
+        if not self.blobs.blob_count():
+            meta = repo.apply_writes(writes, now_us)
+        else:
+            replaced = self._replaced_records(repo, writes)
+            meta = repo.apply_writes(writes, now_us)
+            for write in writes:
+                if write.record is not None:
+                    for ref in extract_blob_refs(write.record):
+                        if self.blobs.has(ref.cid):
+                            self.blobs.add_ref(ref.cid)
+            for record in replaced:
+                for ref in extract_blob_refs(record):
+                    self.blobs.release(ref.cid)
         self._notify(did, meta)
         return meta
+
+    @staticmethod
+    def _replaced_records(repo: Repo, writes: list[WriteOp]) -> list[dict]:
+        """The records a batch overwrites or deletes, in write order.
+
+        A path written earlier in the same batch holds that write's record.
+        """
+        pending: dict[str, Optional[dict]] = {}
+        replaced = []
+        for write in writes:
+            path = write.path
+            if path in pending:
+                old = pending[path]
+            else:
+                old = repo.get_record(write.collection, write.rkey)
+            if old is not None:
+                replaced.append(old)
+            pending[path] = write.record
+        return replaced
 
     def _notify(self, did: str, meta: CommitMeta) -> None:
         for listener in self._commit_listeners:

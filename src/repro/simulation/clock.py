@@ -4,11 +4,18 @@ All timestamps are microseconds since the Unix epoch (matching TIDs).  The
 simulation runs on real calendar dates — Bluesky launched in November 2022,
 opened to the public in February 2024, and the paper measured through May
 2024 — so analysis code can bucket by real months and days.
+
+``iso_timestamp`` (the ``createdAt`` rendering) lives in
+:mod:`repro.atproto.timestamps`, since the protocol layer renders the same
+form for firehose frames and must not import the simulation; it is
+re-exported here for the simulation's callers.
 """
 
 from __future__ import annotations
 
 import datetime
+
+from repro.atproto.timestamps import iso_timestamp  # noqa: F401  (re-exported)
 
 US_PER_SECOND = 1_000_000
 US_PER_MINUTE = 60 * US_PER_SECOND
@@ -48,12 +55,6 @@ def day_key(time_us: int) -> str:
     """'YYYY-MM-DD' bucket for a timestamp."""
     moment = us_to_datetime(time_us)
     return "%04d-%02d-%02d" % (moment.year, moment.month, moment.day)
-
-
-def iso_timestamp(time_us: int) -> str:
-    """ISO-8601 rendering with millisecond precision and Z suffix."""
-    moment = us_to_datetime(time_us)
-    return moment.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
 def day_range(start_us: int, end_us: int):

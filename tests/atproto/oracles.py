@@ -1,17 +1,30 @@
 """Reference codecs the production fast paths are checked against.
 
 These are the straightforward forms of code that ``repro.atproto`` now
-runs through cached fragments, flat functions or the standard library.
-Only tests use them.
+runs through cached fragments, flat functions, lookup tables or the
+standard library.  Only tests use them.
 """
 
+import datetime
+import hashlib
+import hmac
 import math
 import struct
-from typing import Any
+from typing import Any, Callable
 
-from repro.atproto.cbor import _MAX_NESTING, CborError, _map_key_sort_key
+from repro.atproto.cbor import _MAX_NESTING, CborError, _map_key_sort_key, cbor_encode
 from repro.atproto.cid import Cid
+from repro.atproto.events import (
+    CommitEvent,
+    FirehoseEvent,
+    HandleEvent,
+    IdentityEvent,
+    InfoEvent,
+)
+from repro.atproto.lexicon import Field, LexiconError, RecordSchema
 from repro.atproto.mst import MstNode
+from repro.atproto.nsid import Nsid
+from repro.atproto.tid import SORTABLE_ALPHABET, Tid
 
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 VALID_KEY_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._:~-/")
@@ -180,3 +193,123 @@ def oracle_cbor_decode(data: bytes) -> Any:
     if decoder.pos != len(data):
         raise CborError("%d trailing bytes after CBOR item" % (len(data) - decoder.pos))
     return value
+
+
+# ---------------------------------------------------------------------------
+# Record write path
+# ---------------------------------------------------------------------------
+
+
+def oracle_check_field(schema: RecordSchema, spec: Field, value: Any) -> None:
+    """One field's checks, with the checker table rebuilt per call."""
+    checkers: dict[str, Callable[[Any], bool]] = {
+        "string": lambda v: isinstance(v, str),
+        "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "boolean": lambda v: isinstance(v, bool),
+        "bytes": lambda v: isinstance(v, bytes),
+        "cid": lambda v: isinstance(v, Cid),
+        "dict": lambda v: isinstance(v, dict),
+        "list": lambda v: isinstance(v, list),
+        "ref": lambda v: isinstance(v, dict) and "uri" in v,
+    }
+    check = checkers.get(spec.type)
+    if check is None:
+        raise LexiconError("unknown field type %r in schema" % spec.type)
+    if not check(value):
+        raise LexiconError(
+            "%s: field %r must be %s, got %r"
+            % (schema.nsid, spec.name, spec.type, type(value).__name__)
+        )
+    if spec.max_length is not None and isinstance(value, str) and len(value) > spec.max_length:
+        raise LexiconError(
+            "%s: field %r longer than %d" % (schema.nsid, spec.name, spec.max_length)
+        )
+    if spec.known_values is not None and value not in spec.known_values:
+        raise LexiconError("%s: field %r has unknown value %r" % (schema.nsid, spec.name, value))
+
+
+def oracle_schema_validate(schema: RecordSchema, record: dict) -> None:
+    """``RecordSchema.validate`` with its field map rebuilt per record."""
+    if record.get("$type") != schema.nsid:
+        raise LexiconError(
+            "record $type %r does not match collection %r" % (record.get("$type"), schema.nsid)
+        )
+    by_name = {f.name: f for f in schema.fields}
+    for spec in schema.fields:
+        if spec.required and spec.name not in record:
+            raise LexiconError("%s: missing required field %r" % (schema.nsid, spec.name))
+    for name, value in record.items():
+        if name == "$type":
+            continue
+        spec = by_name.get(name)
+        if spec is None:
+            if schema.allow_extra:
+                continue
+            raise LexiconError("%s: unknown field %r" % (schema.nsid, name))
+        oracle_check_field(schema, spec, value)
+
+
+def oracle_registry_validate(schemas: dict, collection: str, record: dict) -> None:
+    """``LexiconRegistry.validate`` that parses the NSID on every call."""
+    if not Nsid.is_valid(collection):
+        raise LexiconError("invalid collection NSID %r" % collection)
+    schema = schemas.get(collection)
+    if schema is not None:
+        oracle_schema_validate(schema, record)
+
+
+def oracle_tid_str(tid: Tid) -> str:
+    """A TID's 13 characters, five bits at a time."""
+    value = tid.to_int()
+    return "".join(SORTABLE_ALPHABET[(value >> shift) & 0x1F] for shift in range(60, -1, -5))
+
+
+def oracle_hmac_sig(secret: bytes, message: bytes) -> bytes:
+    """The 64-byte simulator signature from two ``hmac.new`` objects."""
+    first = hmac.new(secret, message, hashlib.sha256).digest()
+    second = hmac.new(secret, first + message, hashlib.sha256).digest()
+    return first + second
+
+
+def oracle_iso_timestamp(time_us: int) -> str:
+    """ISO-8601 with millisecond precision through ``datetime`` and
+    ``strftime`` (whose ``%Y`` is not zero-padded below year 1000 on every
+    platform, so compare from year 1000 on)."""
+    moment = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc) + datetime.timedelta(
+        microseconds=time_us
+    )
+    return moment.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+
+
+def oracle_encode_event_frame(event: FirehoseEvent) -> bytes:
+    """A firehose frame from header and payload dicts through ``cbor_encode``."""
+    header = {"op": 1, "t": event.kind}
+    payload: dict = {
+        "seq": event.seq,
+        "repo": event.did,
+        "time": oracle_iso_timestamp(event.time_us),
+    }
+    payload["timeUs"] = event.time_us
+    if isinstance(event, CommitEvent):
+        payload["rev"] = event.rev
+        payload["commit"] = event.commit_cid
+        payload["tooBig"] = event.too_big
+        payload["ops"] = [
+            {
+                "action": op.action,
+                "path": op.path,
+                "cid": op.cid,
+                "record": op.record,
+            }
+            for op in event.ops
+        ]
+    elif isinstance(event, (HandleEvent, IdentityEvent)):
+        if getattr(event, "handle", None):
+            payload["handle"] = event.handle
+    elif isinstance(event, InfoEvent):
+        payload["name"] = event.name
+        payload["message"] = event.message
+        if event.oldest_seq is not None:
+            payload["oldestSeq"] = event.oldest_seq
+        payload["dropped"] = event.dropped
+    return cbor_encode(header) + cbor_encode(payload)

@@ -121,3 +121,9 @@ class TestRegistry:
         schema = RecordSchema("com.example.test.strict", (), allow_extra=False)
         with pytest.raises(LexiconError):
             schema.validate({"$type": "com.example.test.strict", "extra": 1})
+
+    def test_unknown_field_type_rejected_when_schema_is_built(self):
+        # A typo in a field type fails at once, not on the first record
+        # that carries the field; records lacking it never hide it.
+        with pytest.raises(LexiconError, match="unknown field type 'strnig'"):
+            RecordSchema("com.example.test.typo", (Field("x", "strnig"),))
