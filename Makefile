@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-writepath test-telemetry test-shard test-perfbench bench bench-perf lint lint-determinism report trace check
+.PHONY: test test-fast test-faults test-integrity test-writepath test-telemetry test-shard test-perfbench bench lint lint-determinism report trace check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -34,11 +34,8 @@ test-perfbench:  ## the benchmark's own tests (every traced entry point still re
 	$(PYTHON) -m pytest perfbench/tests -q
 
 bench:  ## run the perf harness, write + guard BENCH_perf.json
-	$(PYTHON) -m repro bench
+	$(PYTHON) -m benchmarks.perf
 	$(PYTHON) scripts/check_bench.py BENCH_perf.json
-
-bench-perf:  ## perf benchmarks via pytest-benchmark (also writes BENCH_perf.json)
-	$(PYTHON) -m pytest benchmarks/test_perf_pipeline.py --benchmark-only -q
 
 lint-determinism:  ## determinism & shard-safety static analyzer (stdlib-only; fails on any unsuppressed finding)
 	$(PYTHON) -m repro lint src tests benchmarks scripts examples --json-out lint-determinism.json

@@ -63,8 +63,8 @@ def recorder():
     rec = ComparisonRecorder()
     yield rec
     path = os.path.abspath(RESULTS_PATH)
-    # Merge with any existing rows so a partial run (e.g. only the perf
-    # benchmarks) does not clobber the full comparison table.
+    # Merge with any existing rows so a partial run (e.g. one benchmark
+    # file) does not clobber the full comparison table.
     rows = {}
     if os.path.exists(path):
         try:

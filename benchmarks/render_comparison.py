@@ -38,7 +38,6 @@ EXPERIMENT_TITLES = {
     "S7": "Section 7 — Recommendation",
     "S9": "Section 9 — Scalability",
     "pipeline": "End-to-end pipeline",
-    "perf": "Commit-pipeline fast path",
 }
 
 

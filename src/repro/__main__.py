@@ -66,15 +66,8 @@ def main(argv=None) -> int:
         "artefact",
         nargs="?",
         default="all",
-        choices=["all", "table5", "bench"] + sorted(ARTEFACTS),
-        help="which table/figure to print, or 'bench' to run the "
-        "commit-pipeline performance harness (default: all)",
-    )
-    parser.add_argument(
-        "--bench-out",
-        default="BENCH_perf.json",
-        metavar="PATH",
-        help="output file for the 'bench' artefact (default: BENCH_perf.json)",
+        choices=["all", "table5"] + sorted(ARTEFACTS),
+        help="which table/figure to print (default: all)",
     )
     parser.add_argument(
         "--scale",
@@ -158,19 +151,7 @@ def main(argv=None) -> int:
         help="record 1-in-N spans for high-frequency categories like "
         "per-XRPC-call spans (default 16; 1 = record everything)",
     )
-    parser.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable the metrics registry and tracer entirely (benchmark "
-        "baseline; incompatible with --metrics-out/--trace-out)",
-    )
     args = parser.parse_args(argv)
-
-    if args.no_telemetry and (args.metrics_out or args.trace_out or args.events_out):
-        parser.error(
-            "--no-telemetry is incompatible with "
-            "--metrics-out/--trace-out/--events-out"
-        )
 
     config = SimulationConfig(
         seed=args.seed, scale=1 / args.scale, feed_scale=1 / args.feed_scale
@@ -178,10 +159,6 @@ def main(argv=None) -> int:
     if args.artefact == "table5":
         print(report.render_table5())
         return 0
-    if args.artefact == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(out_path=args.bench_out, quiet=args.quiet)
     progress = None if args.quiet else (lambda msg: print("  " + msg, file=sys.stderr))
     if not args.quiet:
         print(
@@ -222,12 +199,7 @@ def main(argv=None) -> int:
         parser.error("--resume requires --checkpoint-dir")
     from repro.obs.telemetry import Telemetry
 
-    if args.no_telemetry:
-        telemetry = Telemetry.disabled()
-    else:
-        telemetry = Telemetry(
-            trace=args.trace_out is not None, trace_sample=args.trace_sample
-        )
+    telemetry = Telemetry(trace=args.trace_out is not None, trace_sample=args.trace_sample)
     started = time.time()
     try:
         _, datasets = run_study(

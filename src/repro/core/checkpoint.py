@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.atomicio import atomic_write_bytes
 from repro.netsim.faults import CrashPlan, StudyCrashed
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 
 CHECKPOINT_FILENAME = "study.ckpt"
 CHECKPOINT_VERSION = 2
@@ -95,7 +95,7 @@ class StudyCheckpointer:
         self.journal = journal
         self.crash_plan = crash_plan
         self.save_every = save_every
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.done: set[str] = set()
         self.ticks = 0
         self._since_save = 0
@@ -176,8 +176,6 @@ class StudyCheckpointer:
         fingerprinted.
         """
         telemetry = self.telemetry
-        if not getattr(telemetry, "enabled", False):
-            return
         import json
 
         from repro.core.atomicio import atomic_write_text

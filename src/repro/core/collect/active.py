@@ -23,7 +23,7 @@ from repro.netsim.faults import (
     retry_jitter_rng,
 )
 from repro.netsim.psl import PublicSuffixList
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.netsim.tranco import TrancoList
 from repro.netsim.whois import WhoisService
 from repro.services.xrpc import XrpcError
@@ -109,7 +109,7 @@ class ActiveMeasurements:
         self.integrity = integrity
         self.resolve_did_doc = resolve_did_doc
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.dataset = ActiveMeasurementDataset()
         self._now_us = 0  # advances with retry backoffs across a campaign
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from repro.identity.plc import PlcDirectory
 from repro.identity.resolver import DidResolver
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, TARGET_IDENTITY, retry_jitter_rng
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import XrpcError
 
 
@@ -86,7 +86,7 @@ class DidDocumentCollector:
         self.integrity = integrity
         self.host_of = host_of
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.dataset = DidDocumentDataset()
 
     def crawl(self, dids: Iterable[str], now_us: int) -> DidDocumentDataset:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, call_with_retries, retry_jitter_rng
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import ServiceDirectory, XrpcError
 
 
@@ -85,7 +85,7 @@ class FeedGeneratorCollector:
         self.retry_policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         self.integrity = integrity
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.dataset = FeedGeneratorDataset()
         self._retry_counters: Counter = Counter()
 

@@ -36,7 +36,7 @@ from repro.netsim.faults import (
     call_with_retries,
     retry_jitter_rng,
 )
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import XrpcError
 
 
@@ -112,7 +112,7 @@ class FirehoseCollector:
         self.adversary = adversary
         self.integrity = integrity
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.dataset = FirehoseDataset(start_us=start_us)
         self.cursor = 0  # seq of the newest event ingested
         self.retry_counters: Counter = Counter()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, call_with_retries, retry_jitter_rng
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import ServiceDirectory
 from repro.simulation.clock import US_PER_DAY
 
@@ -78,7 +78,7 @@ class ListReposCollector:
         self.retry_policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         self.integrity = integrity
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.dataset = UserIdentifierDataset()
 
     def crawl(self, now_us: int) -> IdentifierSnapshot:

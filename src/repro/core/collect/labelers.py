@@ -17,7 +17,7 @@ from typing import Optional
 from repro.identity.resolver import DidResolver
 from repro.netsim.dns import DnsRecordType, DnsResolver, DnsError
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, call_with_retries, retry_jitter_rng
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.labeler import Label
 from repro.services.xrpc import ServiceDirectory, XrpcError
 from repro.simulation.clock import US_PER_DAY
@@ -82,7 +82,7 @@ class LabelerCollector:
         # of being appended alongside the failure counter.
         self.integrity = integrity
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._verify_keys: dict[str, object] = {}
         self.dataset = LabelerDataset()
 

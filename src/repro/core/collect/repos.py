@@ -25,7 +25,7 @@ from repro.atproto.lexicon import (
     REPOST,
 )
 from repro.atproto.repo import import_car
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import ServiceDirectory, XrpcError
 
 
@@ -166,7 +166,7 @@ class RepositoriesCollector:
         self.integrity = integrity
         self.host_of = host_of
         self.on_progress = on_progress
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.dataset = RepositoriesDataset()
 
     def crawl(self, dids: Iterable[str], now_us: int) -> RepositoriesDataset:

@@ -228,7 +228,7 @@ def export_artefacts(datasets: StudyDatasets, directory: str) -> list[str]:
         atomic_write_json(out("integrity.json"), datasets.integrity.to_jsonable())
 
     telemetry = datasets.telemetry
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         # Deterministic by construction: only virtual-time / counted
         # series are non-volatile, so two same-seed runs (and a resumed
         # run) write byte-identical files.  ``metrics.prom`` renders the
@@ -285,7 +285,7 @@ def study_fingerprint(datasets: StudyDatasets, frame_digest=None) -> str:
     hasher = hashlib.sha256()
     hasher.update(report.render_table1(datasets).encode())
     telemetry = datasets.telemetry
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         hasher.update(telemetry.metrics_json().encode())
     fh = datasets.firehose
     hasher.update(

@@ -384,7 +384,7 @@ def render_collection_health(datasets: StudyDatasets) -> str:
         )
     )
     telemetry = datasets.telemetry
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         from repro.obs import profile
 
         failures = [
@@ -412,9 +412,8 @@ def render_telemetry(datasets: StudyDatasets) -> str:
 
     lines = ["Telemetry: phases, hot hosts, and call outcomes"]
     telemetry = datasets.telemetry
-    if telemetry is None or not telemetry.enabled:
-        lines.append("telemetry: disabled (--no-telemetry run)")
-        return "\n".join(lines)
+    if telemetry is None:
+        return lines[0]
 
     phase_rows = telemetry.phase_rows()
     if phase_rows:

@@ -107,10 +107,10 @@ class LintConfig:
 # "Determinism contract" section of EXPERIMENTS.md — update both together.
 DEFAULT_CONFIG = LintConfig(
     allowlist={
-        # Telemetry and the bench harness exist to measure wall time;
+        # Telemetry and the benchmark harness exist to measure wall time;
         # their outputs are either dual-clock (virtual + wall) or
         # explicitly excluded from artefact fingerprints.
-        "wallclock": ("repro.obs.*", "repro.bench", "repro.__main__"),
+        "wallclock": ("repro.obs.*", "benchmarks.perf", "repro.__main__"),
         # The CLI surface may consult the environment (it never reaches
         # simulation or protocol state).
         "env-read": ("repro.__main__", "repro.devtools.*"),
@@ -299,14 +299,25 @@ def module_name_for_path(path: str) -> str:
     """Dotted module name for a file path, rooted at the ``src`` layout.
 
     ``src/repro/simulation/engine.py`` → ``repro.simulation.engine``;
-    ``__init__.py`` maps to its package.  Files outside a recognizable
-    root fall back to slash-to-dot of the relative path.
+    ``__init__.py`` maps to its package.  Outside ``src``, a file in a
+    package is named from the package's top directory, however the path
+    is spelled (``/abs/repo/benchmarks/perf.py`` → ``benchmarks.perf``).
+    Files outside any recognizable root fall back to slash-to-dot of the
+    relative path.
     """
     import os
 
     parts = os.path.normpath(path).split(os.sep)
     if "src" in parts:
         parts = parts[len(parts) - parts[::-1].index("src"):]
+    else:
+        top = len(parts) - 1
+        while top > 0 and os.path.isfile(
+            os.path.join(os.sep.join(parts[:top]) or os.sep, "__init__.py")
+        ):
+            top -= 1
+        if top < len(parts) - 1:
+            parts = parts[top:]
     parts = [part for part in parts if part not in ("", ".", "..")]
     if parts and parts[-1].endswith(".py"):
         parts[-1] = parts[-1][: -len(".py")]

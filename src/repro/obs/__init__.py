@@ -1,6 +1,9 @@
 """Observability: metrics registry, span tracer, per-phase profiling.
 
-``repro.obs`` is the always-available telemetry substrate of the study:
+``repro.obs`` is the always-on telemetry substrate of the study.  It has
+one mode: the registry and the event log always record, and only the
+span tracer is opt-in (``--trace-out``).
+
 
 * :mod:`repro.obs.metrics` — counters and gauges with
   near-zero-allocation hot-path increments, a deterministic JSON
@@ -20,14 +23,12 @@
 * :mod:`repro.obs.top` — the live dashboard, ``python -m repro top``.
 """
 
-from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NullTracer, SpanTracer, validate_trace
 
 __all__ = [
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_TELEMETRY",
     "Telemetry",
     "NullTracer",
     "SpanTracer",

@@ -193,38 +193,6 @@ class EventLog:
         }
 
 
-class NullEventLog:
-    """Event log off (``--no-telemetry``): every call is a cheap no-op."""
-
-    events: list = []
-    dropped = 0
-    max_events = 0
-
-    def wall_us(self) -> float:
-        return 0.0
-
-    def emit(self, kind, virtual_us, fields=None, span=None, volatile=False):
-        return None
-
-    def phase_span(self, name) -> str:
-        return "phase:%s#0" % name
-
-    def suppress_phase(self, name) -> None:
-        pass
-
-    def state(self) -> dict:
-        return {}
-
-    def adopt(self, state) -> None:
-        pass
-
-    def to_jsonl(self, include_volatile: bool = True) -> str:
-        return ""
-
-    def stats(self) -> dict:
-        return {"events": 0, "dropped": 0, "deterministic_seq": 0}
-
-
 # ---------------------------------------------------------------------------
 # JSONL schema validation (scripts/check_trace.py)
 # ---------------------------------------------------------------------------

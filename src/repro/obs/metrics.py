@@ -256,64 +256,6 @@ def _om_number(value) -> str:
     return repr(float(value))
 
 
-# -- disabled variants --------------------------------------------------------
-
-
-class _NullFamily:
-    """Accepts every metrics call and records nothing."""
-
-    kind = "null"
-    name = "null"
-    label_names = ()
-    volatile = True
-
-    def inc(self, labels=(), amount=1):
-        pass
-
-    def set(self, labels=(), value=0):
-        pass
-
-    def clear(self):
-        pass
-
-    def items(self):
-        return ()
-
-    def get(self, labels=()):
-        return 0
-
-    def total(self):
-        return 0
-
-    def sum_by(self, index):
-        return {}
-
-
-_NULL_FAMILY = _NullFamily()
-
-
-class NullRegistry(MetricsRegistry):
-    """The ``--no-telemetry`` registry: every family is a shared no-op."""
-
-    def counter(self, name, label_names=(), volatile=False):
-        return _NULL_FAMILY
-
-    def gauge(self, name, label_names=(), volatile=False):
-        return _NULL_FAMILY
-
-    def family(self, name):
-        return None
-
-    def state(self) -> dict:
-        return {}
-
-    def adopt(self, state: dict) -> None:
-        pass
-
-    def render_openmetrics(self, include_volatile: bool = False) -> str:
-        return "# EOF\n"
-
-
 # -- read-path cache families --------------------------------------------------
 
 #: Family names shared by every read-path cache (AppView hydrated views,

@@ -19,8 +19,6 @@ OUTCOME_OK = "ok"
 
 def populate_final_metrics(telemetry, datasets) -> None:
     """Derive finalize-time gauges from the assembled study datasets."""
-    if telemetry is None or not telemetry.enabled:
-        return
     registry = telemetry.registry
     retries = registry.gauge("collector_retries", ("collector",))
     items = registry.gauge("collector_items", ("collector", "kind"))

@@ -1,10 +1,11 @@
 """The telemetry facade the pipeline threads through every choke point.
 
 One :class:`Telemetry` object bundles the metrics registry, the span
-tracer, and the phase profiler.  It is always available — a fault-free
-``World()`` constructs one so bare service directories and collectors
-count into a real registry — and ``Telemetry.disabled()`` swaps in
-no-op variants for ``--no-telemetry`` benchmark runs.
+tracer, and the phase profiler.  There is one mode: a ``World()``
+constructs one, and every service directory, service, collector and
+checkpointer built without one gets its own, so every count lands in a
+real registry.  Only the span tracer is opt-in (``--trace-out``),
+because recording spans has a real cost.
 
 Clock contract: ``now_virtual`` reads the study's virtual clock
 (``ServiceDirectory.now_us``, advanced by the retry helper and the
@@ -18,9 +19,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.obs.events import EventLog, NullEventLog
-from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.obs.trace import NullTracer, SpanTracer, _NULL_CONTEXT
+from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NullTracer, SpanTracer
 
 
 class _Phase:
@@ -83,32 +84,23 @@ class Telemetry:
         trace: bool = False,
         trace_sample: int = 16,
         max_trace_events: Optional[int] = None,
-        enabled: bool = True,
     ):
-        self.enabled = enabled
         self._now_virtual = now_virtual
-        if enabled:
-            self.registry: MetricsRegistry = MetricsRegistry()
-        else:
-            self.registry = NullRegistry()
-        if trace and enabled:
+        self.registry = MetricsRegistry()
+        if trace:
             kwargs = {} if max_trace_events is None else {"max_events": max_trace_events}
             self.tracer = SpanTracer(
                 now_virtual=self.now_virtual, sample_every=trace_sample, **kwargs
             )
         else:
             self.tracer = NullTracer()
-        self.events = EventLog() if enabled else NullEventLog()
+        self.events = EventLog()
         self._phase_spans: list = []
         self._phase_runs = self.registry.counter("phase_runs_total", ("phase",))
         self._phase_virtual = self.registry.counter("phase_virtual_us_total", ("phase",))
         self._phase_wall = self.registry.counter(
             "phase_wall_us_total", ("phase",), volatile=True
         )
-
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        return cls(enabled=False)
 
     # -- clocks ---------------------------------------------------------------
 
@@ -124,8 +116,6 @@ class Telemetry:
 
     def phase(self, name: str):
         """Time one named pipeline phase (wall + virtual + trace span)."""
-        if not self.enabled:
-            return _NULL_CONTEXT
         return _Phase(self, name)
 
     def reset_phase(self, name: str) -> None:
@@ -141,8 +131,6 @@ class Telemetry:
         suppressed instead, so a resumed run reproduces the exact event
         stream of an uninterrupted one.
         """
-        if not self.enabled:
-            return
         key = (name,)
         for family in (self._phase_runs, self._phase_virtual, self._phase_wall):
             family._data.pop(key, None)
@@ -190,8 +178,6 @@ class Telemetry:
         Defaults the correlation id to the enclosing phase span, so an
         event in ``events.jsonl`` joins its phase in ``trace.json``.
         """
-        if not self.enabled:
-            return
         self.events.emit(
             kind,
             self.now_virtual(),
@@ -221,14 +207,9 @@ class Telemetry:
         return {"metrics": self.registry.state(), "events": self.events.state()}
 
     def adopt(self, state: Optional[dict]) -> None:
-        if not self.enabled or not state:
+        if not state:
             return
         metrics = state.get("metrics")
         if metrics is not None:
             self.registry.adopt(metrics)
         self.events.adopt(state.get("events"))
-
-
-#: Shared disabled instance, the default for components constructed
-#: outside a world/pipeline (unit tests, ad-hoc collectors).
-NULL_TELEMETRY = Telemetry.disabled()

@@ -28,7 +28,7 @@ from repro.atproto.lexicon import (
 )
 from repro.identity.resolver import DidResolver
 from repro.obs.metrics import read_cache_counters
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.labeler import Label, LabelerService
 from repro.services.relay import Relay
 from repro.services.xrpc import ServiceDirectory, XrpcError, XrpcService
@@ -125,8 +125,9 @@ class AppView(XrpcService):
         self._takedowns: set[str] = set()
         self.events_consumed = 0
         # -- read-path state ---------------------------------------------------
-        # Responses are byte-identical to the uncached scan reads in
-        # ``repro.bench`` (the reference the tests compare against).
+        # Responses are byte-identical to the uncached scan reads of
+        # ``tests/services/oracles.ReferenceReads`` (the reference the
+        # read-path tests compare against).
         # author did -> follower dids (insertion-ordered set; event order
         # is deterministic, so iteration is too).
         self._tl_followers: dict[str, dict[str, None]] = {}
@@ -143,7 +144,7 @@ class AppView(XrpcService):
         # happen between ingest batches, so a crawl sweep repeating a
         # query hits; correctness never depends on finer invalidation).
         self._search_pages: dict[tuple, dict] = {}
-        self.set_telemetry(telemetry if telemetry is not None else NULL_TELEMETRY)
+        self.set_telemetry(telemetry if telemetry is not None else Telemetry())
 
     def set_telemetry(self, telemetry) -> None:
         """(Re)bind the read-cache counter families and the tracer."""
@@ -602,8 +603,8 @@ class AppView(XrpcService):
         ``(-time_us, uri)`` (the client's default view).
 
         Served from the per-follower timeline index maintained at ingest;
-        ``repro.bench.reference_timeline`` is the author-scan reference it
-        must match byte for byte."""
+        ``tests/services/oracles.ReferenceReads.xrpc_getTimeline`` is the
+        author-scan reference it must match byte for byte."""
         with self.telemetry.tracer.span("read.getTimeline", cat="read", sample=True):
             self._m_cache_hits.inc(("timeline_index",))
             feed = []

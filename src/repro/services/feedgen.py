@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.obs.metrics import read_cache_counters
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import XrpcError, XrpcService
 
 _TOKEN_RE = re.compile(r"[a-z0-9#][a-z0-9'-]*")
@@ -254,7 +254,7 @@ class FeedGeneratorHost(XrpcService):
         self.service_did = service_did
         self.endpoint = endpoint.rstrip("/")
         self._feeds: dict[str, Feed] = {}
-        self.set_telemetry(telemetry if telemetry is not None else NULL_TELEMETRY)
+        self.set_telemetry(telemetry if telemetry is not None else Telemetry())
 
     def set_telemetry(self, telemetry) -> None:
         """(Re)bind the skeleton-cache counter families and the tracer."""

@@ -32,7 +32,7 @@ from repro.atproto.events import (
 )
 from repro.atproto.repo import CommitMeta, Repo
 from repro.obs.metrics import read_cache_counters
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.services.pds import Pds
 from repro.services.xrpc import XrpcError, XrpcService
 
@@ -153,7 +153,7 @@ class Relay(XrpcService):
         # insertion evicted first — deterministic, no wall clock) and
         # explicitly invalidated by publish_commit / publish_tombstone.
         self._car_cache: dict[str, tuple[str, bytes]] = {}
-        self.set_telemetry(NULL_TELEMETRY)
+        self.set_telemetry(Telemetry())
 
     def set_telemetry(self, telemetry) -> None:
         """(Re)bind the read-cache counter families and the tracer."""

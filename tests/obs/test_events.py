@@ -5,7 +5,6 @@ import json
 from repro.obs.events import (
     EVENTS_SCHEMA,
     EventLog,
-    NullEventLog,
     validate_events_lines,
 )
 from repro.obs.telemetry import Telemetry
@@ -189,21 +188,3 @@ class TestTelemetryIntegration:
         telemetry = Telemetry(trace=False)
         telemetry.emit_event("cache.flush")
         assert telemetry.events.events[0]["span"] is None
-
-    def test_disabled_telemetry_uses_null_log(self):
-        telemetry = Telemetry.disabled()
-        assert isinstance(telemetry.events, NullEventLog)
-        telemetry.emit_event("cache.flush")
-        assert telemetry.events.to_jsonl() == ""
-        assert telemetry.events_jsonl() == ""
-
-
-class TestNullEventLog:
-    def test_every_surface_is_a_noop(self):
-        log = NullEventLog()
-        assert log.emit("cache.flush", 1) is None
-        assert log.phase_span("sim") == "phase:sim#0"
-        log.suppress_phase("sim")
-        assert log.state() == {}
-        assert log.to_jsonl() == ""
-        assert log.stats()["events"] == 0

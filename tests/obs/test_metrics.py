@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, NullRegistry, parse_series_key, series_key
+from repro.obs.metrics import MetricsRegistry, parse_series_key, series_key
 
 
 class TestSeriesKey:
@@ -103,9 +103,6 @@ class TestOpenMetrics:
         text = registry.render_openmetrics()
         assert 'odd_total{v="a\\"b\\\\c\\nd"} 1\n' in text
 
-    def test_null_registry_renders_eof_only(self):
-        assert NullRegistry().render_openmetrics() == "# EOF\n"
-
 
 class TestSnapshot:
     def build(self):
@@ -166,15 +163,3 @@ class TestStateAdopt:
         registry.counter("calls_total", ("host",)).inc(("a.test",), 4)
         registry.gauge("depth").set((), 3)
         return registry
-
-
-class TestNullRegistry:
-    def test_every_surface_is_a_noop(self):
-        registry = NullRegistry()
-        counter = registry.counter("x_total", ("a",))
-        counter.inc(("v",))
-        assert counter.total() == 0
-        assert counter.get(("v",)) == 0
-        registry.gauge("g").set((), 1)
-        assert registry.state() == {}
-        assert registry.snapshot()["counters"] == {}

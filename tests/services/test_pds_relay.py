@@ -321,3 +321,15 @@ class TestRelayCarCache:
         cached = list(net.relay._car_cache)
         assert len(cached) == CAR_CACHE_MAX
         assert cached == dids[1:]  # the first fetch was evicted
+
+    def test_bare_relay_counts_into_its_own_registry(self, net):
+        did, _ = net.create_user("alice")
+        net.pds.create_record(did, POST, post("counted"), net.tick())
+        other = Relay("https://other-relay.test")
+        assert net.relay.telemetry is not other.telemetry
+        net.relay.xrpc_getRepo(did=did)
+        net.relay.xrpc_getRepo(did=did)
+        counters = net.relay.telemetry.metrics_snapshot()["counters"]
+        assert counters["read_cache_misses_total{cache=repo_car}"] == 1
+        assert counters["read_cache_hits_total{cache=repo_car}"] == 1
+        assert other.telemetry.metrics_snapshot()["counters"] == {}

@@ -3,7 +3,7 @@
 The AppView serves getTimeline from a per-follower index and getFeed /
 searchPosts / getProfile through hydrated-view caches.  All of it is an
 acceleration, never a semantic: every response must be byte-identical
-to the uncached scan reads of ``repro.bench.ReferenceReads`` over the
+to the uncached scan reads of ``tests.services.oracles.ReferenceReads`` over the
 same indexes, across repeated (cache-warm) reads, and across
 interpreters launched with different ``PYTHONHASHSEED`` values.
 """
@@ -16,7 +16,6 @@ import sys
 import pytest
 
 from repro.atproto.events import CommitEvent, CommitOp
-from repro.bench import ReferenceReads
 from repro.identity.plc import PlcDirectory
 from repro.identity.resolver import DidResolver
 from repro.netsim.web import WebHostRegistry
@@ -32,6 +31,7 @@ from repro.services.feedgen import (
 )
 from repro.services.labeler import Label
 from repro.services.xrpc import ServiceDirectory
+from tests.services.oracles import ReferenceReads
 
 BASE_US = 1_700_000_000_000_000
 OFFICIAL = "did:plc:" + "mod" * 8
