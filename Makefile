@@ -19,13 +19,13 @@ test-faults:  ## fault-injection + resilience suite only
 	$(PYTHON) -m pytest -x -q tests/netsim/test_faults.py tests/core/test_resilience.py tests/services/test_firehose_retention.py
 
 test-integrity:  ## Byzantine-data hardening (CBOR/CAR parse boundary) + checkpoint/resume suite only
-	$(PYTHON) -m pytest -x -q tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_car_fuzz.py tests/atproto/test_crypto.py tests/core/test_integrity.py tests/core/test_checkpoint_resume.py
+	$(PYTHON) -m pytest -x -q tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_car_fuzz.py tests/atproto/test_crypto.py tests/core/test_integrity.py tests/core/test_checkpoint_resume.py tests/test_equivalence.py::test_crash_resume
 
 test-writepath:  ## record write path: lexicon, TID, base32, frames, CBOR, commits, oracle differentials, PDS blob refs
 	$(PYTHON) -m pytest -x -q tests/atproto/test_lexicon.py tests/atproto/test_tid.py tests/atproto/test_multibase.py tests/atproto/test_frames.py tests/atproto/test_cbor.py tests/atproto/test_repo_car.py tests/atproto/test_writepath_differential.py tests/services/test_pds_blob_sync.py
 
-test-telemetry:  ## metrics registry + tracer + telemetry determinism suite only
-	$(PYTHON) -m pytest -x -q tests/obs tests/core/test_telemetry.py
+test-telemetry:  ## metrics registry + tracer + telemetry suite, and the equivalence matrix
+	$(PYTHON) -m pytest -x -q tests/obs tests/core/test_telemetry.py tests/test_equivalence.py
 
 test-shard:  ## logical-shard suite (seed streams, merge rule, pinned study fingerprint)
 	$(PYTHON) -m pytest -x -q tests/simulation/test_sharding.py

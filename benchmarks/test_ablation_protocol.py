@@ -15,8 +15,9 @@ from repro.atproto.car import read_car, write_car
 from repro.atproto.cbor import cbor_decode, cbor_encode
 from repro.atproto.cid import cid_for_raw
 from repro.atproto.keys import HmacKeypair, Secp256k1Keypair
-from repro.atproto.mst import Mst, build_canonical
+from repro.atproto.mst import Mst
 from repro.services.feedgen import CuratedFeed, FeedRouter, FeedRule, PostFeatures, tokenize
+from tests.atproto.oracles import build_canonical
 
 
 def _items(n):

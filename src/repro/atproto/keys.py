@@ -185,8 +185,6 @@ def public_key_from_did_key(did_key: str) -> PublicKey:
     return Secp256k1PublicKey(VerifyingKey.from_did_key(did_key))
 
 
-def make_keypair(seed: bytes, fast: bool = True) -> Keypair:
-    """Factory used by the simulation: fast HMAC keys by default."""
-    if fast:
-        return HmacKeypair.from_seed(seed)
-    return Secp256k1Keypair.from_seed(seed)
+def make_keypair(seed: bytes) -> Keypair:
+    """Factory used by the simulation: fast HMAC keys."""
+    return HmacKeypair.from_seed(seed)

@@ -427,54 +427,6 @@ class Mst:
         visit(self.root, None, None)
 
 
-def build_canonical(items: dict[str, Cid]) -> Mst:
-    """Build the canonical MST for a key→CID mapping from scratch.
-
-    Used both as a reference implementation for property tests and as a
-    fast path when materialising a whole repository at once.
-    """
-    if not items:
-        return Mst()
-    keyed = sorted(items.items())
-    layers = {key: key_layer(key) for key, _ in keyed}
-    top = max(layers.values())
-
-    def build(segment: list[tuple[str, Cid]], layer: int) -> Optional[MstNode]:
-        if not segment:
-            return None
-        if layer < 0:
-            raise MstError("internal error: negative layer during build")
-        entries = [(k, v) for k, v in segment if layers[k] == layer]
-        if not entries and layer > 0:
-            # No keys at this layer in this range: the node is elided and the
-            # child takes its place conceptually; but atproto trees always
-            # step one layer per level, so we create a pass-through node only
-            # at the root.  Within build, elide by recursing directly.
-            return _wrap(build(segment, layer - 1), layer)
-        chunk: list[tuple[str, Cid]] = []
-        node_entries: list[tuple[str, Cid]] = []
-        subtrees: list[Optional[MstNode]] = []
-        for key, value in segment:
-            if layers[key] == layer:
-                subtrees.append(build(chunk, layer - 1))
-                node_entries.append((key, value))
-                chunk = []
-            else:
-                chunk.append((key, value))
-        subtrees.append(build(chunk, layer - 1))
-        return MstNode(layer, node_entries, subtrees)
-
-    def _wrap(child: Optional[MstNode], layer: int) -> Optional[MstNode]:
-        if child is None:
-            return None
-        node = MstNode(layer, [], [child])
-        return node
-
-    root = build(keyed, top)
-    assert root is not None
-    return Mst(root)
-
-
 def prove_inclusion(tree: Mst, key: str) -> list[bytes]:
     """Merkle inclusion proof: the serialized nodes on the path to ``key``.
 

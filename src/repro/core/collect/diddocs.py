@@ -55,10 +55,6 @@ class DidDocumentDataset:
     def did_web_rows(self) -> list[DidDocumentRow]:
         return [row for row in self.documents.values() if row.method == "web"]
 
-    def handle_of(self, did: str) -> Optional[str]:
-        row = self.documents.get(did)
-        return row.handle if row else None
-
 
 class DidDocumentCollector:
     """Bulk DID-document downloader."""

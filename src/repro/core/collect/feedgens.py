@@ -197,12 +197,3 @@ class FeedGeneratorCollector:
         # buckets dedupe), not skip its unfinished remainder.
         self.dataset.crawl_times.append(now_us)
         return observed
-
-    def schedule_biweekly_crawls(self, world, start_us: int, end_us: int) -> None:
-        """The paper collected feed post URIs bi-weekly."""
-        from repro.simulation.clock import US_PER_DAY
-
-        t = start_us
-        while t < end_us:
-            world.schedule(t, lambda now_us: self.crawl_feed_posts(now_us))
-            t += 14 * US_PER_DAY

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, call_with_retries, retry_jitter_rng
 from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import ServiceDirectory
-from repro.simulation.clock import US_PER_DAY
 
 
 @dataclass
@@ -135,11 +134,3 @@ class ListReposCollector:
         self.dataset.page_retries += counters["retries"]
         self.dataset.snapshots.append(snapshot)
         return snapshot
-
-    def schedule_weekly(self, world, start_us: int, end_us: int) -> None:
-        """Register weekly crawls on the world's timeline (the paper
-        queried the endpoint weekly during March and April 2024)."""
-        t = start_us
-        while t < end_us:
-            world.schedule(t, lambda now_us: self.crawl(now_us))
-            t += 7 * US_PER_DAY

@@ -20,7 +20,6 @@ from repro.netsim.faults import DEFAULT_RETRY_POLICY, call_with_retries, retry_j
 from repro.obs.telemetry import Telemetry
 from repro.services.labeler import Label
 from repro.services.xrpc import ServiceDirectory, XrpcError
-from repro.simulation.clock import US_PER_DAY
 
 
 @dataclass
@@ -186,10 +185,3 @@ class LabelerCollector:
             return
         if addresses:
             status.ip = addresses[0]
-
-    def schedule_daily_reconnects(self, world, start_us: int, end_us: int) -> None:
-        """The paper reconnected to service endpoints on a daily basis."""
-        t = start_us
-        while t < end_us:
-            world.schedule(t, lambda now_us: self.connect_and_backfill(now_us))
-            t += US_PER_DAY

@@ -74,12 +74,6 @@ class IntegrityReport:
     def total_quarantined(self) -> int:
         return len(self.quarantined)
 
-    def by_host(self) -> Counter:
-        out: Counter = Counter()
-        for (host, _), count in self.counts.items():
-            out[host] += count
-        return out
-
     def by_kind(self) -> Counter:
         out: Counter = Counter()
         for (_, kind), count in self.counts.items():

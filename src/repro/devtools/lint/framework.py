@@ -204,17 +204,6 @@ class ModuleContext:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self._parents.get(node)
 
-    def is_module_level(self, node: ast.AST) -> bool:
-        return isinstance(self.parent(node), ast.Module)
-
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        cursor = self.parent(node)
-        while cursor is not None:
-            if isinstance(cursor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return cursor
-            cursor = self._parents.get(cursor)
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Pragma parsing

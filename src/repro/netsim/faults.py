@@ -482,7 +482,7 @@ class Adversary:
         self.stats = AdversaryStats()
         from repro.atproto.keys import make_keypair
 
-        self._wrong_keypair = make_keypair(b"adversary-wrong-key:%d" % plan.seed, fast=True)
+        self._wrong_keypair = make_keypair(b"adversary-wrong-key:%d" % plan.seed)
 
     # -- rule / rng plumbing -------------------------------------------------
 

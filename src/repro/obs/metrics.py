@@ -67,14 +67,6 @@ class _Family:
     def get(self, labels: tuple = ()):
         return self._data.get(labels, 0)
 
-    def _check_labels(self, labels: tuple) -> tuple:
-        if len(labels) != len(self.label_names):
-            raise ValueError(
-                "%s takes %d labels %r, got %r"
-                % (self.name, len(self.label_names), self.label_names, labels)
-            )
-        return labels
-
 
 class CounterFamily(_Family):
     kind = "counter"

@@ -266,9 +266,6 @@ class FeedGeneratorHost(XrpcService):
             raise FeedError("feed %s already hosted here" % feed.uri)
         self._feeds[feed.uri] = feed
 
-    def remove_feed(self, uri: str) -> None:
-        self._feeds.pop(uri, None)
-
     def feed(self, uri: str) -> Optional[Feed]:
         return self._feeds.get(uri)
 

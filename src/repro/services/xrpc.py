@@ -205,6 +205,3 @@ class ServiceDirectory:
     @staticmethod
     def _norm(url: str) -> str:
         return url.rstrip("/").lower()
-
-    def urls(self) -> list[str]:
-        return list(self._services)

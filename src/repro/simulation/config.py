@@ -133,8 +133,6 @@ class SimulationConfig:
     # Activity scale relative to per-user rates implied by the paper;
     # lowering it thins event volume without shrinking the population.
     activity_scale: float = 1.0
-    # Use fast HMAC keypairs instead of real secp256k1 (see keys.py).
-    fast_keys: bool = True
     start_us: int = LAUNCH_US
     end_us: int = SIM_END_US
     # Extension scenario (the paper's footnote 6): extend the timeline to

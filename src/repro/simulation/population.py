@@ -88,9 +88,6 @@ class PopulationPlan:
     # running per-registrar counts for quota-based assignment
     registrar_counts: dict[str, int] = field(default_factory=dict)
 
-    def by_signup(self) -> list[UserSpec]:
-        return sorted(self.users, key=lambda u: u.signup_us)
-
 
 # Registrar share targets among IANA-extractable domains (Table 2).
 REGISTRAR_SHARES = (

@@ -250,7 +250,7 @@ class World:
         """Create the account: keys, DID, repo, handle proofs."""
         spec = user.spec
         seed = b"user:%d:%d" % (self.config.seed, spec.index)
-        keypair = make_keypair(seed, fast=self.config.fast_keys)
+        keypair = make_keypair(seed)
         user.keypair = keypair
         if self.rng.random() < SELF_HOST_PDS_RATE and spec.custom_domain:
             pds = Pds("https://pds.%s" % spec.custom_domain)
@@ -314,7 +314,7 @@ class World:
         for the deterministic merge.
         """
         spec = runtime.spec
-        keypair = make_keypair(b"labeler:" + spec.key.encode(), fast=self.config.fast_keys)
+        keypair = make_keypair(b"labeler:" + spec.key.encode())
         handle = "%s.bsky.social" % spec.key.replace("-", "")
         pds = self.pds_shards[0]
         did = self.plc.create(

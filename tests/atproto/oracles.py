@@ -10,7 +10,7 @@ import hashlib
 import hmac
 import math
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.atproto.cbor import _MAX_NESTING, CborError, _map_key_sort_key, cbor_encode
 from repro.atproto.cid import Cid
@@ -22,7 +22,7 @@ from repro.atproto.events import (
     InfoEvent,
 )
 from repro.atproto.lexicon import Field, LexiconError, RecordSchema
-from repro.atproto.mst import MstNode
+from repro.atproto.mst import Mst, MstError, MstNode, key_layer
 from repro.atproto.nsid import Nsid
 from repro.atproto.tid import SORTABLE_ALPHABET, Tid
 
@@ -53,6 +53,50 @@ def oracle_to_data(node: MstNode) -> dict:
         previous = encoded
     left = node.subtrees[0]
     return {"l": left.cid() if left is not None else None, "e": entries}
+
+
+def build_canonical(items: dict[str, Cid]) -> Mst:
+    """The canonical MST for a key→CID mapping, built from scratch layer
+    by layer rather than by the production tree's insertions."""
+    if not items:
+        return Mst()
+    keyed = sorted(items.items())
+    layers = {key: key_layer(key) for key, _ in keyed}
+    top = max(layers.values())
+
+    def build(segment: list[tuple[str, Cid]], layer: int) -> Optional[MstNode]:
+        if not segment:
+            return None
+        if layer < 0:
+            raise MstError("internal error: negative layer during build")
+        entries = [(k, v) for k, v in segment if layers[k] == layer]
+        if not entries and layer > 0:
+            # No keys at this layer in this range: the node is elided and the
+            # child takes its place conceptually; but atproto trees always
+            # step one layer per level, so we create a pass-through node only
+            # at the root.  Within build, elide by recursing directly.
+            return _wrap(build(segment, layer - 1), layer)
+        chunk: list[tuple[str, Cid]] = []
+        node_entries: list[tuple[str, Cid]] = []
+        subtrees: list[Optional[MstNode]] = []
+        for key, value in segment:
+            if layers[key] == layer:
+                subtrees.append(build(chunk, layer - 1))
+                node_entries.append((key, value))
+                chunk = []
+            else:
+                chunk.append((key, value))
+        subtrees.append(build(chunk, layer - 1))
+        return MstNode(layer, node_entries, subtrees)
+
+    def _wrap(child: Optional[MstNode], layer: int) -> Optional[MstNode]:
+        if child is None:
+            return None
+        return MstNode(layer, [], [child])
+
+    root = build(keyed, top)
+    assert root is not None
+    return Mst(root)
 
 
 def oracle_base32_encode(data: bytes) -> str:

@@ -1,10 +1,10 @@
 """Differential test: the flat DAG-CBOR decoder against the class-based oracle.
 
-Inputs are every block of a tiny world's repository CAR exports, plus a
-fixed set of seeded mutations of them (byte flips, truncations and
-insertions).  On each input the production decoder must return the
-oracle's value, key order and types included, or raise the same
-exception class.
+Inputs are every block of the clean reference study's repository CAR
+exports (``tests/conftest.py``), plus a fixed set of seeded mutations of
+them (byte flips, truncations and insertions).  On each input the
+production decoder must return the oracle's value, key order and types
+included, or raise the same exception class.
 """
 
 import random
@@ -13,8 +13,6 @@ import pytest
 
 from repro.atproto.car import read_car
 from repro.atproto.cbor import cbor_decode
-from repro.simulation.config import SimulationConfig
-from repro.simulation.world import World
 from tests.atproto.oracles import oracle_cbor_decode
 
 MUTATION_SEED = 17
@@ -22,11 +20,9 @@ MUTATIONS = 6000
 
 
 @pytest.fixture(scope="module")
-def repo_blocks() -> list[bytes]:
-    world = World(SimulationConfig.tiny())
-    world.run()
+def repo_blocks(study_world) -> list[bytes]:
     blocks = []
-    for pds in world.pds_shards:
+    for pds in study_world.pds_shards:
         for row in pds.xrpc_listRepos(limit=100_000)["repos"]:
             blocks.extend(read_car(pds.xrpc_getRepo(did=row["did"]))[1].values())
     return blocks

@@ -179,7 +179,11 @@ class TestKeypairAbstraction:
 
     def test_factory_defaults_to_fast(self):
         assert isinstance(make_keypair(b"z"), HmacKeypair)
-        assert isinstance(make_keypair(b"z", fast=False), Secp256k1Keypair)
+
+    def test_secp256k1_seed_fixes_the_key(self):
+        did_key = Secp256k1Keypair.from_seed(b"z").did_key()
+        assert Secp256k1Keypair.from_seed(b"z").did_key() == did_key
+        assert Secp256k1Keypair.from_seed(b"y").did_key() != did_key
 
     def test_hmac_secret_must_be_32_bytes(self):
         from repro.atproto.keys import KeyError_

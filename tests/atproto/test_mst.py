@@ -8,13 +8,12 @@ from repro.atproto.cid import cid_for_raw
 from repro.atproto.mst import (
     Mst,
     MstError,
-    build_canonical,
     is_valid_mst_key,
     key_layer,
     load_mst,
     mst_diff,
 )
-from tests.atproto.oracles import oracle_is_valid_mst_key, oracle_to_data
+from tests.atproto.oracles import build_canonical, oracle_is_valid_mst_key, oracle_to_data
 
 
 def cid_of(tag: str):

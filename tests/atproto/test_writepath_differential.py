@@ -3,17 +3,16 @@
 Each per-record step of a write (lexicon validation, TID and CID
 rendering, the ISO timestamp, the HMAC signature and the ``#commit``
 frame) has one production implementation and a straightforward oracle in
-:mod:`tests.atproto.oracles`.  On seeded inputs, boundary values and a
-tiny study's whole firehose, the two must agree byte for byte, and on
-invalid input raise the same exception with the same message.
+:mod:`tests.atproto.oracles`.  On seeded inputs, boundary values and the
+clean reference study's whole firehose, the two must agree byte for
+byte, and on invalid input raise the same exception with the same
+message.
 """
 
 import base64
 import datetime
 import pickle
 import random
-
-import pytest
 
 from repro.atproto.cid import cid_for_cbor, cid_for_raw
 from repro.atproto.events import (
@@ -35,8 +34,6 @@ from repro.atproto.lexicon import (
 from repro.atproto.multibase import base32_encode
 from repro.atproto.tid import MAX_CLOCK_ID, MAX_MICROS, Tid
 from repro.atproto.timestamps import iso_timestamp
-from repro.simulation.config import SimulationConfig
-from repro.simulation.world import World
 from tests.atproto.oracles import (
     oracle_base32_encode,
     oracle_encode_event_frame,
@@ -312,19 +309,10 @@ def test_hmac_signature_matches_the_oracle():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def study_events():
-    world = World(SimulationConfig.tiny())
-    events = []
-    world.relay.firehose.subscribe(events.append)
-    world.run()
-    return events
-
-
-def test_every_study_frame_matches_the_oracle(study_events):
-    commits = [event for event in study_events if isinstance(event, CommitEvent)]
+def test_every_study_frame_matches_the_oracle(reference):
+    commits = [event for event in reference.events if isinstance(event, CommitEvent)]
     assert len(commits) > 1000
-    for event in study_events:
+    for event in reference.events:
         assert encode_event_frame(event) == oracle_encode_event_frame(event)
 
 

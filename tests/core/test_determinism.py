@@ -3,58 +3,32 @@
 The samplers, memoized MST layers, cached commit blocks, and lazy wire
 frames are all supposed to be *invisible* to the simulation: two runs
 with the same seed must produce the same firehose (Table 1 inputs) and
-the same signed repository heads on the relay.  A perturbation anywhere
-in the RNG stream or in commit encoding shows up here first.
+the same signed repository heads on the relay.  The two runs are the
+session's clean reference and its in-process rerun, which
+``tests/test_equivalence.py`` compares through one fingerprint; these
+tests name the part that drifted.
 """
 
-import pytest
-
-from repro.core.pipeline import run_study
-from repro.simulation.config import SimulationConfig
-
-
-@pytest.fixture(scope="module")
-def twin_runs():
-    first = run_study(SimulationConfig.tiny(seed=2024))
-    second = run_study(SimulationConfig.tiny(seed=2024))
-    return first, second
+from tests.conftest import relay_heads
 
 
 class TestSeededReproducibility:
-    def test_table1_event_counts_identical(self, twin_runs):
-        (_, a), (_, b) = twin_runs
+    def test_table1_event_counts_identical(self, study_datasets, clean_rerun):
+        a, b = study_datasets, clean_rerun.datasets
         assert dict(a.firehose.event_counts) == dict(b.firehose.event_counts)
         assert dict(a.firehose.op_counts) == dict(b.firehose.op_counts)
 
-    def test_firehose_bytes_identical(self, twin_runs):
-        (_, a), (_, b) = twin_runs
-        assert a.firehose.bytes_received == b.firehose.bytes_received
+    def test_firehose_bytes_identical(self, study_datasets, clean_rerun):
+        rerun = clean_rerun.datasets
+        assert study_datasets.firehose.bytes_received == rerun.firehose.bytes_received
 
-    def test_relay_heads_identical(self, twin_runs):
-        (world_a, _), (world_b, _) = twin_runs
+    def test_relay_heads_identical(self, study_world, clean_rerun):
+        heads = relay_heads(study_world)
+        assert heads  # the relay must actually have crawled repos
+        assert heads == relay_heads(clean_rerun.world)
 
-        def heads(world):
-            result = {}
-            for did in world.relay.known_dids():
-                repo = world.relay.cached_repo(did)
-                if repo is not None and repo.head is not None:
-                    result[did] = str(repo.head)
-            return result
+    def test_repo_revs_identical(self, study_world, clean_rerun):
+        def revs(world):
+            return {did: rev for did, (_, rev) in relay_heads(world).items()}
 
-        heads_a = heads(world_a)
-        assert heads_a  # the relay must actually have crawled repos
-        assert heads_a == heads(world_b)
-
-    def test_repo_revs_identical(self, twin_runs):
-        (world_a, _), (world_b, _) = twin_runs
-        revs_a = {
-            did: world_a.relay.cached_repo(did).rev
-            for did in world_a.relay.known_dids()
-            if world_a.relay.cached_repo(did) is not None
-        }
-        revs_b = {
-            did: world_b.relay.cached_repo(did).rev
-            for did in world_b.relay.known_dids()
-            if world_b.relay.cached_repo(did) is not None
-        }
-        assert revs_a == revs_b
+        assert revs(study_world) == revs(clean_rerun.world)

@@ -11,44 +11,22 @@ import pickle
 
 import pytest
 
-from repro.core.pipeline import run_study
 from repro.netsim.faults import (
     ALL_CORRUPTION_KINDS,
-    CORRUPT_CAR_BITFLIP,
-    CORRUPT_COMMIT_KEY,
     CORRUPT_FRAME,
     CORRUPT_HANDLE,
     Adversary,
     AdversarialPlan,
     CorruptionRule,
 )
-from repro.simulation.config import SimulationConfig
-
-ADVERSARY_SEED = 11
-POISONED_PDSES = (
-    "https://shard00.pds.bsky.network",
-    "https://shard01.pds.bsky.network",
-    "https://shard02.pds.bsky.network",
-)
-DECOY_PDS = "https://shard03.pds.bsky.network"
-RELAY = "https://bsky.network"
-FORGED_DOMAINS = ("cnn.com",)
-
-
-def adversarial_plan() -> AdversarialPlan:
-    return AdversarialPlan.poison(
-        ADVERSARY_SEED,
-        pds_hosts=POISONED_PDSES,
-        relay_url=RELAY,
-        handle_domains=FORGED_DOMAINS,
-        decoy_pds=DECOY_PDS,
-    )
+from tests.conftest import FORGED_DOMAINS, POISONED_PDSES, RELAY, adversarial_plan
 
 
 @pytest.fixture(scope="module")
-def adversarial_study():
+def adversarial_study(references):
     """(world, datasets) for a tiny study with ≥3 poisoned hosts."""
-    return run_study(SimulationConfig.tiny(), adversarial_plan=adversarial_plan())
+    reference = references["adversary"]
+    return reference.world, reference.datasets
 
 
 @pytest.fixture(scope="module")
@@ -164,11 +142,6 @@ class TestAdversarialStudy:
         baseline = len(study_datasets.integrity.quarantined)
         caused = len(adversarial_datasets.integrity.quarantined) - baseline
         assert caused == adversarial_datasets.adversary.total()
-
-    def test_report_is_deterministic(self, adversarial_datasets):
-        _, again = run_study(SimulationConfig.tiny(), adversarial_plan=adversarial_plan())
-        assert again.integrity.to_jsonable() == adversarial_datasets.integrity.to_jsonable()
-        assert dict(again.adversary.tampered) == dict(adversarial_datasets.adversary.tampered)
 
 
 class TestCleanHostIsolation:

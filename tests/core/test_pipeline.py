@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.export import study_fingerprint
 from repro.core.pipeline import MeasurementPipeline, run_study
 from repro.simulation.config import (
     FIREHOSE_COLLECT_START_US,
@@ -10,6 +11,12 @@ from repro.simulation.config import (
     SimulationConfig,
 )
 from repro.simulation.world import World
+
+
+@pytest.fixture(scope="module")
+def other_seed():
+    """(world, datasets) of a seed-1 tiny study."""
+    return run_study(SimulationConfig.tiny(seed=1))
 
 
 class TestSchedule:
@@ -37,30 +44,26 @@ class TestSchedule:
     def test_labels_cut_at_snapshot_date(self, study_datasets):
         assert all(l.cts <= LABEL_SNAPSHOT_US for l in study_datasets.labels.labels)
 
-    def test_datasets_accessor_matches_run_result(self):
-        world = World(SimulationConfig.tiny(seed=123))
-        pipeline = MeasurementPipeline(world)
-        result = pipeline.run()
-        again = pipeline.datasets()
-        assert result.repositories is again.repositories
-        assert result.labels is again.labels
+    def test_datasets_accessor_matches_run_result(self, reference):
+        again = reference.pipeline.datasets()
+        assert reference.datasets.repositories is again.repositories
+        assert reference.datasets.labels is again.labels
 
-    def test_run_study_convenience(self):
-        world, datasets = run_study(SimulationConfig.tiny(seed=5))
+    def test_run_study_convenience(self, other_seed):
+        world, datasets = other_seed
         assert world._ran
         assert datasets.firehose.total_events() > 0
 
-    def test_study_is_deterministic(self):
-        _, a = run_study(SimulationConfig.tiny(seed=77))
-        _, b = run_study(SimulationConfig.tiny(seed=77))
+    def test_study_is_deterministic(self, study_datasets, clean_rerun):
+        a, b = study_datasets, clean_rerun.datasets
         assert a.firehose.total_events() == b.firehose.total_events()
         assert len(a.labels.labels) == len(b.labels.labels)
         assert a.repositories.operation_totals() == b.repositories.operation_totals()
 
-    def test_different_seeds_differ(self):
-        _, a = run_study(SimulationConfig.tiny(seed=1))
-        _, b = run_study(SimulationConfig.tiny(seed=2))
-        assert a.firehose.total_events() != b.firehose.total_events()
+    def test_different_seeds_differ(self, other_seed, study_datasets):
+        _, datasets = other_seed
+        assert datasets.firehose.total_events() != study_datasets.firehose.total_events()
+        assert study_fingerprint(datasets) != study_fingerprint(study_datasets)
 
 
 class TestCrossDatasetConsistency:

@@ -13,29 +13,13 @@ import pytest
 from repro.atproto.cid import cid_for_raw
 from repro.atproto.events import CommitEvent, CommitOp
 from repro.core.collect.firehose import FirehoseCollector
-from repro.core.pipeline import run_study
 from repro.core.report import render_collection_health
-from repro.netsim.faults import FaultPlan
-from repro.simulation.config import (
-    FIREHOSE_COLLECT_END_US,
-    FIREHOSE_COLLECT_START_US,
-    SimulationConfig,
-)
-
-FAULT_SEED = 7
-
-
-def recoverable_plan():
-    return FaultPlan.recoverable(
-        FAULT_SEED, FIREHOSE_COLLECT_START_US, FIREHOSE_COLLECT_END_US
-    )
 
 
 @pytest.fixture(scope="module")
-def faulted_datasets():
-    """One tiny study run under the seeded recoverable fault plan."""
-    _, datasets = run_study(SimulationConfig.tiny(), fault_plan=recoverable_plan())
-    return datasets
+def faulted_datasets(references):
+    """The tiny study run under the recoverable fault plan of seed 7."""
+    return references["faults-7"].datasets
 
 
 class TestLabelerTracking:
@@ -109,21 +93,6 @@ class TestFaultedStudy:
         )
         assert faulted_datasets.labels.announced_count() == (
             study_datasets.labels.announced_count()
-        )
-
-    def test_same_plan_same_seed_is_deterministic(self, faulted_datasets):
-        _, again = run_study(SimulationConfig.tiny(), fault_plan=recoverable_plan())
-        assert dict(again.firehose.event_counts) == dict(
-            faulted_datasets.firehose.event_counts
-        )
-        assert again.faults.total_injected() == faulted_datasets.faults.total_injected()
-        assert dict(again.faults.injected_by_kind) == dict(
-            faulted_datasets.faults.injected_by_kind
-        )
-        assert again.firehose.disconnects == faulted_datasets.firehose.disconnects
-        assert (
-            again.repositories.transient_retries
-            == faulted_datasets.repositories.transient_retries
         )
 
 

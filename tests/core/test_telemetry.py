@@ -1,14 +1,14 @@
 """End-to-end telemetry: determinism, resume-exactness, CLI artefacts.
 
-The acceptance criteria from the issue:
-
-* two same-seed runs — including a faulted + adversarial run — write
-  byte-identical ``metrics.json`` snapshots;
-* a crash/resume chain's final metrics equal the uninterrupted run's for
-  every virtual-time series;
+* a same-seed rerun and a crash/resume chain write the reference's
+  ``metrics.json`` byte for byte;
+* the metrics snapshot carries the study's series and no wall-clock family;
 * ``--trace-out`` produces a trace_event document that provably loads in
   chrome://tracing, and ``--metrics-out`` a valid snapshot;
 * the ``telemetry`` report section renders.
+
+The rerun and the chain are the clean runs of ``tests/test_equivalence.py``,
+which also covers fault plans, adversaries and hash seeds.
 """
 
 import json
@@ -19,44 +19,13 @@ import pytest
 from repro.__main__ import main
 from repro.core import report
 from repro.core.export import export_artefacts
-from repro.core.pipeline import run_study
-from repro.netsim.faults import FaultPlan
 from repro.obs.trace import validate_trace
-from repro.simulation.config import (
-    FIREHOSE_COLLECT_END_US,
-    FIREHOSE_COLLECT_START_US,
-    SimulationConfig,
-)
-from tests.core.test_checkpoint_resume import run_crash_chain
-from tests.core.test_integrity import adversarial_plan
-
-FAULT_SEED = 11
-
-
-def faulted_study():
-    plan = FaultPlan.recoverable(
-        FAULT_SEED, FIREHOSE_COLLECT_START_US, FIREHOSE_COLLECT_END_US
-    )
-    return run_study(
-        SimulationConfig.tiny(), fault_plan=plan, adversarial_plan=adversarial_plan()
-    )
 
 
 class TestDeterminism:
-    def test_same_seed_runs_byte_identical_metrics(self, study_datasets):
-        _, datasets = run_study(SimulationConfig.tiny())
-        assert datasets.telemetry.metrics_json() == study_datasets.telemetry.metrics_json()
-
-    @pytest.mark.slow
-    def test_faulted_adversarial_runs_byte_identical_metrics(self):
-        _, first = faulted_study()
-        _, second = faulted_study()
-        snapshot = first.telemetry.metrics_json()
-        assert snapshot == second.telemetry.metrics_json()
-        # The faults actually registered in the snapshot.
-        counters = json.loads(snapshot)["counters"]
-        assert any(k.startswith("faults_injected") for k in json.loads(snapshot)["gauges"])
-        assert any("outcome=injected-" in key for key in counters)
+    def test_same_seed_runs_byte_identical_metrics(self, study_datasets, clean_rerun):
+        metrics = clean_rerun.datasets.telemetry.metrics_json()
+        assert metrics == study_datasets.telemetry.metrics_json()
 
     def test_snapshot_reflects_study_series(self, study_datasets):
         snapshot = json.loads(study_datasets.telemetry.metrics_json())
@@ -72,15 +41,9 @@ class TestDeterminism:
 
 @pytest.mark.slow
 class TestResumeExactness:
-    def test_resumed_metrics_equal_uninterrupted(
-        self, study_datasets, tmp_path_factory
-    ):
-        checkpoint_dir = str(tmp_path_factory.mktemp("ckpt-telemetry"))
-        _, resumed = run_crash_chain(checkpoint_dir)
-        assert (
-            resumed.telemetry.metrics_json()
-            == study_datasets.telemetry.metrics_json()
-        )
+    def test_resumed_metrics_equal_uninterrupted(self, study_datasets, clean_resumed):
+        metrics = clean_resumed.datasets.telemetry.metrics_json()
+        assert metrics == study_datasets.telemetry.metrics_json()
 
 
 class TestPhaseProfile:

@@ -9,9 +9,6 @@ interpreters launched with different ``PYTHONHASHSEED`` values.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -31,6 +28,7 @@ from repro.services.feedgen import (
 )
 from repro.services.labeler import Label
 from repro.services.xrpc import ServiceDirectory
+from tests.conftest import run_in_child
 from tests.services.oracles import ReferenceReads
 
 BASE_US = 1_700_000_000_000_000
@@ -448,28 +446,10 @@ print(json.dumps({
 """
 
 
-def _run_child(hashseed: str):
-    env = dict(os.environ)  # repro: allow(env-read) -- test harness must thread PYTHONPATH/PYTHONHASHSEED into the child
-    env["PYTHONHASHSEED"] = hashseed
-    src_dir = os.path.normpath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    )
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 class TestHashSeedDeterminism:
     def test_reads_and_counters_identical_across_hash_seeds(self):
-        run_a = _run_child("0")
-        run_b = _run_child("1")
+        run_a = run_in_child(_CHILD, "0")
+        run_b = run_in_child(_CHILD, "1")
         # Sanity: the interpreters really hash strings differently.
         assert run_a["hash_probe"] != run_b["hash_probe"]
         # Byte-level equality: key order and list order included.

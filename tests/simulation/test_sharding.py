@@ -4,9 +4,8 @@ The population is partitioned into fixed logical shards with per-shard
 seed streams, and their day batches are merged with the deterministic
 rule ``(time_us, shard id, intra-shard seq)``.  These tests cover the
 primitives, the checkpoint segment check, and a pinned fingerprint of
-the tiny study.  Crash/resume and fault-seed byte identity are covered
-by ``tests/obs/test_observability_determinism.py`` and
-``tests/core/test_resilience.py``.
+the tiny study.  Its byte identity across execution axes (reruns,
+hash seeds, crash/resume) is checked by ``tests/test_equivalence.py``.
 """
 
 import hashlib
@@ -14,7 +13,6 @@ import hashlib
 import pytest
 
 from repro.core.checkpoint import CheckpointError
-from repro.core.export import firehose_frame_observer, study_fingerprint
 from repro.core.pipeline import MeasurementPipeline
 from repro.simulation.config import SimulationConfig
 from repro.simulation.sharding import (
@@ -123,25 +121,15 @@ class TestMergeRule:
 
 @pytest.mark.slow
 class TestPinnedFingerprint:
-    """The tiny seed-2024 study, run once: its fingerprint is pinned, so
-    any change to the output bytes fails here.  The pin may change only
-    with a reason recorded in CHANGES.md."""
+    """The clean seed-2024 reference study of the equivalence matrix: its
+    fingerprint is pinned, so any change to the output bytes fails here.
+    The pin may change only with a reason recorded in CHANGES.md."""
 
-    @pytest.fixture(scope="class")
-    def run(self):
-        world = World(SimulationConfig.tiny())
-        frame_digest = firehose_frame_observer(world)
-        datasets = MeasurementPipeline(world).run()
-        return {
-            "fingerprint": study_fingerprint(datasets, frame_digest),
-            "shard_digests": dict(world.shard_digest_log),
-        }
+    def test_study_fingerprint_matches_pin(self, reference):
+        assert reference.fingerprint["study"] == TINY_STUDY_FINGERPRINT
 
-    def test_study_fingerprint_matches_pin(self, run):
-        assert run["fingerprint"] == TINY_STUDY_FINGERPRINT
-
-    def test_shard_digest_log_shape(self, run):
-        digests = run["shard_digests"]
+    def test_shard_digest_log_shape(self, reference):
+        digests = reference.world.shard_digest_log
         assert digests, "the engine must record per-shard digests"
         n_shards = SimulationConfig.tiny().sim_shards
         assert all(len(day) == n_shards for day in digests.values())

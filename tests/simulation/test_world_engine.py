@@ -5,13 +5,8 @@ import pytest
 from repro.atproto.events import KIND_COMMIT
 from repro.netsim.dns import DnsRecordType
 from repro.simulation.clock import date_us
-from repro.simulation.config import (
-    COMMUNITY_LABELERS_OPEN_US,
-    PUBLIC_OPENING_US,
-    SimulationConfig,
-)
+from repro.simulation.config import COMMUNITY_LABELERS_OPEN_US, PUBLIC_OPENING_US
 from repro.simulation.engine import active_fraction, poisson
-from repro.simulation.world import World
 
 
 class TestHelpers:
@@ -131,11 +126,10 @@ class TestWorldState(object):
     def test_whois_has_provider_domains(self, study_world):
         assert study_world.whois.query("swifties.social") is not None
 
-    def test_deterministic_worlds(self):
-        a = World(SimulationConfig.tiny(seed=99)).run()
-        b = World(SimulationConfig.tiny(seed=99)).run()
-        assert a.relay.firehose.next_seq() == b.relay.firehose.next_seq()
-        assert len(a.appview.index.posts) == len(b.appview.index.posts)
+    def test_deterministic_worlds(self, study_world, clean_rerun):
+        rerun = clean_rerun.world
+        assert study_world.relay.firehose.next_seq() == rerun.relay.firehose.next_seq()
+        assert len(study_world.appview.index.posts) == len(rerun.appview.index.posts)
 
 
 class TestGrowthShape:
