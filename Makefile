@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-writepath test-telemetry test-shard test-perfbench bench lint lint-determinism report trace check
+.PHONY: test test-fast test-faults test-integrity test-writepath test-telemetry test-shard test-perfbench test-ablation bench lint lint-determinism report trace check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -32,6 +32,9 @@ test-shard:  ## logical-shard suite (seed streams, merge rule, pinned study fing
 
 test-perfbench:  ## the benchmark's own tests (every traced entry point still resolves)
 	$(PYTHON) -m pytest perfbench/tests -q
+
+test-ablation:  ## protocol ablation suite (codec, CAR, MST, signing paths), timings off
+	$(PYTHON) -m pytest -q benchmarks/test_ablation_protocol.py --benchmark-disable
 
 bench:  ## run the perf harness, write + guard BENCH_perf.json
 	$(PYTHON) -m benchmarks.perf
@@ -59,4 +62,4 @@ trace:  ## small traced study; validate the trace, metrics, event-log and OpenMe
 # `test` already covers tests/, so the focused suites above (faults,
 # integrity, writepath, telemetry, shard) are for local use and are not
 # re-run here.
-check: lint-determinism test test-perfbench trace lint  ## what CI runs, each check once
+check: lint-determinism test test-perfbench test-ablation trace lint  ## what CI runs, each check once

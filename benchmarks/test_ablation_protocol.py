@@ -154,7 +154,8 @@ class TestCodecThroughput:
         assert benchmark(round_trip)["text"] == self.RECORD["text"]
 
     def test_car_round_trip(self, benchmark):
-        blocks = [(cid_for_raw(b"blk%d" % i), b"blk%d" % i * 20) for i in range(100)]
+        bodies = [(b"blk%d" % i) * 20 for i in range(100)]
+        blocks = [(cid_for_raw(body), body) for body in bodies]
         root = blocks[0][0]
 
         def round_trip():

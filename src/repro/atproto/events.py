@@ -16,7 +16,7 @@ against the real stream maps 1:1 onto these classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.atproto.cid import Cid
 
@@ -36,11 +36,12 @@ INFO_OUTDATED_CURSOR = "OutdatedCursor"
 ALL_KINDS = (KIND_COMMIT, KIND_IDENTITY, KIND_HANDLE, KIND_TOMBSTONE)
 
 
-@dataclass(frozen=True)
-class CommitOp:
-    """One record-level operation inside a commit event.
+class CommitOp(NamedTuple):
+    """One record-level operation of a commit, from the repo to the firehose.
 
-    ``record`` is the written record body (None for deletes) — the real
+    The same tuple is returned by :meth:`Repo.apply_writes` in
+    ``CommitMeta.ops`` and carried unchanged in ``CommitEvent.ops``.
+    ``record`` is the written record body (None for deletes): the real
     firehose ships the new blocks inside each commit frame.
     """
 

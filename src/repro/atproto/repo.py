@@ -20,6 +20,7 @@ from typing import Any, Iterator, Optional
 from repro.atproto.car import read_car, write_car
 from repro.atproto.cbor import _encode_head, _encode_text, cbor_decode, cbor_encode
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
+from repro.atproto.events import CommitOp
 from repro.atproto.keys import Keypair, PublicKey
 from repro.atproto.mst import Mst, load_mst
 from repro.atproto.tid import Tid, TidClock
@@ -87,24 +88,23 @@ class WriteOp:
 
 @dataclass(frozen=True)
 class CommitMeta:
-    """Metadata of one applied commit, as surfaced on the firehose.
+    """One applied commit, as returned to the writer and surfaced on the
+    firehose.
 
-    ``records`` carries the record bodies parallel to ``ops`` (None for
-    deletes) — the real firehose likewise ships the written blocks with
-    each commit frame so consumers need not fetch them separately.
+    ``ops`` holds one :class:`~repro.atproto.events.CommitOp` per write,
+    with its record body (None for deletes); the relay puts the tuple in
+    the ``#commit`` event unchanged.  The repo keeps no reference to it.
     """
 
     did: str
     rev: str
     commit_cid: Cid
-    ops: tuple[tuple[str, str, Optional[Cid]], ...]  # (action, path, cid)
+    ops: tuple[CommitOp, ...]
     time_us: int
-    records: tuple[Optional[dict], ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class _RecordEntry:
-    cid: Cid
     block: bytes
     refs: int = 1
 
@@ -118,7 +118,6 @@ class Repo:
         self.mst = Mst()
         self._blocks: dict[Cid, _RecordEntry] = {}
         self._tid_clock = TidClock(clock_id)
-        self.commits: list[CommitMeta] = []
         self.head: Optional[Cid] = None
         self.rev: Optional[str] = None
         self._head_block: Optional[bytes] = None  # signed commit block cache
@@ -172,8 +171,7 @@ class Repo:
         """Apply a batch of writes as a single signed commit."""
         if not writes:
             raise RepoError("empty write batch")
-        op_meta: list[tuple[str, str, Optional[Cid]]] = []
-        op_records: list[Optional[dict]] = []
+        ops: list[CommitOp] = []
         for write in writes:
             path = write.path
             existing = self.mst.get(path)
@@ -184,23 +182,21 @@ class Repo:
             if write.action == "delete":
                 self.mst.delete(path)
                 self._release_block(existing)
-                op_meta.append(("delete", path, None))
-                op_records.append(None)
+                ops.append(CommitOp("delete", path, None))
             else:
                 cid = self._store_record(write.record)
                 if existing is not None:
                     self._release_block(existing)
                 self.mst.set(path, cid)
-                op_meta.append((write.action, path, cid))
-                op_records.append(write.record)
-        return self._commit(op_meta, op_records, now_us)
+                ops.append(CommitOp(write.action, path, cid, write.record))
+        return self._commit(tuple(ops), now_us)
 
     def _store_record(self, record: dict) -> Cid:
         block = cbor_encode(record)
         cid = cid_for_dag_cbor_bytes(block)
         entry = self._blocks.get(cid)
         if entry is None:
-            self._blocks[cid] = _RecordEntry(cid, block)
+            self._blocks[cid] = _RecordEntry(block)
         else:
             entry.refs += 1
         return cid
@@ -211,12 +207,7 @@ class Repo:
         if entry.refs == 0:
             del self._blocks[cid]
 
-    def _commit(
-        self,
-        ops: list[tuple[str, str, Optional[Cid]]],
-        records: list[Optional[dict]],
-        now_us: int,
-    ) -> CommitMeta:
+    def _commit(self, ops: tuple[CommitOp, ...], now_us: int) -> CommitMeta:
         rev = str(self.next_tid(now_us))
         # The signed block serves as both the stored block and the input
         # to the commit CID.
@@ -225,9 +216,7 @@ class Repo:
         self.head = commit_cid
         self.rev = rev
         self._head_block = block
-        meta = CommitMeta(self.did, rev, commit_cid, tuple(ops), now_us, tuple(records))
-        self.commits.append(meta)
-        return meta
+        return CommitMeta(self.did, rev, commit_cid, ops, now_us)
 
     # -- export / import -------------------------------------------------------
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 from repro.atproto.events import (
     INFO_OUTDATED_CURSOR,
     CommitEvent,
-    CommitOp,
     FirehoseEvent,
     HandleEvent,
     IdentityEvent,
@@ -197,11 +196,6 @@ class Relay(XrpcService):
         """Ingest one commit: update cache bookkeeping, emit ``#commit``."""
         self._repo_locations[did] = pds
         self._car_cache.pop(did, None)  # new head: cached export is stale
-        records = meta.records if meta.records else (None,) * len(meta.ops)
-        ops = tuple(
-            CommitOp(action, path, cid, record)
-            for (action, path, cid), record in zip(meta.ops, records)
-        )
         self.firehose.publish(
             lambda seq: CommitEvent(
                 seq=seq,
@@ -209,7 +203,7 @@ class Relay(XrpcService):
                 time_us=meta.time_us,
                 rev=meta.rev,
                 commit_cid=meta.commit_cid,
-                ops=ops,
+                ops=meta.ops,
             )
         )
 

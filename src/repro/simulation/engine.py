@@ -313,11 +313,9 @@ class ShardEngine:
 
         meta = user.pds.create_record(user.did, POST, record, now_us)
         self.queue_commit(now_us, meta, True)
-        path = meta.ops[0][1]
-        uri = "at://%s/%s" % (user.did, path)
-        recent = RecentPost(
-            uri, str(meta.ops[0][2]), user.did, now_us, popular=spec.attractiveness > 8.0
-        )
+        op = meta.ops[0]
+        uri = "at://%s/%s" % (user.did, op.path)
+        recent = RecentPost(uri, str(op.cid), user.did, now_us, popular=spec.attractiveness > 8.0)
         self._overlay_recent.append(recent)
         if recent.popular:
             self._overlay_popular.append(recent)
@@ -335,7 +333,7 @@ class ShardEngine:
         self._apply_labels(uri, attrs, now_us)
 
         if rng.random() < DELETE_POST_RATE:
-            rkey = path.split("/", 1)[1]
+            rkey = op.rkey
             delete_us = now_us + 60 * US_PER_SECOND
             meta = user.pds.delete_record(user.did, POST, rkey, delete_us)
             self.queue_commit(delete_us, meta, True)
@@ -374,7 +372,7 @@ class ShardEngine:
         self.queue_commit(now_us, meta, True)
         self.items.append((now_us, K_VIEWER_LIKE, (user.did, subject_uri, now_us)))
         if rng.random() < DELETE_LIKE_RATE:
-            rkey = meta.ops[0][1].split("/", 1)[1]
+            rkey = meta.ops[0].rkey
             delete_us = now_us + 120 * US_PER_SECOND
             meta = user.pds.delete_record(user.did, LIKE, rkey, delete_us)
             self.queue_commit(delete_us, meta, True)

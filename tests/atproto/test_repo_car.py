@@ -1,5 +1,8 @@
 """Tests for repositories and CAR export/import."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.atproto.car import CarError, read_car, write_car
@@ -37,11 +40,11 @@ class TestRepoCrud:
     def test_create_and_get(self):
         repo = make_repo()
         meta = repo.create_record(POST, post_record("hello"), now_us=1000)
-        action, path, cid = meta.ops[0]
-        assert action == "create"
-        rkey = path.split("/")[1]
-        assert repo.get_record(POST, rkey)["text"] == "hello"
-        assert repo.get_record_cid(POST, rkey) == cid
+        op = meta.ops[0]
+        assert op.action == "create"
+        assert op.record["text"] == "hello"
+        assert repo.get_record(POST, op.rkey)["text"] == "hello"
+        assert repo.get_record_cid(POST, op.rkey) == op.cid
 
     def test_auto_rkey_is_tid(self):
         from repro.atproto.tid import Tid
@@ -109,8 +112,9 @@ class TestRepoCrud:
             WriteOp("create", POST, "b", post_record("2")),
         ]
         meta = repo.apply_writes(writes, now_us=10)
-        assert len(meta.ops) == 2
-        assert len(repo.commits) == 1
+        assert [op.path for op in meta.ops] == [POST + "/a", POST + "/b"]
+        assert repo.head == meta.commit_cid
+        assert repo.rev == meta.rev
 
     def test_empty_batch_rejected(self):
         with pytest.raises(RepoError):
@@ -133,9 +137,25 @@ class TestCommits:
 
     def test_commit_history_recorded(self):
         repo = make_repo()
-        repo.create_record(POST, post_record("1"), now_us=100)
-        repo.delete_record(POST, repo.commits[0].ops[0][1].split("/")[1], now_us=200)
-        assert [m.ops[0][0] for m in repo.commits] == ["create", "delete"]
+        created = repo.create_record(POST, post_record("1"), now_us=100)
+        assert repo.head == created.commit_cid
+        deleted = repo.delete_record(POST, created.ops[0].rkey, now_us=200)
+        assert [m.ops[0].action for m in (created, deleted)] == ["create", "delete"]
+        assert deleted.ops[0].cid is None and deleted.ops[0].record is None
+        assert repo.head == deleted.commit_cid
+        assert repo.rev == deleted.rev
+
+    def test_repo_retains_no_commit(self):
+        # A repo holds its current records and one signed commit; the
+        # CommitMeta a write returns belongs to the caller alone.
+        repo = make_repo()
+        meta = repo.create_record(POST, post_record("1"), now_us=100)
+        head = meta.commit_cid
+        ref = weakref.ref(meta)
+        del meta
+        gc.collect()
+        assert ref() is None, "repo retained its CommitMeta"
+        assert repo.head == head
 
 
 class TestCommitEmitter:

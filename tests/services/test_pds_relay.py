@@ -47,12 +47,12 @@ class TestPdsAccounts:
 
     def test_migration_between_pdses(self, net):
         did, _ = net.create_user("alice")
-        net.pds.create_record(did, POST, post("pre-move"), net.tick())
+        meta = net.pds.create_record(did, POST, post("pre-move"), net.tick())
         repo = net.pds.repo(did)
         new_pds = Pds("https://selfhosted.test")
         net.pds._repos.pop(did)  # simulate transfer-out
         new_pds.import_repo(repo)
-        assert new_pds.repo(did).get_record(POST, repo.commits[-1].ops[0][1].split("/")[1])
+        assert new_pds.repo(did).get_record(POST, meta.ops[0].rkey)
 
 
 class TestPdsSyncApi:
@@ -105,9 +105,10 @@ class TestRelay:
 
     def test_event_records_included(self, net):
         did, _ = net.create_user("alice")
-        net.pds.create_record(did, POST, post("payload"), net.tick())
+        meta = net.pds.create_record(did, POST, post("payload"), net.tick())
         commit = [e for e in net.relay.xrpc_subscribeRepos() if e.kind == KIND_COMMIT][0]
         assert commit.ops[0].record["text"] == "payload"
+        assert commit.ops is meta.ops  # the relay forwards the repo's ops as they are
 
     def test_seq_monotonic(self, net):
         did, _ = net.create_user("alice")
