@@ -11,10 +11,9 @@ polluting whatever consumes the repository.  Structural garbage —
 truncated sections, overlong or non-minimal length varints, zero-length
 sections, trailing bytes — is rejected as :class:`CarError`.
 
-:func:`read_car` and :func:`iter_car_blocks` share one walker that reads
-the sections by offset into the input bytes.  A section whose CID starts
-with the constant CIDv1/sha2-256 prefix is split at byte 36 without
-parsing the CID's varints.
+:func:`read_car` walks the sections by offset into the input bytes.  A
+section whose CID starts with the constant CIDv1/sha2-256 prefix is split
+at byte 36 without parsing the CID's varints.
 """
 
 from __future__ import annotations
@@ -148,15 +147,3 @@ def read_car(data: bytes, verify_digests: bool = True) -> tuple[list[Cid], dict[
     data = bytes(data)  # the same object for bytes; blocks are bytes for any buffer
     roots, pos = _read_header(data)
     return roots, dict(_sections(data, pos, verify_digests))
-
-
-def iter_car_blocks(data: bytes, verify_digests: bool = True) -> Iterator[tuple[Cid, bytes]]:
-    """Stream the block sections of a CAR file without building a dict.
-
-    The header is validated (version + root list) exactly as in
-    :func:`read_car`, and the same structural / digest checks apply to
-    each section.
-    """
-    data = bytes(data)
-    _, pos = _read_header(data)
-    yield from _sections(data, pos, verify_digests)

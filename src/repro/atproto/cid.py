@@ -43,7 +43,7 @@ class CidError(ValueError):
 class Cid:
     """An immutable CIDv1 (version, codec, sha2-256 digest)."""
 
-    __slots__ = ("version", "codec", "digest", "_str", "_link")
+    __slots__ = ("version", "codec", "digest", "_str")
 
     def __init__(self, version: int, codec: int, digest: bytes):
         if version != 1:
@@ -56,7 +56,6 @@ class Cid:
         _set_codec(self, codec)
         _set_digest(self, digest)
         _set_str(self, None)
-        _set_link(self, None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Cid is immutable")
@@ -72,16 +71,8 @@ class Cid:
         return _BINARY_PREFIX[self.codec] + self.digest
 
     def cbor_link(self) -> bytes:
-        """The DAG-CBOR link form (tag 42 + ``0x00`` + binary CID).
-
-        Cached, unlike :meth:`to_bytes`: every re-encode of an MST node
-        embeds the same child and value CIDs again, while the binary form
-        is needed about once per CID (its string form is cached)."""
-        cached = self._link
-        if cached is None:
-            cached = _LINK_PREFIX[self.codec] + self.digest
-            _set_link(self, cached)
-        return cached
+        """The DAG-CBOR link form (tag 42 + ``0x00`` + binary CID)."""
+        return _LINK_PREFIX[self.codec] + self.digest
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Cid":
@@ -136,7 +127,6 @@ _set_version = Cid.version.__set__
 _set_codec = Cid.codec.__set__
 _set_digest = Cid.digest.__set__
 _set_str = Cid._str.__set__
-_set_link = Cid._link.__set__
 
 
 def cid_for_cbor(obj: Any) -> Cid:

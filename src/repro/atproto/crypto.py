@@ -267,16 +267,9 @@ class VerifyingKey:
             return False
         return point[0] % N == r
 
-    def to_compressed(self) -> bytes:
-        return compress_point(self.point)
-
-    @classmethod
-    def from_compressed(cls, data: bytes) -> "VerifyingKey":
-        return cls(decompress_point(data))
-
     def to_did_key(self) -> str:
         """Render as ``did:key:z...`` with the secp256k1-pub multicodec."""
-        payload = encode_varint(MULTICODEC_SECP256K1_PUB) + self.to_compressed()
+        payload = encode_varint(MULTICODEC_SECP256K1_PUB) + compress_point(self.point)
         return DID_KEY_PREFIX + "z" + base58btc_encode(payload)
 
     @classmethod
@@ -287,7 +280,7 @@ class VerifyingKey:
         codec, pos = decode_varint(payload)
         if codec != MULTICODEC_SECP256K1_PUB:
             raise CryptoError("unsupported did:key multicodec 0x%02x" % codec)
-        return cls.from_compressed(payload[pos:])
+        return cls(decompress_point(payload[pos:]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VerifyingKey):

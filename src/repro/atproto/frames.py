@@ -166,24 +166,6 @@ def decode_event_frame(data: bytes) -> FirehoseEvent:
     raise FrameError("unknown event kind %r" % kind)
 
 
-def encode_error_frame(error: str, message: str = "") -> bytes:
-    """The ``op: -1`` error frame subscriptions send before closing."""
-    return cbor_encode({"op": -1}) + cbor_encode({"error": error, "message": message})
-
-
-def decode_any_frame(data: bytes):
-    """Decode either a message or an error frame.
-
-    Returns ``("event", event)`` or ``("error", payload_dict)``.
-    """
-    header, payload = _decode_two(data)
-    if not isinstance(header, dict):
-        raise FrameError("frame header must be a map")
-    if header.get("op") == -1:
-        return ("error", payload)
-    return ("event", decode_event_frame(data))
-
-
 def encode_label_frame(label, signature: Optional[bytes] = None) -> bytes:
     """Serialize one label event (``com.atproto.label.subscribeLabels``)."""
     header = {"op": 1, "t": "#labels"}
@@ -214,8 +196,3 @@ def decode_label_frame(data: bytes):
     if not isinstance(labels, list):
         raise FrameError("labels must be a list")
     return seq, labels
-
-
-def frame_size(event: FirehoseEvent) -> int:
-    """Exact wire size of an event's frame (served from the event's cache)."""
-    return event.wire_size()

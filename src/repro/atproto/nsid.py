@@ -20,7 +20,7 @@ class NsidError(ValueError):
 
 
 class Nsid:
-    """A validated NSID, split into authority and name."""
+    """A validated NSID, split into its dot-separated segments."""
 
     __slots__ = ("segments",)
 
@@ -37,18 +37,6 @@ class Nsid:
             raise NsidError("invalid NSID name segment %r" % segments[-1])
         self.segments = tuple(segments)
 
-    @property
-    def authority(self) -> str:
-        """The domain authority, in normal (non-reversed) order."""
-        return ".".join(reversed(self.segments[:-1]))
-
-    @property
-    def name(self) -> str:
-        return self.segments[-1]
-
-    def __str__(self) -> str:
-        return ".".join(self.segments)
-
     @classmethod
     def is_valid(cls, text: str) -> bool:
         try:
@@ -56,16 +44,3 @@ class Nsid:
         except NsidError:
             return False
         return True
-
-    def __repr__(self) -> str:
-        return "Nsid(%s)" % str(self)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, str):
-            return str(self) == other
-        if isinstance(other, Nsid):
-            return self.segments == other.segments
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.segments)

@@ -146,9 +146,6 @@ class Repo:
             seen.setdefault(path.split("/", 1)[0], None)
         return list(seen)
 
-    def record_count(self) -> int:
-        return len(self.mst)
-
     # -- writes ---------------------------------------------------------------
 
     def next_tid(self, now_us: int) -> Tid:

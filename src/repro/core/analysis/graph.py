@@ -20,12 +20,6 @@ class DegreeDistribution:
     histogram: Counter = field(default_factory=Counter)  # degree -> accounts
     creator_histogram: Counter = field(default_factory=Counter)
 
-    def creator_density(self, degree: int) -> float:
-        total = self.histogram.get(degree, 0)
-        if total == 0:
-            return 0.0
-        return self.creator_histogram.get(degree, 0) / total
-
     def mean_degree(self, creators_only: bool = False) -> float:
         source = self.creator_histogram if creators_only else self.histogram
         total = sum(source.values())

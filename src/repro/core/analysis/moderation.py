@@ -335,10 +335,6 @@ class LabelerHosting:
     residential: int = 0
     unreachable: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.cloud_or_proxied + self.residential + self.unreachable
-
 
 def labeler_hosting(datasets: StudyDatasets) -> LabelerHosting:
     result = LabelerHosting()
@@ -366,15 +362,6 @@ class LabelRegimes:
 
     automated_values: list = field(default_factory=list)  # (value, median_s)
     manual_values: list = field(default_factory=list)
-
-    @property
-    def automation_boundary_holds(self) -> bool:
-        """Every automated value is faster than every manual value."""
-        if not self.automated_values or not self.manual_values:
-            return False
-        slowest_auto = max(median for _, median in self.automated_values)
-        fastest_manual = min(median for _, median in self.manual_values)
-        return slowest_auto < fastest_manual
 
 
 def official_label_regimes(

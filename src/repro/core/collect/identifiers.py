@@ -22,9 +22,6 @@ class IdentifierSnapshot:
     time_us: int
     repos: dict[str, tuple[str, str]] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.repos)
-
 
 @dataclass
 class UserIdentifierDataset:

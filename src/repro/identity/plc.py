@@ -239,9 +239,6 @@ class PlcDirectory:
             )
         return doc
 
-    def all_dids(self) -> list[str]:
-        return list(self._entries)
-
     def export_snapshot(self) -> dict[str, dict]:
         """Bulk export of all live DID documents (the paper's weekly crawl)."""
         out = {}

@@ -406,12 +406,6 @@ class AdversarialPlan:
     def is_empty(self) -> bool:
         return not self.rules
 
-    def hosts(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rule in self.rules:
-            seen.setdefault(rule.host, None)
-        return list(seen)
-
     @classmethod
     def poison(
         cls,

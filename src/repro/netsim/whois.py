@@ -125,6 +125,3 @@ class WhoisService:
         if domain in self._unresponsive:
             return None
         return self._records.get(domain)
-
-    def registered_domains(self) -> list[str]:
-        return list(self._records)

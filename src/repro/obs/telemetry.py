@@ -188,9 +188,6 @@ class Telemetry:
 
     # -- artefacts ------------------------------------------------------------
 
-    def metrics_snapshot(self) -> dict:
-        return self.registry.snapshot()
-
     def metrics_json(self) -> str:
         return self.registry.snapshot_json()
 

@@ -136,9 +136,6 @@ class LabelerService(XrpcService):
     def is_applied(self, uri: str, val: str) -> bool:
         return self._active.get((uri, val), False)
 
-    def label_count(self) -> int:
-        return len(self._labels)
-
     def service_record(self, created_at: str) -> dict:
         """The ``app.bsky.labeler.service`` record for the labeler's repo."""
         return {
@@ -163,13 +160,3 @@ class LabelerService(XrpcService):
         if limit is not None:
             events = events[:limit]
         return events
-
-    def xrpc_queryLabels(self, uriPatterns: list, limit: int = 250) -> dict:
-        """Point lookup of currently applied labels for given subjects."""
-        labels = [
-            label
-            for label in self._labels
-            if label.uri in uriPatterns and self._active.get((label.uri, label.val), False)
-            and not label.neg
-        ]
-        return {"labels": labels[:limit]}

@@ -104,9 +104,6 @@ class Pds(XrpcService):
     def dids(self) -> list[str]:
         return list(self._repos)
 
-    def repo_count(self) -> int:
-        return len(self._repos)
-
     # -- record writes ------------------------------------------------------------
 
     def upload_blob(self, did: str, data: bytes, mime_type: str):
@@ -250,43 +247,3 @@ class Pds(XrpcService):
             return self.blobs.get(Cid.parse(cid) if isinstance(cid, str) else cid)
         except (BlobError, ValueError) as exc:
             raise XrpcError(404, str(exc)) from exc
-
-    def xrpc_getRecord(self, did: str, collection: str, rkey: str) -> dict:
-        repo = self._repos.get(did)
-        if repo is None:
-            raise XrpcError(404, "repo %s not found" % did)
-        record = repo.get_record(collection, rkey)
-        if record is None:
-            raise XrpcError(404, "record not found")
-        return {
-            "uri": "at://%s/%s/%s" % (did, collection, rkey),
-            "cid": str(repo.get_record_cid(collection, rkey)),
-            "value": record,
-        }
-
-    def xrpc_listRecords(
-        self, did: str, collection: str, limit: int = 100, cursor: Optional[str] = None
-    ) -> dict:
-        repo = self._repos.get(did)
-        if repo is None:
-            raise XrpcError(404, "repo %s not found" % did)
-        records = []
-        started = cursor is None
-        next_cursor = None
-        for path, record in repo.list_records(collection):
-            rkey = path.split("/", 1)[1]
-            if not started:
-                if rkey == cursor:
-                    started = True
-                continue
-            if len(records) == limit:
-                next_cursor = records[-1]["rkey"]
-                break
-            records.append(
-                {
-                    "uri": "at://%s/%s" % (did, path),
-                    "rkey": rkey,
-                    "value": record,
-                }
-            )
-        return {"records": records, "cursor": next_cursor}

@@ -288,12 +288,6 @@ class Relay(XrpcService):
         """Cursor-based replay of the firehose backlog."""
         return self.firehose.events_since(cursor, limit)
 
-    def xrpc_getLatestCommit(self, did: str) -> dict:
-        repo = self.cached_repo(did)
-        if repo is None or repo.head is None:
-            raise XrpcError(404, "repo %s not mirrored" % did)
-        return {"cid": str(repo.head), "rev": repo.rev}
-
     def xrpc_getRecord(self, did: str, collection: str, rkey: str) -> dict:
         """Verifiable single-record fetch: the record plus the signed
         commit block and the MST inclusion-proof path, so a client can

@@ -1,10 +1,10 @@
 """Fuzz tests for the CAR parser: malformed input must raise CarError.
 
 Every mutation here is deterministic (seeded ``random.Random``), so a
-failure reproduces exactly.  The contract under test: ``read_car`` and
-``iter_car_blocks`` either return verified blocks or raise
-:class:`CarError` (or its :class:`BlockDigestError` subclass) — they
-never raise anything else and never return tampered payloads.
+failure reproduces exactly.  The contract under test: ``read_car``
+either returns verified blocks or raises :class:`CarError` (or its
+:class:`BlockDigestError` subclass) — it never raises anything else and
+never returns tampered payloads.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.atproto.car import BlockDigestError, CarError, iter_car_blocks, read_car, write_car
+from repro.atproto.car import BlockDigestError, CarError, read_car, write_car
 from repro.atproto.cbor import cbor_encode
 from repro.atproto.cid import Cid, cid_for_raw
 from repro.atproto.varint import encode_varint
@@ -26,18 +26,12 @@ def sample_car(n_blocks: int = 8) -> bytes:
     return write_car(blocks[0][0], blocks)
 
 
-def exhaust(data: bytes):
-    """Run both parsers to completion on the same bytes."""
-    read_car(data)
-    list(iter_car_blocks(data))
-
-
 class TestStructuralGarbage:
     def test_trailing_garbage_rejected(self):
         car = sample_car()
         for junk in (b"\x00", b"\xff", b"extra bytes after the last section"):
             with pytest.raises(CarError):
-                exhaust(car + junk)
+                read_car(car + junk)
 
     def test_every_truncation_point_rejected_or_clean(self):
         # A CAR cut anywhere must either parse a shorter prefix of intact
@@ -45,7 +39,7 @@ class TestStructuralGarbage:
         car = sample_car(3)
         for cut in range(len(car)):
             try:
-                exhaust(car[:cut])
+                read_car(car[:cut])
             except CarError:
                 pass
 
@@ -53,13 +47,13 @@ class TestStructuralGarbage:
         car = sample_car(1)
         # 10 continuation bytes exceed the 9-byte varint cap.
         with pytest.raises(CarError):
-            exhaust(car + b"\x80" * 10 + b"\x01")
+            read_car(car + b"\x80" * 10 + b"\x01")
 
     def test_redundant_varint_encoding_rejected(self):
         car = sample_car(1)
         # 0x81 0x00 is a non-minimal encoding of 1.
         with pytest.raises(CarError):
-            exhaust(car + b"\x81\x00" + b"x")
+            read_car(car + b"\x81\x00" + b"x")
 
     def test_non_minimal_section_and_header_lengths_rejected(self):
         # A valid 75-byte section, its length written 0xcb 0x00 instead of
@@ -78,30 +72,30 @@ class TestStructuralGarbage:
             bytes((len(header) | 0x80, 0)) + header + b"\x4b" + section,
         ):
             with pytest.raises(CarError):
-                exhaust(car)
+                read_car(car)
 
     def test_zero_length_section_rejected(self):
         car = sample_car(1)
         with pytest.raises(CarError):
-            exhaust(car + encode_varint(0))
+            read_car(car + encode_varint(0))
 
     def test_header_claiming_version_2(self):
         header = cbor_encode({"version": 2, "roots": []})
         with pytest.raises(CarError):
-            exhaust(encode_varint(len(header)) + header)
+            read_car(encode_varint(len(header)) + header)
 
     def test_header_without_root_list(self):
         header = cbor_encode({"version": 1, "roots": "nope"})
         with pytest.raises(CarError):
-            exhaust(encode_varint(len(header)) + header)
+            read_car(encode_varint(len(header)) + header)
 
     def test_header_is_not_cbor(self):
         with pytest.raises(CarError):
-            exhaust(encode_varint(4) + b"\xff\xff\xff\xff")
+            read_car(encode_varint(4) + b"\xff\xff\xff\xff")
 
     def test_empty_input(self):
         with pytest.raises(CarError):
-            exhaust(b"")
+            read_car(b"")
 
 
 class TestDigestMismatch:
@@ -111,14 +105,15 @@ class TestDigestMismatch:
         car[-3] ^= 0xFF
         with pytest.raises(BlockDigestError):
             read_car(bytes(car))
-        with pytest.raises(BlockDigestError):
-            list(iter_car_blocks(bytes(car)))
 
     def test_verify_digests_off_accepts_same_bytes(self):
         car = bytearray(sample_car(4))
         car[-3] ^= 0xFF
-        read_car(bytes(car), verify_digests=False)
-        list(iter_car_blocks(bytes(car), verify_digests=False))
+        _, blocks = read_car(bytes(car), verify_digests=False)
+        # The tampered last payload comes back unchecked.
+        cid, body = list(blocks.items())[-1]
+        assert bytes(car).endswith(body)
+        assert hashlib.sha256(body).digest() != cid.digest
 
     def test_wrong_digest_cid_caught(self):
         payload = b"honest payload"
@@ -161,12 +156,10 @@ class TestSeededMutations:
 
     @staticmethod
     def _must_parse_or_reject(data: bytes):
-        for parse in (read_car, lambda d: list(iter_car_blocks(d))):
-            try:
-                result = parse(data)
-            except CarError:
-                continue
-            # Parsed fine: then every surviving block must verify.
-            blocks = result[1].items() if isinstance(result, tuple) else result
-            for cid, body in blocks:
-                assert hashlib.sha256(body).digest() == cid.digest
+        try:
+            _, blocks = read_car(data)
+        except CarError:
+            return
+        # Parsed fine: then every surviving block must verify.
+        for cid, body in blocks.items():
+            assert hashlib.sha256(body).digest() == cid.digest

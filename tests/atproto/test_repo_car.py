@@ -81,7 +81,7 @@ class TestRepoCrud:
         repo.create_record(POST, post_record("x"), now_us=1, rkey="self")
         repo.delete_record(POST, "self", now_us=2)
         assert repo.get_record(POST, "self") is None
-        assert repo.record_count() == 0
+        assert len(repo.mst) == 0
 
     def test_identical_records_share_block(self):
         repo = make_repo()

@@ -62,7 +62,7 @@ def test_repo_state_matches_model(sequence):
     }
     expected = {rkey: "value %d" % value for rkey, value in model.items()}
     assert visible == expected
-    assert repo.record_count() == len(model)
+    assert len(repo.mst) == len(model)
 
 
 @settings(max_examples=30, deadline=None)

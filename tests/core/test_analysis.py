@@ -186,7 +186,7 @@ class TestSection6Moderation:
 
     def test_hosting_classes(self, study_datasets):
         hosting = moderation.labeler_hosting(study_datasets)
-        assert hosting.total == 62
+        assert hosting.cloud_or_proxied + hosting.residential + hosting.unreachable == 62
         assert hosting.cloud_or_proxied == 40
         assert hosting.residential == 6
         assert hosting.unreachable == 16

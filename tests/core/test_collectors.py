@@ -16,7 +16,7 @@ class TestIdentifierDataset:
         assert len(study_datasets.identifiers.snapshots) >= 8
 
     def test_snapshots_grow(self, study_datasets):
-        sizes = [len(s) for s in study_datasets.identifiers.snapshots]
+        sizes = [len(s.repos) for s in study_datasets.identifiers.snapshots]
         assert sizes[-1] >= sizes[0]
 
     def test_identifiers_superset_of_latest(self, study_datasets):

@@ -1,4 +1,4 @@
-"""Tests for the CSV/JSON export and the extended graph analysis."""
+"""Tests for the CSV/JSON export."""
 
 import csv
 import json
@@ -6,11 +6,6 @@ import os
 
 import pytest
 
-from repro.core.analysis.graph_extras import (
-    build_follow_graph,
-    degree_slope,
-    graph_summary,
-)
 from repro.core.export import export_artefacts
 
 
@@ -70,37 +65,3 @@ class TestExport:
         with open(os.path.join(directory, "fig12_providers.csv")) as handle:
             rows = list(csv.DictReader(handle))
         assert sum(float(r["feed_share"]) for r in rows) == pytest.approx(1.0, abs=0.01)
-
-
-class TestGraphExtras:
-    def test_graph_builds(self, study_datasets):
-        graph = build_follow_graph(study_datasets)
-        unique_edges = {
-            (r.did, r.subject)
-            for r in study_datasets.repositories.follows
-            if r.subject
-        }
-        assert graph.number_of_edges() == len(unique_edges)
-
-    def test_summary_measures(self, study_datasets):
-        summary = graph_summary(study_datasets)
-        assert summary.nodes > 0
-        assert 0.0 <= summary.reciprocity <= 1.0
-        assert summary.weakly_connected_components >= 1
-        assert 0.0 < summary.giant_component_share <= 1.0
-        assert len(summary.top_pagerank) <= 10
-
-    def test_official_account_ranks_high(self, study_datasets, study_world):
-        summary = graph_summary(study_datasets)
-        official = next(u for u in study_world.users if u.spec.is_official)
-        top_dids = [did for did, _ in summary.top_pagerank[:5]]
-        assert official.did in top_dids
-
-    def test_degree_slope_negative_for_heavy_tail(self, study_datasets):
-        graph = build_follow_graph(study_datasets)
-        slope = degree_slope([d for _, d in graph.in_degree()])
-        assert slope < 0  # more low-degree than high-degree accounts
-
-    def test_degree_slope_degenerate_inputs(self):
-        assert degree_slope([]) == 0.0
-        assert degree_slope([1, 1]) == 0.0

@@ -44,7 +44,7 @@ class TestPlan:
         plan = adversarial_plan()
         kinds = {rule.kind for rule in plan.rules}
         assert kinds == set(ALL_CORRUPTION_KINDS)
-        assert set(POISONED_PDSES) <= set(plan.hosts())
+        assert set(POISONED_PDSES) <= {rule.host for rule in plan.rules}
 
     def test_empty_plan(self):
         assert AdversarialPlan().is_empty()

@@ -26,7 +26,7 @@ class TestFaultedRun:
         assert "phase.start" in kinds and "phase.end" in kinds
 
     def test_call_counters_record_injected_faults(self, telemetry):
-        snapshot = telemetry.metrics_snapshot()
+        snapshot = telemetry.registry.snapshot()
         injected = 0
         for key, value in snapshot["counters"].items():
             name, labels = parse_series_key(key)

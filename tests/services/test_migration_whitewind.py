@@ -34,7 +34,7 @@ class TestCarMigration:
         old_pds.remove_account(did, NOW + 100)
         repo = new_pds.import_account_car(car, keypair, NOW + 200)
         assert new_pds.has_account(did)
-        assert repo.record_count() == 12
+        assert len(repo.mst) == 12
         assert len(list(new_pds.repo(did).list_records(POST))) == 12
 
     def test_migration_requires_correct_key(self):

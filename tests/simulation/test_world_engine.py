@@ -82,7 +82,7 @@ class TestWorldState(object):
     def test_official_labeler_predates_community(self, study_world):
         official = study_world.official_labeler()
         assert official.spec.start_us < COMMUNITY_LABELERS_OPEN_US
-        assert official.service.label_count() > 0
+        assert official.service.xrpc_subscribeLabels()
 
     def test_labeler_endpoints_in_did_documents(self, study_world):
         for runtime in study_world.labelers:
