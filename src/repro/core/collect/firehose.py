@@ -117,7 +117,6 @@ class FirehoseCollector:
         self.cursor = 0  # seq of the newest event ingested
         self.retry_counters: Counter = Counter()
         self._connected = True
-        self._relay = None  # direct fallback when no service directory is wired
         self._fault_seed = fault_plan.seed if fault_plan else 0
         # Live counters mirror the dataset's bookkeeping at the same
         # guarded sites, so they inherit its exactly-once semantics
@@ -135,7 +134,6 @@ class FirehoseCollector:
             self.services = world.services
         if self.relay_url is None:
             self.relay_url = world.relay.url
-        self._relay = world.relay
         world.add_firehose_observer(self.consume, start_us=self.start_us)
 
     # -- live path -------------------------------------------------------------

@@ -64,23 +64,3 @@ def day_range(start_us: int, end_us: int):
         if day >= start_us:
             yield day
         day += US_PER_DAY
-
-
-class SimClock:
-    """A monotonically advancing simulation clock."""
-
-    def __init__(self, start_us: int):
-        self._now_us = start_us
-
-    @property
-    def now_us(self) -> int:
-        return self._now_us
-
-    def advance_to(self, time_us: int) -> int:
-        if time_us > self._now_us:
-            self._now_us = time_us
-        return self._now_us
-
-    def advance(self, delta_us: int) -> int:
-        self._now_us += delta_us
-        return self._now_us

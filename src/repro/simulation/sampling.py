@@ -1,28 +1,22 @@
-"""Weighted samplers for the simulation hot loop.
+"""A weighted sampler for the simulation hot loop.
 
 ``random.Random.choices`` rebuilds its cumulative-weight table on *every*
 call — an O(n) scan that the engine used to pay once per like, once per
-day-activity draw, and once per block at full population size.  The
-samplers here keep that table warm:
-
-* :class:`CumulativeSampler` — cached cumulative weights maintained
-  incrementally as items are appended.  Sampling is a single uniform draw
-  plus a binary search, and is **bit-compatible with**
-  ``random.Random.choices(items, weights=w, k=...)``: the cumulative sums
-  are built with the same left-to-right float additions and the same
-  ``bisect_right`` convention, so swapping one in does not perturb a
-  seeded RNG stream.
-* :class:`AliasSampler` — Vose's alias method for static distributions:
-  O(n) build, O(1) per draw (two uniforms, no search).  Use it for
-  stream-insensitive workloads where the distribution is fixed up front;
-  it consumes a different number of RNG draws than ``choices``.
+day-activity draw, and once per block at full population size.
+:class:`CumulativeSampler` keeps that table warm: cached cumulative
+weights maintained incrementally as items are appended.  Sampling is a
+single uniform draw plus a binary search, and is **bit-compatible with**
+``random.Random.choices(items, weights=w, k=...)``: the cumulative sums
+are built with the same left-to-right float additions and the same
+``bisect_right`` convention, so swapping one in does not perturb a
+seeded RNG stream.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Generic, Iterable, Optional, Sequence, TypeVar
+from typing import Generic, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -112,58 +106,3 @@ class CumulativeSampler(Generic[T]):
         hi = len(items) - 1
         uniform = rng.random
         return [items[bisect_right(cum, uniform() * total, 0, hi)] for _ in range(k)]
-
-
-class AliasSampler(Generic[T]):
-    """Vose's alias method: O(1) weighted draws from a *fixed* distribution.
-
-    Build cost is O(n); each draw costs two uniforms and no search, which
-    beats the cumulative table once a distribution is sampled many more
-    times than it changes.  Not RNG-stream-compatible with ``choices``.
-    """
-
-    __slots__ = ("items", "_prob", "_alias")
-
-    def __init__(self, items: Sequence[T], weights: Sequence[float]):
-        if len(items) != len(weights):
-            raise SamplingError("weights must match items")
-        if not items:
-            raise SamplingError("alias sampler needs at least one item")
-        total = float(sum(weights))
-        if total <= 0.0 or any(w < 0 for w in weights):
-            raise SamplingError("weights must be non-negative with positive sum")
-        n = len(items)
-        self.items = list(items)
-        scaled = [w * n / total for w in weights]
-        prob = [0.0] * n
-        alias = [0] * n
-        small = [i for i, p in enumerate(scaled) if p < 1.0]
-        large = [i for i, p in enumerate(scaled) if p >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            (small if scaled[l] < 1.0 else large).append(l)
-        for index in large:
-            prob[index] = 1.0
-        for index in small:  # numerical leftovers
-            prob[index] = 1.0
-        self._prob = prob
-        self._alias = alias
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def sample(self, rng: random.Random) -> T:
-        n = len(self.items)
-        index = int(rng.random() * n)
-        if index >= n:  # guard against random() returning values ~1.0
-            index = n - 1
-        if rng.random() < self._prob[index]:
-            return self.items[index]
-        return self.items[self._alias[index]]
-
-    def sample_k(self, rng: random.Random, k: int) -> list[T]:
-        return [self.sample(rng) for _ in range(k)]

@@ -42,7 +42,6 @@ from repro.services.labeler import LabelerPolicies, LabelerService
 from repro.services.pds import Pds
 from repro.services.relay import Relay
 from repro.services.xrpc import ServiceDirectory
-from repro.simulation.clock import SimClock
 from repro.simulation.config import SimulationConfig
 from repro.simulation.feeds import FeedSpec, build_feed_specs
 from repro.simulation.labelers import LabelerRuntime, build_labeler_specs
@@ -84,7 +83,6 @@ class World:
     def __init__(self, config: SimulationConfig):
         self.config = config
         self.rng = random.Random(config.seed ^ 0x5EED)
-        self.clock = SimClock(config.start_us)
 
         # --- network substrate ---
         self.dns_zone = DnsZone()

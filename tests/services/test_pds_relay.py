@@ -5,7 +5,7 @@ import pytest
 from repro.atproto.events import KIND_COMMIT, KIND_HANDLE, KIND_IDENTITY, KIND_TOMBSTONE
 from repro.atproto.keys import HmacKeypair
 from repro.atproto.lexicon import FOLLOW, POST
-from repro.atproto.repo import import_car
+from repro.atproto.repo import RepoError, import_car
 from repro.services.pds import Pds, PdsError
 from repro.services.relay import CAR_CACHE_MAX, Firehose, Relay
 from repro.services.xrpc import XrpcError
@@ -53,6 +53,24 @@ class TestPdsAccounts:
         net.pds._repos.pop(did)  # simulate transfer-out
         new_pds.import_repo(repo)
         assert new_pds.repo(did).get_record(POST, meta.ops[0].rkey)
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda pds, did, now: pds.create_record(did, POST, post("again"), now, rkey="self"),
+        lambda pds, did, now: pds.update_record(did, POST, "ghost", post("edit"), now),
+    ],
+    ids=["create_existing_rkey", "update_missing_record"],
+)
+def test_refused_write_leaves_head_and_rev(net, refused):
+    did, _ = net.create_user("alice")
+    net.pds.create_record(did, POST, post("first"), net.tick(), rkey="self")
+    repo = net.pds.repo(did)
+    before = (repo.head, repo.rev, len(net.relay.xrpc_subscribeRepos()))
+    with pytest.raises(RepoError):
+        refused(net.pds, did, net.tick())
+    assert (repo.head, repo.rev, len(net.relay.xrpc_subscribeRepos())) == before
 
 
 class TestPdsSyncApi:

@@ -1,11 +1,10 @@
-"""Tests for the simulation clock, calendar helpers, and configuration."""
+"""Tests for the simulation calendar helpers and configuration."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.simulation.clock import (
     US_PER_DAY,
-    SimClock,
     date_us,
     day_key,
     day_range,
@@ -48,23 +47,6 @@ class TestCalendar:
         start = date_us("2024-01-01") + 500
         days = list(day_range(start, start + US_PER_DAY))
         assert all(day % US_PER_DAY == 0 for day in days)
-
-
-class TestSimClock:
-    def test_advance_to(self):
-        clock = SimClock(100)
-        clock.advance_to(500)
-        assert clock.now_us == 500
-
-    def test_advance_to_never_goes_back(self):
-        clock = SimClock(100)
-        clock.advance_to(50)
-        assert clock.now_us == 100
-
-    def test_advance_delta(self):
-        clock = SimClock(0)
-        clock.advance(42)
-        assert clock.now_us == 42
 
 
 class TestConfig:

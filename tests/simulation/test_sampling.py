@@ -1,11 +1,10 @@
-"""Samplers must be drop-in replacements for random.choices in the engine."""
+"""The sampler must be a drop-in replacement for random.choices in the engine."""
 
 import random
-from collections import Counter
 
 import pytest
 
-from repro.simulation.sampling import AliasSampler, CumulativeSampler, SamplingError
+from repro.simulation.sampling import CumulativeSampler, SamplingError
 
 
 class TestCumulativeSampler:
@@ -68,31 +67,3 @@ class TestCumulativeSampler:
     def test_mismatched_weights_rejected(self):
         with pytest.raises(SamplingError):
             CumulativeSampler(["a", "b"], [1.0])
-
-
-class TestAliasSampler:
-    def test_distribution_matches_weights(self):
-        weights = {"a": 1.0, "b": 3.0, "c": 6.0}
-        sampler = AliasSampler(list(weights), list(weights.values()))
-        rng = random.Random(5)
-        counts = Counter(sampler.sample(rng) for _ in range(60_000))
-        total = sum(counts.values())
-        for item, weight in weights.items():
-            assert counts[item] / total == pytest.approx(weight / 10.0, abs=0.02)
-
-    def test_single_item(self):
-        sampler = AliasSampler(["only"], [2.5])
-        assert sampler.sample(random.Random(0)) == "only"
-
-    def test_zero_weight_item_never_drawn(self):
-        sampler = AliasSampler(["never", "always"], [0.0, 1.0])
-        rng = random.Random(3)
-        assert all(sampler.sample(rng) == "always" for _ in range(5000))
-
-    def test_invalid_construction(self):
-        with pytest.raises(SamplingError):
-            AliasSampler([], [])
-        with pytest.raises(SamplingError):
-            AliasSampler(["a"], [0.0])
-        with pytest.raises(SamplingError):
-            AliasSampler(["a", "b"], [1.0])
