@@ -13,13 +13,13 @@ sections, trailing bytes — is rejected as :class:`CarError`.
 
 :func:`read_car` walks the sections by offset into the input bytes.  A
 section whose CID starts with the constant CIDv1/sha2-256 prefix is split
-at byte 36 without parsing the CID's varints.
+at byte 36 without parsing the CID's varints.  :func:`write_car` joins
+the length prefixes, CIDs and blocks into one byte string.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 from typing import Iterable, Iterator
 
 from repro.atproto.cbor import cbor_decode, cbor_encode
@@ -39,16 +39,12 @@ class BlockDigestError(CarError):
 
 def write_car(root: Cid, blocks: Iterable[tuple[Cid, bytes]]) -> bytes:
     """Serialize blocks into a CARv1 byte string with a single root."""
-    out = io.BytesIO()
     header = cbor_encode({"version": CAR_VERSION, "roots": [root]})
-    out.write(encode_varint(len(header)))
-    out.write(header)
+    parts = [encode_varint(len(header)), header]
     for cid, data in blocks:
         cid_bytes = cid.to_bytes()
-        out.write(encode_varint(len(cid_bytes) + len(data)))
-        out.write(cid_bytes)
-        out.write(data)
-    return out.getvalue()
+        parts += (encode_varint(len(cid_bytes) + len(data)), cid_bytes, data)
+    return b"".join(parts)
 
 
 def _read_length(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -128,7 +124,7 @@ def _sections(data: bytes, pos: int, verify_digests: bool) -> Iterator[tuple[Cid
         if end > size:
             raise CarError("truncated CAR section")
         if section_len >= CID_LENGTH and data.startswith(CID_PREFIXES, pos):
-            cid = Cid.from_bytes(data[pos : pos + CID_LENGTH])
+            cid = Cid(1, data[pos + 1], data[pos + 4 : pos + CID_LENGTH])
             body = data[pos + CID_LENGTH : end]
         else:
             cid, body = _split_cid(data[pos:end])

@@ -10,9 +10,9 @@ store the same records always agree on the root CID.
 
 The implementation here supports incremental insert/delete (splitting and
 merging subtrees as the original algorithm requires) with per-node block,
-CID and key-fragment caching, plus a canonical batch builder used by the
-property tests to check that incremental maintenance always converges to
-the canonical shape.
+CID and key-fragment caching.  The property tests check it against a
+layer-by-layer construction of the canonical tree, kept with the test
+oracles.
 
 Node serialization follows the atproto ``com.atproto.repo`` data model::
 
@@ -20,6 +20,16 @@ Node serialization follows the atproto ``com.atproto.repo`` data model::
 
 where ``p`` is the number of prefix bytes shared with the previous key in
 the node and ``k`` is the remaining key suffix.
+
+Reading goes the other way.  :func:`read_node` parses one node block.
+Its fast path walks, byte by byte, the one layout :meth:`MstNode.to_cbor`
+writes: shortest-form heads, map keys in canonical order, and links that
+are CIDv1 dag-cbor sha2-256.  Any other block goes to the generic
+decoder and the field-by-field check of :func:`_node_entries`, so both
+paths accept the same blocks and raise the same errors.  :func:`load_mst`
+reads a stored tree for import: it makes every check
+:meth:`Mst.check_invariants` makes and returns the ``(key, value)`` pairs
+in key order, without building :class:`MstNode` objects.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.atproto.cbor import _encode_head, cbor_decode
-from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
+from repro.atproto.cid import CODEC_DAG_CBOR, Cid, cid_for_dag_cbor_bytes
 
 
 class MstError(ValueError):
@@ -38,7 +48,7 @@ class MstError(ValueError):
 
 
 # Layer memo: the same ``collection/rkey`` keys get their layer recomputed
-# on every canonical build, invariant check, and proof — one sha256 each.
+# on every insert, invariant check and import walk — one sha256 each.
 # Bounded so pathological key churn cannot grow it without limit.
 _LAYER_CACHE: dict[str, int] = {}
 _LAYER_CACHE_MAX = 1 << 20
@@ -529,25 +539,164 @@ def _node_entries(cid: Cid, data) -> tuple[list[tuple[str, Cid]], list[Optional[
     return entries, links
 
 
-def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> Mst:
-    """Reconstruct an MST from a block map (e.g. parsed from a CAR file).
+# Fixed pieces of the canonical node layout, as :meth:`MstNode.to_cbor`
+# writes it: the node head with its ``e`` key, each entry's head with its
+# ``k`` key, the ``p``, ``t``, ``v`` and ``l`` keys, and the link prefix
+# (tag 42, a 37-byte string, the identity byte, CIDv1 dag-cbor sha2-256).
+_NODE_HEAD = b"\xa2\x61\x65"
+_ENTRY_HEAD = b"\xa4\x61\x6b"
+_P_KEY = b"\x61\x70"
+_T_KEY = b"\x61\x74"
+_LINK = b"\xd8\x2a\x58\x25\x00\x01\x71\x12\x20"
+_V_LINK = _V_KEY + _LINK
+_LINK_LEN = len(_LINK) + 32
 
-    A node block that does not have the node shape (see the module
-    docstring) raises :class:`MstError`, as does a missing block.
+
+def _read_canonical_node(block: bytes):
+    """``(entries, links)`` of a block in the canonical node layout, or
+    None for any other block.
+
+    Only shortest-form heads are read, so a block this accepts is one the
+    generic decoder reads to the same value.  A prefix length past the
+    previous key or a key that is not UTF-8 also gives None: the generic
+    path then raises its own error for it."""
+    if not block.startswith(_NODE_HEAD):
+        return None
+    try:
+        head = block[3]
+        if 0x80 <= head < 0x98:
+            count, pos = head - 0x80, 4
+        elif head == 0x98 and block[4] >= 24:
+            count, pos = block[4], 5
+        else:
+            return None
+        entries: list[tuple[str, Cid]] = []
+        links: list[Optional[Cid]] = [None]
+        previous = b""
+        for _ in range(count):
+            if not block.startswith(_ENTRY_HEAD, pos):
+                return None
+            head = block[pos + 3]
+            if 0x40 <= head < 0x58:
+                start = pos + 4
+                end = start + head - 0x40
+            elif head == 0x58 and block[pos + 4] >= 24:
+                start = pos + 5
+                end = start + block[pos + 4]
+            else:
+                return None
+            if not block.startswith(_P_KEY, end):
+                return None
+            prefix_len = block[end + 2]
+            if prefix_len < 24:
+                pos = end + 3
+            elif prefix_len == 24 and block[end + 3] >= 24:
+                prefix_len = block[end + 3]
+                pos = end + 4
+            else:
+                return None
+            if prefix_len > len(previous) or not block.startswith(_T_KEY, pos):
+                return None
+            if block[pos + 2] == 0xF6:
+                right = None
+                pos += 3
+            elif block.startswith(_LINK, pos + 2):
+                pos += 2 + _LINK_LEN
+                right = Cid(1, CODEC_DAG_CBOR, block[pos - 32 : pos])
+            else:
+                return None
+            if not block.startswith(_V_LINK, pos):
+                return None
+            pos += 2 + _LINK_LEN
+            value = Cid(1, CODEC_DAG_CBOR, block[pos - 32 : pos])
+            encoded = previous[:prefix_len] + block[start:end]
+            entries.append((encoded.decode("utf-8"), value))
+            links.append(right)
+            previous = encoded
+        if not block.startswith(_L_KEY, pos):
+            return None
+        if block[pos + 2] == 0xF6:
+            pos += 3
+        elif block.startswith(_LINK, pos + 2):
+            pos += 2 + _LINK_LEN
+            links[0] = Cid(1, CODEC_DAG_CBOR, block[pos - 32 : pos])
+        else:
+            return None
+    except (IndexError, ValueError):
+        # Read past the end, a link cut short by it (``Cid`` refuses the
+        # short digest), or a key that is not UTF-8.
+        return None
+    return (entries, links) if pos == len(block) else None
+
+
+def read_node(cid: Cid, block: bytes) -> tuple[list[tuple[str, Cid]], list[Optional[Cid]]]:
+    """A node block's ``(key, value)`` entries and subtree links, as
+    :func:`_node_entries` gives them: the canonical layout is read in
+    place, any other block through :func:`cbor_decode`."""
+    parsed = _read_canonical_node(block)
+    if parsed is None:
+        return _node_entries(cid, cbor_decode(block))
+    return parsed
+
+
+def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
+    """The ``(key, value)`` pairs of the tree stored under ``root_cid`` in a
+    block map (e.g. parsed from a CAR file), in key order, from one walk
+    that builds no nodes.
+
+    The walk makes every check :meth:`Mst.check_invariants` makes.  A
+    missing block, or a node block without the node shape (see the module
+    docstring), raises :class:`MstError` as soon as the walk reaches it,
+    so it wins over any invariant violation.  A violation is held until
+    the whole tree is read and then raised: the first one in
+    :meth:`Mst.check_invariants`' order.
     """
+    items: list[tuple[str, Cid]] = []
+    violation: Optional[str] = None  # the first invariant violation
 
-    def load(cid: Cid, layer_hint: Optional[int]) -> MstNode:
+    def read(cid: Cid):
         block = blocks.get(cid)
         if block is None:
             raise MstError("missing MST block %s" % cid)
-        entries, links = _node_entries(cid, cbor_decode(block))
-        if entries:
-            layer = key_layer(entries[0][0])
-        elif layer_hint is not None:
-            layer = layer_hint
-        else:
-            layer = 0
-        subtrees = [None if link is None else load(link, layer - 1) for link in links]
-        return MstNode(layer, entries, subtrees)
+        return read_node(cid, block)
 
-    return Mst(load(root_cid, None))
+    def visit(entries, links, layer: int, lo: Optional[str], hi: Optional[str]) -> None:
+        nonlocal violation
+        if violation is None:
+            previous = None
+            for key, _ in entries:
+                if key_layer(key) != layer:
+                    violation = "key %r stored at wrong layer" % key
+                elif (lo is not None and key <= lo) or (hi is not None and key >= hi):
+                    violation = "key %r out of range" % key
+                elif previous is not None and key <= previous:
+                    violation = "entries out of order at %r" % key
+                else:
+                    previous = key
+                    continue
+                break
+        last = len(entries)
+        for index, link in enumerate(links):
+            if link is not None:
+                child_entries, child_links = read(link)
+                child_layer = key_layer(child_entries[0][0]) if child_entries else layer - 1
+                if violation is None:
+                    if child_layer != layer - 1:
+                        violation = "child layer must be parent layer - 1"
+                    elif not child_entries and child_links[0] is None:
+                        violation = "empty non-root node"
+                visit(
+                    child_entries,
+                    child_links,
+                    child_layer,
+                    entries[index - 1][0] if index else lo,
+                    entries[index][0] if index < last else hi,
+                )
+            if index < last:
+                items.append(entries[index])
+
+    entries, links = read(root_cid)
+    visit(entries, links, key_layer(entries[0][0]) if entries else 0, None, None)
+    if violation is not None:
+        raise MstError(violation)
+    return items

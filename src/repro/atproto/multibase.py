@@ -94,24 +94,3 @@ def base58btc_decode(text: str) -> bytes:
         leading_ones += 1
     body = num.to_bytes((num.bit_length() + 7) // 8, "big") if num else b""
     return b"\x00" * leading_ones + body
-
-
-def multibase_encode(prefix: str, data: bytes) -> str:
-    """Encode with a multibase prefix character (``b`` = base32, ``z`` = base58btc)."""
-    if prefix == "b":
-        return "b" + base32_encode(data)
-    if prefix == "z":
-        return "z" + base58btc_encode(data)
-    raise MultibaseError("unsupported multibase prefix %r" % prefix)
-
-
-def multibase_decode(text: str) -> bytes:
-    """Decode multibase text, dispatching on its prefix character."""
-    if not text:
-        raise MultibaseError("empty multibase string")
-    prefix, body = text[0], text[1:]
-    if prefix == "b":
-        return base32_decode(body)
-    if prefix == "z":
-        return base58btc_decode(body)
-    raise MultibaseError("unsupported multibase prefix %r" % prefix)

@@ -22,7 +22,7 @@ from repro.atproto.cbor import _encode_head, _encode_text, cbor_decode, cbor_enc
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
 from repro.atproto.events import CommitOp
 from repro.atproto.keys import Keypair, PublicKey
-from repro.atproto.mst import Mst, load_mst
+from repro.atproto.mst import Mst, MstError, is_valid_mst_key, load_mst
 from repro.atproto.tid import Tid, TidClock
 
 COMMIT_VERSION = 3
@@ -165,38 +165,46 @@ class Repo:
         return self.apply_writes([WriteOp("delete", collection, rkey)], now_us)
 
     def apply_writes(self, writes: list[WriteOp], now_us: int) -> CommitMeta:
-        """Apply a batch of writes as a single signed commit."""
+        """Apply a batch of writes as a single signed commit.
+
+        The whole batch is checked, and every record encoded, before the
+        first write touches the tree or the block store, so a refused
+        batch leaves the repository as it was."""
         if not writes:
             raise RepoError("empty write batch")
-        ops: list[CommitOp] = []
+        staged = []
+        current: dict[str, Optional[Cid]] = {}  # paths the batch has written
         for write in writes:
             path = write.path
-            existing = self.mst.get(path)
+            existing = current[path] if path in current else self.mst.get(path)
             if write.action == "create" and existing is not None:
                 raise RepoError("record %s already exists" % path)
-            if write.action in ("update", "delete") and existing is None:
+            if write.action != "create" and existing is None:
                 raise RepoError("record %s does not exist" % path)
-            if write.action == "delete":
+            block = cid = None
+            if write.action != "delete":
+                block = cbor_encode(write.record)
+                if not is_valid_mst_key(path):
+                    raise MstError("invalid MST key %r" % path)
+                cid = cid_for_dag_cbor_bytes(block)
+            current[path] = cid
+            staged.append((write, path, existing, block, cid))
+        ops: list[CommitOp] = []
+        for write, path, existing, block, cid in staged:
+            if cid is None:
                 self.mst.delete(path)
-                self._release_block(existing)
                 ops.append(CommitOp("delete", path, None))
             else:
-                cid = self._store_record(write.record)
-                if existing is not None:
-                    self._release_block(existing)
+                entry = self._blocks.get(cid)
+                if entry is None:
+                    self._blocks[cid] = _RecordEntry(block)
+                else:
+                    entry.refs += 1
                 self.mst.set(path, cid)
                 ops.append(CommitOp(write.action, path, cid, write.record))
+            if existing is not None:
+                self._release_block(existing)
         return self._commit(tuple(ops), now_us)
-
-    def _store_record(self, record: dict) -> Cid:
-        block = cbor_encode(record)
-        cid = cid_for_dag_cbor_bytes(block)
-        entry = self._blocks.get(cid)
-        if entry is None:
-            self._blocks[cid] = _RecordEntry(block)
-        else:
-            entry.refs += 1
-        return cid
 
     def _release_block(self, cid: Cid) -> None:
         entry = self._blocks[cid]
@@ -259,26 +267,23 @@ class RepoSnapshot:
         return list(seen)
 
 
-def import_car(
-    data: bytes,
-    verify_key: Optional[PublicKey] = None,
-    verify_digests: bool = True,
-    check_mst: bool = False,
-) -> RepoSnapshot:
-    """Parse a repo CAR export, optionally verifying the commit signature.
+def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnapshot:
+    """Parse and check a repo CAR export, verifying the commit signature
+    when ``verify_key`` is given.
 
-    ``verify_digests`` hashes every block against its claimed CID (see
-    :func:`repro.atproto.car.read_car`); ``check_mst`` additionally runs
-    the reconstructed tree through :meth:`Mst.check_invariants`, so an
-    import with both enabled plus a ``verify_key`` is a full
-    self-certification of the snapshot.  Failure kinds stay
-    distinguishable: digest mismatches raise
-    :class:`~repro.atproto.car.BlockDigestError`, structural garbage
-    :class:`~repro.atproto.car.CarError`, tree violations
-    :class:`~repro.atproto.mst.MstError`, and bad signatures
-    :class:`SignatureError`.
+    One pass over the CAR: :func:`~repro.atproto.car.read_car` hashes
+    every block against its CID into the block map, :func:`load_mst`
+    reads the tree from the commit's ``data`` link with every
+    :meth:`Mst.check_invariants` check, and the records are decoded after
+    the walk.  No tree is built.  Failure kinds stay distinguishable:
+    digest mismatches raise :class:`~repro.atproto.car.BlockDigestError`,
+    structural garbage :class:`~repro.atproto.car.CarError`, tree
+    violations :class:`~repro.atproto.mst.MstError`, and bad signatures
+    :class:`SignatureError`.  A tree error wins over a bad or missing
+    record block, as a missing or malformed node wins over an invariant
+    violation.
     """
-    roots, blocks = read_car(data, verify_digests=verify_digests)
+    roots, blocks = read_car(data)
     if len(roots) != 1:
         raise RepoError("repo CAR must have exactly one root")
     commit = cbor_decode(blocks[roots[0]])
@@ -293,13 +298,13 @@ def import_car(
         unsigned = {k: v for k, v in commit.items() if k != "sig"}
         if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
             raise SignatureError("commit signature verification failed")
-    mst = load_mst(blocks, commit["data"]) if commit["data"] in blocks else Mst()
-    if check_mst:
-        mst.check_invariants()
+    items = load_mst(blocks, commit["data"]) if commit["data"] in blocks else []
     snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
-    for path, cid in mst.items():
-        if cid not in blocks:
+    records, record_cids = snapshot.records, snapshot.record_cids
+    for path, cid in items:
+        block = blocks.get(cid)
+        if block is None:
             raise RepoError("record block %s missing from CAR" % cid)
-        snapshot.records[path] = cbor_decode(blocks[cid])
-        snapshot.record_cids[path] = cid
+        records[path] = cbor_decode(block)
+        record_cids[path] = cid
     return snapshot

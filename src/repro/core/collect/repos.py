@@ -24,7 +24,6 @@ from repro.atproto.lexicon import (
     PROFILE,
     REPOST,
 )
-from repro.atproto.repo import import_car
 from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import ServiceDirectory, XrpcError
 
@@ -86,7 +85,6 @@ class RepositoriesDataset:
     # paper's snapshot ran for 10 days; see netsim.ratelimit).
     crawl_duration_us: int = 0
     verified_signatures: int = 0
-    signature_failures: int = 0
     # Repos the crawl could not obtain, and why — the paper likewise
     # reports fewer repositories (5.52M) than identifiers (5.59M).
     failed_dids: set = field(default_factory=set)
@@ -140,10 +138,10 @@ class RepositoriesCollector:
         self,
         services: ServiceDirectory,
         relay_url: str,
+        integrity,
         rate_per_second: float = 6.4,
         resolver=None,
         retry_policy=None,
-        integrity=None,
         host_of=None,
         on_progress=None,
         telemetry=None,
@@ -158,8 +156,8 @@ class RepositoriesCollector:
         # signing key (end-to-end authenticated transfer).
         self.resolver = resolver
         self.retry_policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        # Optional IntegrityMonitor: runs the full self-certification
-        # stack (digests, MST invariants, signature) on every download and
+        # The IntegrityMonitor runs the full self-certification stack
+        # (digests, MST invariants, signature) on every download and
         # quarantines failures instead of ingesting them.  ``host_of``
         # maps a DID to its hosting PDS so quarantines are attributed to
         # the origin host even though the bytes came through the relay.
@@ -251,28 +249,18 @@ class RepositoriesCollector:
     def _ingest_repo(self, did: str, car: bytes) -> None:
         data = self.dataset
         verify_key = self._signing_key_for(did)
-        if self.integrity is not None:
-            host = self.host_of(did) if self.host_of is not None else self.relay_url
-            snapshot = self.integrity.verify_repo_car(host, did, car, verify_key=verify_key)
-            if snapshot is None:
-                # Quarantined: the repo never enters the dataset, and the
-                # DID is terminally failed (re-fetching would serve the
-                # same poisoned bytes — corruption draws are stateless).
-                kind = self.integrity.report.quarantined[-1].kind
-                data.failed_dids.add(did)
-                data.failure_reasons[did] = "quarantined: %s" % kind
-                return
-            if verify_key is not None:
-                data.verified_signatures += 1
-        else:
-            try:
-                snapshot = import_car(car, verify_key=verify_key)
-            except ValueError:
-                data.signature_failures += 1
-                snapshot = import_car(car)
-            else:
-                if verify_key is not None:
-                    data.verified_signatures += 1
+        host = self.host_of(did) if self.host_of is not None else self.relay_url
+        snapshot = self.integrity.verify_repo_car(host, did, car, verify_key=verify_key)
+        if snapshot is None:
+            # Quarantined: the repo never enters the dataset, and the DID
+            # is terminally failed (re-fetching would serve the same
+            # poisoned bytes — corruption draws are stateless).
+            kind = self.integrity.report.quarantined[-1].kind
+            data.failed_dids.add(did)
+            data.failure_reasons[did] = "quarantined: %s" % kind
+            return
+        if verify_key is not None:
+            data.verified_signatures += 1
         data.repo_count += 1
         count = 0
         for path, record in snapshot.records.items():

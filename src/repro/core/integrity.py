@@ -176,7 +176,7 @@ class IntegrityMonitor:
         """
         self._checked("repo")
         try:
-            snapshot = import_car(car, verify_key=verify_key, verify_digests=True, check_mst=True)
+            snapshot = import_car(car, verify_key=verify_key)
         except BlockDigestError as exc:
             self.quarantine(host, KIND_BLOCK_DIGEST, did, str(exc))
             return None

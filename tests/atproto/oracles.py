@@ -12,7 +12,8 @@ import math
 import struct
 from typing import Any, Callable, Optional
 
-from repro.atproto.cbor import _MAX_NESTING, CborError, _map_key_sort_key, cbor_encode
+from repro.atproto.car import read_car
+from repro.atproto.cbor import _MAX_NESTING, CborError, _map_key_sort_key, cbor_decode, cbor_encode
 from repro.atproto.cid import Cid
 from repro.atproto.events import (
     CommitEvent,
@@ -22,7 +23,8 @@ from repro.atproto.events import (
     InfoEvent,
 )
 from repro.atproto.lexicon import Field, LexiconError, RecordSchema
-from repro.atproto.mst import Mst, MstError, MstNode, key_layer
+from repro.atproto.mst import Mst, MstError, MstNode, _node_entries, key_layer
+from repro.atproto.repo import COMMIT_VERSION, RepoError, RepoSnapshot, SignatureError
 from repro.atproto.nsid import Nsid
 from repro.atproto.tid import SORTABLE_ALPHABET, Tid
 
@@ -357,3 +359,54 @@ def oracle_encode_event_frame(event: FirehoseEvent) -> bytes:
             payload["oldestSeq"] = event.oldest_seq
         payload["dropped"] = event.dropped
     return cbor_encode(header) + cbor_encode(payload)
+
+
+def oracle_load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> Mst:
+    """The tree under ``root_cid``, every node block read through
+    ``cbor_decode`` and :func:`_node_entries`."""
+
+    def load(cid: Cid, layer_hint: Optional[int]) -> MstNode:
+        block = blocks.get(cid)
+        if block is None:
+            raise MstError("missing MST block %s" % cid)
+        entries, links = _node_entries(cid, cbor_decode(block))
+        if entries:
+            layer = key_layer(entries[0][0])
+        elif layer_hint is not None:
+            layer = layer_hint
+        else:
+            layer = 0
+        subtrees = [None if link is None else load(link, layer - 1) for link in links]
+        return MstNode(layer, entries, subtrees)
+
+    return Mst(load(root_cid, None))
+
+
+def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
+    """A repo CAR import that builds the tree: :func:`read_car`, then
+    :func:`oracle_load_mst`, :meth:`Mst.check_invariants`, the tree's
+    items in key order and one ``cbor_decode`` per record."""
+    roots, blocks = read_car(data)
+    if len(roots) != 1:
+        raise RepoError("repo CAR must have exactly one root")
+    commit = cbor_decode(blocks[roots[0]])
+    if not isinstance(commit, dict) or commit.get("version") != COMMIT_VERSION:
+        raise RepoError("root block is not a v%d commit" % COMMIT_VERSION)
+    if not isinstance(commit.get("did"), str) or not isinstance(commit.get("rev"), str):
+        raise RepoError("commit is missing did/rev fields")
+    if not isinstance(commit.get("data"), Cid):
+        raise RepoError("commit has no data link")
+    if verify_key is not None:
+        sig = commit.get("sig")
+        unsigned = {k: v for k, v in commit.items() if k != "sig"}
+        if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
+            raise SignatureError("commit signature verification failed")
+    mst = oracle_load_mst(blocks, commit["data"]) if commit["data"] in blocks else Mst()
+    mst.check_invariants()
+    snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
+    for path, cid in mst.items():
+        if cid not in blocks:
+            raise RepoError("record block %s missing from CAR" % cid)
+        snapshot.records[path] = cbor_decode(blocks[cid])
+        snapshot.record_cids[path] = cid
+    return snapshot

