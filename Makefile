@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-writepath test-readpath test-telemetry test-shard test-perfbench test-ablation bench lint lint-determinism report trace check
+.PHONY: test test-fast test-faults test-integrity test-writepath test-readpath test-appview test-telemetry test-shard test-perfbench test-ablation bench lint lint-determinism report trace check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -26,6 +26,9 @@ test-writepath:  ## record write path: lexicon, TID, base32, frames, CBOR, commi
 
 test-readpath:  ## repo read path: CAR parse and fuzz, CBOR decode vs oracle, MST node reader, one-pass import vs oracle, quarantine
 	$(PYTHON) -m pytest -x -q tests/atproto/test_car_fuzz.py tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_mst.py tests/atproto/test_repo_car.py tests/atproto/test_import_differential.py tests/core/test_integrity.py
+
+test-appview:  ## AppView reads: timeline index cut, page hydration, feed refill, search, vs the reference reads
+	$(PYTHON) -m pytest -x -q tests/services/test_read_path.py tests/services/test_timeline.py tests/services/test_feed_pagination.py tests/services/test_feedgen.py tests/services/test_search_lists.py
 
 test-telemetry:  ## metrics registry + tracer + telemetry suite, and the equivalence matrix
 	$(PYTHON) -m pytest -x -q tests/obs tests/core/test_telemetry.py tests/test_equivalence.py

@@ -2,7 +2,7 @@
 
 This package implements the data-model layer of the Authenticated Transfer
 Protocol (ATProto) from scratch: DAG-CBOR encoding, CIDs, timestamp
-identifiers (TIDs), AT-URIs, NSIDs, secp256k1 signatures, Merkle Search
+identifiers (TIDs), NSIDs, secp256k1 signatures, Merkle Search
 Trees, signed repositories, and CARv1 serialization.
 
 Everything here is deterministic and side-effect free; the service layer
@@ -13,11 +13,9 @@ the other network components studied in the paper.
 from repro.atproto.cbor import cbor_decode, cbor_encode
 from repro.atproto.cid import Cid, cid_for_cbor, cid_for_raw
 from repro.atproto.tid import Tid, TidClock
-from repro.atproto.uri import AtUri
 from repro.atproto.nsid import Nsid
 
 __all__ = [
-    "AtUri",
     "Cid",
     "Nsid",
     "Tid",

@@ -47,6 +47,9 @@ class MstError(ValueError):
     """Raised on invalid MST operations."""
 
 
+# The largest layer a key can have: a sha256 digest has 128 2-bit groups.
+MAX_LAYER = 128
+
 # Layer memo: the same ``collection/rkey`` keys get their layer recomputed
 # on every insert, invariant check and import walk — one sha256 each.
 # Bounded so pathological key churn cannot grow it without limit.
@@ -647,9 +650,12 @@ def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
     The walk makes every check :meth:`Mst.check_invariants` makes.  A
     missing block, or a node block without the node shape (see the module
     docstring), raises :class:`MstError` as soon as the walk reaches it,
-    so it wins over any invariant violation.  A violation is held until
-    the whole tree is read and then raised: the first one in
-    :meth:`Mst.check_invariants`' order.
+    so it wins over any invariant violation.  So does a link out of a
+    node :data:`MAX_LAYER` levels below the root: a key's layer is at most
+    ``MAX_LAYER``, so no valid tree is deeper, and a chain of nodes (each
+    digest valid) cannot take the walk past the recursion limit.  A
+    violation is held until the whole tree is read and then raised: the
+    first one in :meth:`Mst.check_invariants`' order.
     """
     items: list[tuple[str, Cid]] = []
     violation: Optional[str] = None  # the first invariant violation
@@ -660,7 +666,7 @@ def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
             raise MstError("missing MST block %s" % cid)
         return read_node(cid, block)
 
-    def visit(entries, links, layer: int, lo: Optional[str], hi: Optional[str]) -> None:
+    def visit(entries, links, layer: int, lo: Optional[str], hi: Optional[str], depth: int):
         nonlocal violation
         if violation is None:
             previous = None
@@ -678,6 +684,8 @@ def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
         last = len(entries)
         for index, link in enumerate(links):
             if link is not None:
+                if depth == MAX_LAYER:
+                    raise MstError("MST deeper than %d levels at %s" % (MAX_LAYER + 1, link))
                 child_entries, child_links = read(link)
                 child_layer = key_layer(child_entries[0][0]) if child_entries else layer - 1
                 if violation is None:
@@ -691,12 +699,13 @@ def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
                     child_layer,
                     entries[index - 1][0] if index else lo,
                     entries[index][0] if index < last else hi,
+                    depth + 1,
                 )
             if index < last:
                 items.append(entries[index])
 
     entries, links = read(root_cid)
-    visit(entries, links, key_layer(entries[0][0]) if entries else 0, None, None)
+    visit(entries, links, key_layer(entries[0][0]) if entries else 0, None, None, 0)
     if violation is not None:
         raise MstError(violation)
     return items

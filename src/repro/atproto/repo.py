@@ -281,12 +281,18 @@ def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnaps
     violations :class:`~repro.atproto.mst.MstError`, and bad signatures
     :class:`SignatureError`.  A tree error wins over a bad or missing
     record block, as a missing or malformed node wins over an invariant
-    violation.
+    violation.  A missing commit block is a :class:`RepoError` and a
+    missing tree node, the root included, an :class:`MstError`: a CAR cut
+    short never reads as a smaller repo (an empty repo still carries its
+    empty root node).
     """
     roots, blocks = read_car(data)
     if len(roots) != 1:
         raise RepoError("repo CAR must have exactly one root")
-    commit = cbor_decode(blocks[roots[0]])
+    commit_block = blocks.get(roots[0])
+    if commit_block is None:
+        raise RepoError("root block %s missing from CAR" % roots[0])
+    commit = cbor_decode(commit_block)
     if not isinstance(commit, dict) or commit.get("version") != COMMIT_VERSION:
         raise RepoError("root block is not a v%d commit" % COMMIT_VERSION)
     if not isinstance(commit.get("did"), str) or not isinstance(commit.get("rev"), str):
@@ -298,7 +304,7 @@ def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnaps
         unsigned = {k: v for k, v in commit.items() if k != "sig"}
         if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
             raise SignatureError("commit signature verification failed")
-    items = load_mst(blocks, commit["data"]) if commit["data"] in blocks else []
+    items = load_mst(blocks, commit["data"])
     snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
     records, record_cids = snapshot.records, snapshot.record_cids
     for path, cid in items:

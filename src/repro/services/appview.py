@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from repro.atproto.events import CommitEvent, FirehoseEvent, HandleEvent, TombstoneEvent
@@ -132,11 +133,11 @@ class AppView(XrpcService):
         # is deterministic, so iteration is too).
         self._tl_followers: dict[str, dict[str, None]] = {}
         # follower did -> [(time_us, uri)] sorted ascending; the timeline
-        # index getTimeline walks backwards instead of scanning authors.
+        # index getTimeline slices its page from instead of scanning authors.
         self._timelines: dict[str, list] = {}
-        # uri -> hydrated post view; actor did -> profile view.  Explicitly
-        # invalidated on like/repost/label/takedown/delete (posts) and on
-        # profile/follow/handle/tombstone events (profiles).
+        # uri -> feed item {"post": hydrated post view}; actor did -> profile
+        # view.  Explicitly invalidated on like/repost/label/takedown/delete
+        # (posts) and on profile/follow/handle/tombstone events (profiles).
         self._post_views: dict[str, dict] = {}
         self._profile_views: dict[str, dict] = {}
         # (q, limit) -> full searchPosts response.  Valid only while no
@@ -393,25 +394,52 @@ class AppView(XrpcService):
 
     # -- hydration --------------------------------------------------------------
 
-    def _hydrate_post(self, uri: str) -> Optional[dict]:
-        """The full hydrated view of one post, or None if the post is
-        deleted, never indexed, or taken down.
+    def _hydrate_page(self, uris: list, limit: int) -> list:
+        """The feed items ``{"post": view}`` of the first ``limit`` live
+        posts of ``uris``, in order; deleted, never-indexed and taken-down
+        posts are skipped.
 
-        Shared by getFeed / getTimeline / searchPosts; the hydrated dict
-        is cached until an event touching it (like, repost, label,
-        takedown, delete) invalidates the entry."""
-        if uri in self._takedowns:
-            return None
-        cached = self._post_views.get(uri)
-        if cached is not None:
-            self._m_cache_hits.inc(("post_view",))
-            return cached
-        post = self.render_post(uri)
-        if post is None:
-            return None
-        self._m_cache_misses.inc(("post_view",))
-        self._post_views[uri] = post
-        return post
+        Shared by getFeed / getTimeline / searchPosts.  An item is cached
+        until an event touching its post (like, repost, label, takedown,
+        delete) invalidates the entry, so responses share cached items and
+        callers must not mutate them.  A page whose head is all live and
+        all cached is read in one ``map``; otherwise each post is taken in
+        turn and each miss rendered.  Either way the page's hits are
+        counted in one bump, so the counter totals equal one increment per
+        hydrated post."""
+        views = self._post_views
+        takedowns = self._takedowns
+        # The loop below takes the first live post even when limit <= 0.
+        head = uris[: max(limit, 1)]
+        if not takedowns or takedowns.isdisjoint(head):
+            try:
+                page = list(map(views.__getitem__, head))
+            except KeyError:
+                pass  # a miss: take the post-by-post path
+            else:
+                if page:
+                    self._m_cache_hits.inc(("post_view",), len(page))
+                return page
+        page = []
+        hits = 0
+        for uri in uris:
+            if uri in takedowns:
+                continue
+            item = views.get(uri)
+            if item is None:
+                post = self.render_post(uri)
+                if post is None:
+                    continue
+                self._m_cache_misses.inc(("post_view",))
+                item = views[uri] = {"post": post}
+            else:
+                hits += 1
+            page.append(item)
+            if len(page) >= limit:
+                break
+        if hits:
+            self._m_cache_hits.inc(("post_view",), hits)
+        return page
 
     def render_post(self, uri: str) -> Optional[dict]:
         """Build one indexed post's hydrated view from the indexes (no
@@ -494,7 +522,7 @@ class AppView(XrpcService):
         endpoint = self.feed_endpoint(feed)
         with self.telemetry.tracer.span("read.getFeed", cat="read", sample=True):
             return self.fill_feed_page(
-                self._hydrate_post, endpoint, feed, limit, cursor, viewer, now_us
+                self._hydrate_page, endpoint, feed, limit, cursor, viewer, now_us
             )
 
     def feed_endpoint(self, feed: str) -> str:
@@ -507,8 +535,9 @@ class AppView(XrpcService):
             raise XrpcError(502, "feed generator has no endpoint")
         return endpoint
 
-    def fill_feed_page(self, hydrate, endpoint, feed, limit, cursor, viewer, now_us) -> dict:
-        """One getFeed page, each skeleton item hydrated by ``hydrate``.
+    def fill_feed_page(self, hydrate_page, endpoint, feed, limit, cursor, viewer, now_us) -> dict:
+        """One getFeed page, each skeleton page hydrated by
+        ``hydrate_page(uris, limit)`` (see :meth:`_hydrate_page`).
 
         Refill: skeleton items can hydrate to nothing (deleted or
         taken-down posts), so keep paging the skeleton until the response
@@ -528,10 +557,7 @@ class AppView(XrpcService):
             )
             page = skeleton["feed"]
             page_cursor = skeleton.get("cursor")
-            for item in page:
-                post = hydrate(item["post"])
-                if post is not None:
-                    hydrated.append({"post": post})
+            hydrated.extend(hydrate_page([item["post"] for item in page], limit - len(hydrated)))
             if page_cursor is None or not page:
                 break
         return {"feed": hydrated, "cursor": page_cursor}
@@ -552,15 +578,8 @@ class AppView(XrpcService):
             ordered = self.search_matches(q)
             if ordered is None:
                 return {"posts": []}
-            posts = []
-            for uri in ordered:
-                post = self._hydrate_post(uri)
-                if post is None:
-                    continue  # taken down
-                posts.append(search_hit(post))
-                if len(posts) >= limit:
-                    break
-            response = {"posts": posts}
+            page = self._hydrate_page(ordered, limit)
+            response = {"posts": [search_hit(item["post"]) for item in page]}
             self._m_cache_misses.inc(("search_page",))
             self._search_pages[(q, limit)] = response
             return response
@@ -607,33 +626,39 @@ class AppView(XrpcService):
         author-scan reference it must match byte for byte."""
         with self.telemetry.tracer.span("read.getTimeline", cat="read", sample=True):
             self._m_cache_hits.inc(("timeline_index",))
-            feed = []
-            for uri in self._timeline_from_index(actor, limit):
-                post = self._hydrate_post(uri)
-                if post is not None:
-                    feed.append({"post": post})
-            return {"feed": feed}
+            return {"feed": self._hydrate_page(self._timeline_from_index(actor, limit), limit)}
 
     def _timeline_from_index(self, actor: str, limit: int) -> list:
-        """Walk the (time-ascending) timeline index backwards, reversing
-        each equal-``time_us`` tie group so the result is ordered by
-        ``(-time_us, uri)``.  Deleted posts never appear (the index is
-        maintained at ingest); takedowns are filtered here because they
-        are reversible labels, not index removals."""
-        timeline = self._timelines.get(actor, ())
-        selected: list = []
-        i = len(timeline) - 1
-        while i >= 0 and len(selected) < limit:
-            time_us = timeline[i][0]
-            j = i
-            while j >= 0 and timeline[j][0] == time_us:
-                j -= 1
-            for k in range(j + 1, i + 1):
-                uri = timeline[k][1]
-                if uri not in self._takedowns:
-                    selected.append(uri)
-            i = j
-        return selected[:limit]
+        """The uris of the ``limit`` most recent live posts in ``actor``'s
+        timeline index, ordered by ``(-time_us, uri)``.
+
+        The index is ascending by ``(time_us, uri)``, so the page is its
+        tail: cut ``timeline[-limit:]``, move the cut back to the start of
+        the ``time_us`` tie group it falls in, and order the slice with one
+        stable descending sort on ``time_us`` (ties keep ascending ``uri``).
+        Deleted posts never appear (the index is maintained at ingest);
+        takedowns are reversible labels, not index removals, so they are
+        filtered here, and when they leave fewer than ``limit`` live posts
+        the slice doubles and the cut is made again."""
+        timeline = self._timelines.get(actor)
+        if not timeline or limit <= 0:
+            return []
+        takedowns = self._takedowns
+        width = limit
+        while True:
+            start = max(len(timeline) - width, 0)
+            if start:
+                time_us = timeline[start][0]
+                while start and timeline[start - 1][0] == time_us:
+                    start -= 1
+            entries = timeline[start:]
+            entries.sort(key=itemgetter(0), reverse=True)
+            live = list(map(itemgetter(1), entries))
+            if takedowns and not takedowns.isdisjoint(live):
+                live = [uri for uri in live if uri not in takedowns]
+            if len(live) >= limit or not start:
+                return live[:limit]
+            width *= 2
 
     def xrpc_getProfile(self, actor: str) -> dict:
         with self.telemetry.tracer.span("read.getProfile", cat="read", sample=True):

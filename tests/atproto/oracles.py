@@ -23,7 +23,7 @@ from repro.atproto.events import (
     InfoEvent,
 )
 from repro.atproto.lexicon import Field, LexiconError, RecordSchema
-from repro.atproto.mst import Mst, MstError, MstNode, _node_entries, key_layer
+from repro.atproto.mst import MAX_LAYER, Mst, MstError, MstNode, _node_entries, key_layer
 from repro.atproto.repo import COMMIT_VERSION, RepoError, RepoSnapshot, SignatureError
 from repro.atproto.nsid import Nsid
 from repro.atproto.tid import SORTABLE_ALPHABET, Tid
@@ -365,7 +365,7 @@ def oracle_load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> Mst:
     """The tree under ``root_cid``, every node block read through
     ``cbor_decode`` and :func:`_node_entries`."""
 
-    def load(cid: Cid, layer_hint: Optional[int]) -> MstNode:
+    def load(cid: Cid, layer_hint: Optional[int], depth: int) -> MstNode:
         block = blocks.get(cid)
         if block is None:
             raise MstError("missing MST block %s" % cid)
@@ -376,10 +376,14 @@ def oracle_load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> Mst:
             layer = layer_hint
         else:
             layer = 0
-        subtrees = [None if link is None else load(link, layer - 1) for link in links]
+        subtrees = []
+        for link in links:
+            if link is not None and depth == MAX_LAYER:
+                raise MstError("MST deeper than %d levels at %s" % (MAX_LAYER + 1, link))
+            subtrees.append(None if link is None else load(link, layer - 1, depth + 1))
         return MstNode(layer, entries, subtrees)
 
-    return Mst(load(root_cid, None))
+    return Mst(load(root_cid, None, 0))
 
 
 def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
@@ -389,6 +393,8 @@ def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
     roots, blocks = read_car(data)
     if len(roots) != 1:
         raise RepoError("repo CAR must have exactly one root")
+    if roots[0] not in blocks:
+        raise RepoError("root block %s missing from CAR" % roots[0])
     commit = cbor_decode(blocks[roots[0]])
     if not isinstance(commit, dict) or commit.get("version") != COMMIT_VERSION:
         raise RepoError("root block is not a v%d commit" % COMMIT_VERSION)
@@ -401,7 +407,7 @@ def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
         unsigned = {k: v for k, v in commit.items() if k != "sig"}
         if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
             raise SignatureError("commit signature verification failed")
-    mst = oracle_load_mst(blocks, commit["data"]) if commit["data"] in blocks else Mst()
+    mst = oracle_load_mst(blocks, commit["data"])
     mst.check_invariants()
     snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
     for path, cid in mst.items():

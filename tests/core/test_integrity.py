@@ -334,6 +334,108 @@ class TestSchemaInvalidRepoBlocks:
         assert list(snapshot.records) == [RECORD_PATH.decode()]
 
 
+def _sections(car: bytes) -> tuple[int, list[tuple[int, int]]]:
+    """The end of a CAR's header and each section's ``(start, end)``."""
+    from repro.atproto.varint import decode_varint
+
+    header_len, pos = decode_varint(car, 0)
+    header_end = pos = pos + header_len
+    spans = []
+    while pos < len(car):
+        length, body = decode_varint(car, pos)
+        spans.append((pos, body + length))
+        pos = body + length
+    return header_end, spans
+
+
+def _verify(car: bytes, did: str = REPO_DID, verify_key=None):
+    """``verify_repo_car``'s snapshot, or the quarantined ``(kind, detail)``."""
+    from repro.core.integrity import IntegrityMonitor
+
+    monitor = IntegrityMonitor(directory=None)
+    snapshot = monitor.verify_repo_car("https://pds.example", did, car, verify_key=verify_key)
+    if snapshot is not None:
+        return snapshot
+    (item,) = monitor.report.quarantined
+    return item.kind, item.detail
+
+
+class TestIncompleteRepoCars:
+    """A ``getRepo`` response is admitted only with its whole signed tree:
+    a CAR missing blocks is quarantined, never read as a smaller repo and
+    never raised out of the crawl."""
+
+    def test_cut_after_the_commit_block(self):
+        car = _well_hashed_car(lambda v: {"l": None, "e": [_entry(v)]})
+        _header_end, spans = _sections(car)
+        kind, detail = _verify(car[: spans[0][1]])
+        assert kind == "mst-invalid"
+        assert detail.startswith("missing MST block")
+
+    def test_header_root_no_section_carries(self):
+        from repro.atproto.car import write_car
+        from repro.atproto.cbor import cbor_encode
+        from repro.atproto.cid import cid_for_dag_cbor_bytes
+
+        commit = cbor_encode({"did": REPO_DID, "version": 3, "rev": "3kabcdefghi22"})
+        other = cid_for_dag_cbor_bytes(cbor_encode({"other": True}))
+        car = write_car(other, [(cid_for_dag_cbor_bytes(commit), commit)])
+        assert _verify(car) == ("car-malformed", "root block %s missing from CAR" % other)
+
+    @pytest.mark.parametrize("with_entry", [False, True], ids=["entry-less", "one-entry"])
+    def test_chain_of_nodes(self, with_entry):
+        from repro.atproto.car import write_car
+        from repro.atproto.cbor import cbor_encode
+        from repro.atproto.cid import cid_for_dag_cbor_bytes
+
+        # 1,500 nodes, each linking the next, and every digest checks
+        # out: the walk used to recurse past Python's recursion limit.
+        record = cid_for_dag_cbor_bytes(cbor_encode({"text": "hi"}))
+        blocks, link = [], None
+        for _ in range(1500):
+            entries = [_entry(record)] if with_entry else []
+            block = cbor_encode({"e": entries, "l": link})
+            link = cid_for_dag_cbor_bytes(block)
+            blocks.append((link, block))
+        commit = cbor_encode(
+            {"did": REPO_DID, "version": 3, "rev": "3kabcdefghi22", "data": link}
+        )
+        commit_cid = cid_for_dag_cbor_bytes(commit)
+        car = write_car(commit_cid, [(commit_cid, commit)] + blocks[::-1])
+        kind, detail = _verify(car)
+        assert kind == "mst-invalid"
+        assert detail.startswith("MST deeper than 129 levels")
+
+
+@pytest.mark.slow
+def test_every_cut_or_dropped_section_is_quarantined(study_world):
+    """Every repository CAR of the clean reference study, cut at each
+    section boundary and with each single section dropped: the crawl's
+    check admits the full repository or quarantines it.  The variants
+    skip the signature check (a pure-Python ECDSA verify each), which a
+    cut or a dropped section cannot change."""
+    checked = 0
+    for pds in study_world.pds_shards:
+        for row in pds.xrpc_listRepos(limit=100_000)["repos"]:
+            did = row["did"]
+            key = pds.repo(did).keypair.public_key
+            car = pds.xrpc_getRepo(did=did)
+            full = _verify(car, did, key)
+            expected = (list(full.records.items()), list(full.record_cids.items()))
+            header_end, spans = _sections(car)
+            variants = [car[:end] for _start, end in spans[:-1]] + [car[:header_end]]
+            variants += [car[:start] + car[end:] for start, end in spans]
+            for variant in variants:
+                result = _verify(variant, did)
+                if isinstance(result, tuple):
+                    assert result[0] in ("car-malformed", "mst-invalid"), result
+                else:
+                    got = (list(result.records.items()), list(result.record_cids.items()))
+                    assert got == expected
+                checked += 1
+    assert checked > 1000
+
+
 class TestReportRendering:
     def test_integrity_section_lists_hosts_and_kinds(self, adversarial_datasets):
         from repro.core.report import render_integrity

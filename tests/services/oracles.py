@@ -26,26 +26,34 @@ class ReferenceReads:
             return None
         return self.appview.render_post(uri)
 
+    def hydrate_page(self, uris, limit: int) -> list:
+        """The first ``limit`` live posts of ``uris``, one uncached
+        :meth:`hydrate_post` each."""
+        page = []
+        for uri in uris:
+            post = self.hydrate_post(uri)
+            if post is not None:
+                page.append({"post": post})
+                if len(page) >= limit:
+                    break
+        return page
+
     def xrpc_getTimeline(self, actor: str, limit: int = 50) -> dict:
-        """Scan every followed author.  Live posts are filtered *before*
-        the per-author ``[-limit:]`` cut (a taken-down post must not push
-        a live one out of the window) and authors are visited in sorted
-        order so ties resolve identically under any hash seed."""
+        """Scan every live post of every followed author, order them all by
+        ``(-time_us, uri)`` and cut at ``limit``.  Taken-down posts are
+        filtered before the cut (a taken-down post must not push a live one
+        out of the window), and the candidates form a set that is sorted
+        whole, so neither insertion nor hash order can reach the result."""
         appview = self.appview
-        followed = appview.index.following.get(actor, set())
         posts = appview.index.posts
-        candidates: list = []
-        for did in sorted(followed):
-            live = [
-                uri
-                for uri in appview.index.posts_by_author.get(did, ())
-                if uri in posts and uri not in appview._takedowns
-            ]
-            for uri in live[-limit:]:
-                candidates.append((-posts[uri].time_us, uri))
-        candidates.sort()
+        candidates = {
+            (-posts[uri].time_us, uri)
+            for did in appview.index.following.get(actor, ())
+            for uri in appview.index.posts_by_author.get(did, ())
+            if uri in posts and uri not in appview._takedowns
+        }
         feed = []
-        for _neg_time_us, uri in candidates[:limit]:
+        for _neg_time_us, uri in sorted(candidates)[: max(limit, 0)]:
             post = self.hydrate_post(uri)
             if post is not None:
                 feed.append({"post": post})
@@ -68,5 +76,5 @@ class ReferenceReads:
     def xrpc_getFeed(self, feed, limit=50, cursor=None, viewer=None, now_us=0) -> dict:
         appview = self.appview
         return appview.fill_feed_page(
-            self.hydrate_post, appview.feed_endpoint(feed), feed, limit, cursor, viewer, now_us
+            self.hydrate_page, appview.feed_endpoint(feed), feed, limit, cursor, viewer, now_us
         )

@@ -9,6 +9,7 @@ interpreters launched with different ``PYTHONHASHSEED`` values.
 """
 
 import json
+import random
 
 import pytest
 
@@ -342,6 +343,197 @@ class TestGetFeedRefill:
                 if cursor is None:
                     break
             assert seen == list(reversed(live))
+
+
+def walk_timeline_index(timeline, takedowns, limit) -> list:
+    """The timeline cut as a per-entry walk: newest ``time_us`` tie group
+    first, each group in index (ascending ``uri``) order, takedowns
+    skipped, until ``limit`` uris are taken."""
+    selected: list = []
+    i = len(timeline) - 1
+    while i >= 0 and len(selected) < limit:
+        j = i
+        while j >= 0 and timeline[j][0] == timeline[i][0]:
+            j -= 1
+        selected.extend(uri for _t, uri in timeline[j + 1 : i + 1] if uri not in takedowns)
+        i = j
+    return selected[:limit]
+
+
+def build_random_network(harness, seed, users=10, posts=140):
+    """A seeded network with heavy ``time_us`` ties (including one tie
+    group of 60 posts), random follows, deletes, likes and takedowns.
+    ``did_for(0)`` follows nobody and ``did_for(1)`` follows only
+    ``did_for(2)``, who never posts: both timelines are empty."""
+    rng = random.Random(seed)
+    dids = [did_for(index) for index in range(users)]
+    posters = dids[3:]
+    harness.follow(dids[1], dids[2], "f2")
+    for follower in dids[2:]:
+        for subject in rng.sample(posters, rng.randrange(1, len(posters))):
+            if subject != follower:
+                harness.follow(follower, subject, "f" + subject[-4:])
+    feed_uri = harness.publish_feed(dids[0])
+    uris = []
+    burst = rng.randrange(posts - 60)
+    for n in range(posts):
+        if burst < n <= burst + 59:
+            step = 0
+        else:
+            step = rng.choice((0, 0, 1, 1_000_000))
+        uris.append(harness.post(rng.choice(posters), "p%03d" % n, "post %d shared" % n, step))
+    for uri in uris:
+        draw = rng.random()
+        if draw < 0.05:
+            harness.delete(uri)
+        elif draw < 0.2:
+            harness.take_down(uri)
+        elif draw < 0.3:
+            harness.like(rng.choice(dids), "l" + uri[-4:], uri)
+    return dids, uris, feed_uri
+
+
+READ_LIMITS = (1, 2, 7, 50, 500)
+
+
+class TestTimelineIndexCut:
+    """The sliced cut of the timeline index against the per-entry walk and
+    the author-scan reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cut_matches_the_walk_on_random_indexes(self, harness, seed):
+        rng = random.Random(seed)
+        appview = harness.appview
+        for _case in range(60):
+            times = [rng.randrange(12) for _ in range(rng.randrange(90))]
+            timeline = sorted(
+                (time_us, "at://did:plc:a/app.bsky.feed.post/%02d" % rng.randrange(40))
+                for time_us in times
+            )  # duplicates included
+            takedowns = {uri for _t, uri in timeline if rng.random() < 0.3}
+            appview._timelines["reader"] = timeline
+            appview._takedowns = takedowns
+            for limit in (-1, 0) + READ_LIMITS:
+                assert appview._timeline_from_index("reader", limit) == walk_timeline_index(
+                    timeline, takedowns, limit
+                ), (timeline, takedowns, limit)
+        assert appview._timeline_from_index("nobody", 5) == []
+
+    def test_tie_group_straddling_the_cut(self, harness):
+        reader, a, b, c = did_for(0), did_for(1), did_for(2), did_for(3)
+        for subject in (a, b, c):
+            harness.follow(reader, subject, "f" + subject[-1])
+        older = harness.post(a, "old", "old")
+        group1 = [harness.post(c, "g1", "g1")] + [harness.post(d, "g1", "g1", step=0) for d in (a, b)]
+        group2 = [harness.post(b, "g2", "g2")] + [harness.post(d, "g2", "g2", step=0) for d in (c, a)]
+        newest = harness.post(c, "new", "new")
+        expected = [newest] + sorted(group2) + sorted(group1) + [older]
+        # Limits 2, 3, 5 and 6 cut inside a tie group.
+        for limit in range(1, 10):
+            for view in harness.views:
+                feed = view.xrpc_getTimeline(reader, limit=limit)["feed"]
+                assert [item["post"]["uri"] for item in feed] == expected[:limit]
+
+    def test_tie_group_larger_than_the_limit(self, harness):
+        reader = did_for(0)
+        authors = [did_for(index) for index in range(1, 12)]
+        for author in authors:
+            harness.follow(reader, author, "f" + author[-2:])
+        harness.post(authors[0], "before", "before")
+        tied = [
+            harness.post(author, "tie", "tie", step=0 if index else 1_000_000)
+            for index, author in enumerate(reversed(authors))
+        ]
+        for limit in (1, 2, 7, 11, 12):
+            for view in harness.views:
+                feed = view.xrpc_getTimeline(reader, limit=limit)["feed"]
+                uris = [item["post"]["uri"] for item in feed]
+                assert uris[: min(limit, 11)] == sorted(tied)[:limit]
+            assert canon(harness.appview.xrpc_getTimeline(reader, limit=limit)) == canon(
+                harness.reference.xrpc_getTimeline(reader, limit=limit)
+            )
+
+    def test_takedowns_inside_and_past_the_cut_widen_the_slice(self, harness):
+        reader, author = did_for(0), did_for(1)
+        harness.follow(reader, author, "f")
+        uris = [harness.post(author, "p%02d" % k, "p%d" % k) for k in range(40)]
+        # The newest 7 are inside a limit-7 cut; the next 9 are just past
+        # it, so the slice doubles twice before 7 live posts remain.
+        for uri in uris[-16:]:
+            harness.take_down(uri)
+        for limit in (1, 2, 7, 24, 50):
+            expected = list(reversed(uris[:-16]))[:limit]
+            for view in harness.views:
+                feed = view.xrpc_getTimeline(reader, limit=limit)["feed"]
+                assert [item["post"]["uri"] for item in feed] == expected
+        for uri in uris[-16:]:
+            harness.take_down(uri, neg=True)
+        assert canon(harness.appview.xrpc_getTimeline(reader, limit=7)) == canon(
+            harness.reference.xrpc_getTimeline(reader, limit=7)
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_networks_match_the_reference(self, harness, seed):
+        dids, _uris, feed_uri = build_random_network(harness, seed)
+        appview, reference = harness.appview, harness.reference
+        now = harness.now + 1_000_000
+        for _round in range(2):  # the second round reads through warm caches
+            for actor in dids:
+                for limit in (0,) + READ_LIMITS:
+                    assert canon(appview.xrpc_getTimeline(actor, limit=limit)) == canon(
+                        reference.xrpc_getTimeline(actor, limit=limit)
+                    ), (actor, limit)
+            for limit in (0,) + READ_LIMITS:
+                assert canon(appview.xrpc_searchPosts("shared", limit=limit)) == canon(
+                    reference.xrpc_searchPosts("shared", limit=limit)
+                )
+                assert canon(appview.xrpc_getFeed(feed_uri, limit=limit, now_us=now)) == canon(
+                    reference.xrpc_getFeed(feed_uri, limit=limit, now_us=now)
+                )
+        assert appview.xrpc_getTimeline(dids[0])["feed"] == []
+        assert appview.xrpc_getTimeline(dids[1])["feed"] == []
+
+
+def scripted_read_mix(harness) -> dict:
+    """getTimeline, getFeed and searchPosts over ``build_busy_network``,
+    with invalidating writes between rounds; the ``read_cache_*`` counter
+    totals afterwards."""
+    dids, uris, feed_uri = build_busy_network(harness)
+    appview = harness.appview
+    now = harness.now + 1_000_000
+    live = [uri for uri in uris if uri in appview.index.posts]
+    for round_ in range(3):
+        for actor in dids:
+            appview.xrpc_getTimeline(actor, limit=7)
+            appview.xrpc_getTimeline(actor, limit=50)
+        cursor = None
+        while True:
+            page = appview.xrpc_getFeed(feed_uri, limit=4, cursor=cursor, now_us=now)
+            cursor = page["cursor"]
+            if cursor is None:
+                break
+        appview.xrpc_searchPosts("shared", limit=9)
+        appview.xrpc_searchPosts("shared", limit=9)
+        appview.xrpc_searchPosts("post", limit=25)
+        harness.like(dids[round_], "mix%d" % round_, live[round_])
+        harness.take_down(live[round_ + 3])
+    counters = appview.telemetry.registry.snapshot()["counters"]
+    return {key: value for key, value in counters.items() if key.startswith("read_cache_")}
+
+
+PINNED_READ_COUNTERS = {
+    "read_cache_hits_total{cache=post_view}": 356,
+    "read_cache_hits_total{cache=search_page}": 3,
+    "read_cache_hits_total{cache=timeline_index}": 36,
+    "read_cache_misses_total{cache=post_view}": 22,
+    "read_cache_misses_total{cache=search_page}": 6,
+}
+
+
+def test_read_cache_counter_totals_are_pinned():
+    """One hit or miss per hydrated post, whatever the page batching: the
+    totals of a scripted read mix, as the per-post hydration counted them."""
+    assert scripted_read_mix(ReadHarness(telemetry=Telemetry())) == PINNED_READ_COUNTERS
 
 
 class TestSearchOrdering:
