@@ -21,8 +21,8 @@ test-faults:  ## fault-injection + resilience suite only
 test-integrity:  ## Byzantine-data hardening (CBOR/CAR parse boundary) + checkpoint/resume suite only
 	$(PYTHON) -m pytest -x -q tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_car_fuzz.py tests/atproto/test_crypto.py tests/core/test_integrity.py tests/core/test_checkpoint_resume.py tests/test_equivalence.py::test_crash_resume
 
-test-writepath:  ## record write path: lexicon, TID, base32, frames, CBOR, commits, oracle differentials, PDS blob refs
-	$(PYTHON) -m pytest -x -q tests/atproto/test_lexicon.py tests/atproto/test_tid.py tests/atproto/test_multibase.py tests/atproto/test_frames.py tests/atproto/test_cbor.py tests/atproto/test_repo_car.py tests/atproto/test_writepath_differential.py tests/services/test_pds_blob_sync.py
+test-writepath:  ## record write path: lexicon, TID, base32, frames, CBOR, commits, oracle differentials, refused PDS writes
+	$(PYTHON) -m pytest -x -q tests/atproto/test_lexicon.py tests/atproto/test_tid.py tests/atproto/test_multibase.py tests/atproto/test_frames.py tests/atproto/test_cbor.py tests/atproto/test_repo_car.py tests/atproto/test_writepath_differential.py tests/services/test_pds_relay.py
 
 test-readpath:  ## repo read path: CAR parse and fuzz, CBOR decode vs oracle, MST node reader, one-pass import vs oracle, quarantine
 	$(PYTHON) -m pytest -x -q tests/atproto/test_car_fuzz.py tests/atproto/test_cbor.py tests/atproto/test_cbor_differential.py tests/atproto/test_mst.py tests/atproto/test_repo_car.py tests/atproto/test_import_differential.py tests/core/test_integrity.py

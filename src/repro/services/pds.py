@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from repro.atproto.blobs import BlobStore, extract_blob_refs
-from repro.atproto.cid import Cid
 from repro.atproto.keys import Keypair
 from repro.atproto.lexicon import LexiconRegistry, default_registry
 from repro.atproto.repo import CommitMeta, Repo, WriteOp
@@ -37,7 +35,6 @@ class Pds(XrpcService):
         self.lexicons = lexicons if lexicons is not None else default_registry()
         self._repos: dict[str, Repo] = {}
         self._preferences: dict[str, dict] = {}
-        self.blobs = BlobStore()
         self._commit_listeners: list[Callable[[str, CommitMeta], None]] = []
         self._tombstone_listeners: list[Callable[[str, int], None]] = []
         self._next_clock_id = 0
@@ -106,12 +103,6 @@ class Pds(XrpcService):
 
     # -- record writes ------------------------------------------------------------
 
-    def upload_blob(self, did: str, data: bytes, mime_type: str):
-        """Store media bytes; the returned ref is embedded in a record."""
-        if did not in self._repos:
-            raise PdsError("unknown account %s" % did)
-        return self.blobs.upload(data, mime_type)
-
     def create_record(
         self,
         did: str,
@@ -141,49 +132,9 @@ class Pds(XrpcService):
         return self._write(did, writes, now_us)
 
     def _write(self, did: str, writes: list[WriteOp], now_us: int) -> CommitMeta:
-        """Commit a batch, then move blob references from the records it
-        replaced or deleted to the records it wrote.
-
-        The references change only once the commit succeeded.  New refs
-        are taken before old ones are released, so a blob kept across an
-        update is never collected.  With no blobs stored no reference can
-        match, and the records are not walked at all.
-        """
-        repo = self.repo(did)
-        if not self.blobs.blob_count():
-            meta = repo.apply_writes(writes, now_us)
-        else:
-            replaced = self._replaced_records(repo, writes)
-            meta = repo.apply_writes(writes, now_us)
-            for write in writes:
-                if write.record is not None:
-                    for ref in extract_blob_refs(write.record):
-                        if self.blobs.has(ref.cid):
-                            self.blobs.add_ref(ref.cid)
-            for record in replaced:
-                for ref in extract_blob_refs(record):
-                    self.blobs.release(ref.cid)
+        meta = self.repo(did).apply_writes(writes, now_us)
         self._notify(did, meta)
         return meta
-
-    @staticmethod
-    def _replaced_records(repo: Repo, writes: list[WriteOp]) -> list[dict]:
-        """The records a batch overwrites or deletes, in write order.
-
-        A path written earlier in the same batch holds that write's record.
-        """
-        pending: dict[str, Optional[dict]] = {}
-        replaced = []
-        for write in writes:
-            path = write.path
-            if path in pending:
-                old = pending[path]
-            else:
-                old = repo.get_record(write.collection, write.rkey)
-            if old is not None:
-                replaced.append(old)
-            pending[path] = write.record
-        return replaced
 
     def _notify(self, did: str, meta: CommitMeta) -> None:
         for listener in self._commit_listeners:
@@ -236,14 +187,3 @@ class Pds(XrpcService):
         if repo.head is None:
             raise XrpcError(404, "repo %s has no commits" % did)
         return repo.export_car()
-
-    def xrpc_getBlob(self, did: str, cid: str) -> bytes:
-        """Serve media bytes (``com.atproto.sync.getBlob``)."""
-        if did not in self._repos:
-            raise XrpcError(404, "unknown account %s" % did)
-        from repro.atproto.blobs import BlobError
-
-        try:
-            return self.blobs.get(Cid.parse(cid) if isinstance(cid, str) else cid)
-        except (BlobError, ValueError) as exc:
-            raise XrpcError(404, str(exc)) from exc

@@ -4,11 +4,14 @@ import pytest
 
 from repro.atproto.events import KIND_COMMIT, KIND_HANDLE, KIND_IDENTITY, KIND_TOMBSTONE
 from repro.atproto.keys import HmacKeypair
-from repro.atproto.lexicon import FOLLOW, POST
+from repro.atproto.lexicon import FOLLOW, POST, LexiconRegistry
 from repro.atproto.repo import RepoError, import_car
 from repro.services.pds import Pds, PdsError
 from repro.services.relay import CAR_CACHE_MAX, Firehose, Relay
 from repro.services.xrpc import XrpcError
+
+
+NOW = 1_713_000_000_000_000
 
 
 def post(text, t="2024-04-01T00:00:00Z"):
@@ -71,6 +74,49 @@ def test_refused_write_leaves_head_and_rev(net, refused):
     with pytest.raises(RepoError):
         refused(net.pds, did, net.tick())
     assert (repo.head, repo.rev, len(net.relay.xrpc_subscribeRepos())) == before
+
+
+class TestAccountEdgeCases:
+    @pytest.fixture()
+    def pds(self):
+        return Pds("https://pds.test")
+
+    @pytest.fixture()
+    def account(self, pds):
+        did = "did:plc:" + "s" * 24
+        pds.create_account(did, HmacKeypair.from_seed(b"acct"))
+        return did
+
+    def test_remove_unknown_account(self, pds):
+        with pytest.raises(PdsError):
+            pds.remove_account("did:plc:" + "q" * 24, NOW)
+
+    def test_repo_unknown_account(self, pds):
+        with pytest.raises(PdsError):
+            pds.repo("did:plc:" + "q" * 24)
+
+    def test_preferences_unknown_account(self, pds):
+        with pytest.raises(PdsError):
+            pds.put_preferences("did:plc:" + "q" * 24, {})
+
+    def test_list_repos_skips_empty_repos(self, pds, account):
+        # The account exists but has no commits yet.
+        assert pds.xrpc_listRepos()["repos"] == []
+        pds.create_record(
+            account, POST,
+            {"$type": POST, "text": "first", "createdAt": "2024-04-13T00:00:00Z"},
+            NOW,
+        )
+        assert len(pds.xrpc_listRepos()["repos"]) == 1
+
+    def test_validation_can_be_skipped(self):
+        # A PDS with an empty lexicon registry lets through records a
+        # lexicon would reject (the network is permissive at the sync layer).
+        pds = Pds("https://pds.test", lexicons=LexiconRegistry())
+        did = "did:plc:" + "s" * 24
+        pds.create_account(did, HmacKeypair.from_seed(b"acct"))
+        pds.create_record(did, POST, {"$type": POST, "text": "no createdAt"}, NOW)
+        assert len(list(pds.repo(did).list_records(POST))) == 1
 
 
 class TestPdsSyncApi:
