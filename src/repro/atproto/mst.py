@@ -188,7 +188,7 @@ class MstNode:
     def cid(self) -> Cid:
         if self._cid is None:
             # Fused path: one encode, one sha256 — the cbor bytes are kept
-            # so exports (blocks(), proofs, CARs) reuse them for free.
+            # so exports (blocks(), CARs) reuse them for free.
             self._cid = cid_for_dag_cbor_bytes(self.to_cbor())
         return self._cid
 
@@ -438,54 +438,6 @@ class Mst:
                 visit(subtree, sub_lo, sub_hi)
 
         visit(self.root, None, None)
-
-
-def prove_inclusion(tree: Mst, key: str) -> list[bytes]:
-    """Merkle inclusion proof: the serialized nodes on the path to ``key``.
-
-    The proof is the chain of MST node blocks from the root down to the
-    node holding the key.  :func:`verify_inclusion` checks it against a
-    root CID without needing the rest of the tree — the mechanism that
-    lets ATProto serve verifiable single records (``sync.getRecord``).
-    """
-    path: list[bytes] = []
-
-    def descend(node: MstNode) -> bool:
-        path.append(node.to_cbor())
-        gap = node._gap_for(key)
-        if gap < len(node.entries) and node.entries[gap][0] == key:
-            return True
-        child = node.subtrees[gap]
-        if child is None:
-            return False
-        return descend(child)
-
-    if not descend(tree.root):
-        raise KeyError(key)
-    return path
-
-
-def verify_inclusion(
-    root_cid: Cid, key: str, value: Cid, proof: list[bytes]
-) -> bool:
-    """Check an inclusion proof against a trusted MST root CID."""
-    expected = root_cid
-    for block in proof:
-        if Cid(1, expected.codec, hashlib.sha256(block).digest()) != expected:
-            return False
-        entries, links = _node_entries(expected, cbor_decode(block))
-        next_cid = links[0]
-        for index, (entry_key, entry_value) in enumerate(entries):
-            if entry_key == key:
-                return entry_value == value
-            if entry_key < key:
-                next_cid = links[index + 1]
-            else:
-                break
-        if next_cid is None:
-            return False
-        expected = next_cid
-    return False
 
 
 def mst_diff(old: Mst, new: Mst) -> dict[str, tuple[Optional[Cid], Optional[Cid]]]:

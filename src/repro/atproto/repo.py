@@ -228,8 +228,8 @@ class Repo:
     def signed_commit_block(self) -> tuple[Cid, bytes]:
         if self.head is None:
             raise RepoError("repository has no commits")
-        # The block is cached by _commit; every export / verifiable read
-        # reuses it instead of re-signing and re-encoding the head.
+        # The block is cached by _commit; every export reuses it instead
+        # of re-signing and re-encoding the head.
         return self.head, self._head_block
 
     def export_car(self) -> bytes:

@@ -287,25 +287,3 @@ class Relay(XrpcService):
     def xrpc_subscribeRepos(self, cursor: int = 0, limit: Optional[int] = None) -> list:
         """Cursor-based replay of the firehose backlog."""
         return self.firehose.events_since(cursor, limit)
-
-    def xrpc_getRecord(self, did: str, collection: str, rkey: str) -> dict:
-        """Verifiable single-record fetch: the record plus the signed
-        commit block and the MST inclusion-proof path, so a client can
-        check authenticity without downloading the whole repository."""
-        from repro.atproto.mst import prove_inclusion
-
-        repo = self.cached_repo(did)
-        if repo is None or repo.head is None:
-            raise XrpcError(404, "repo %s not mirrored" % did)
-        record = repo.get_record(collection, rkey)
-        if record is None:
-            raise XrpcError(404, "record not found")
-        key = "%s/%s" % (collection, rkey)
-        commit_cid, commit_block = repo.signed_commit_block()
-        return {
-            "uri": "at://%s/%s" % (did, key),
-            "cid": str(repo.get_record_cid(collection, rkey)),
-            "value": record,
-            "commit": {"cid": str(commit_cid), "block": commit_block},
-            "proof": prove_inclusion(repo.mst, key),
-        }

@@ -192,6 +192,25 @@ class TestSection6Moderation:
         assert hosting.unreachable == 16
 
 
+class TestOfficialLabelRegimes:
+    def test_two_regimes_detected(self, study_datasets):
+        official = moderation.find_official_labeler_did(study_datasets)
+        regimes = moderation.official_label_regimes(study_datasets, official)
+        # The automated NSFW classifiers answer within seconds.
+        auto_values = {value for value, _ in regimes.automated_values}
+        if not auto_values:
+            pytest.skip("no official window labels at this scale/seed")
+        assert auto_values & {"porn", "sexual", "nudity", "graphic-media"}
+        for value, median in regimes.automated_values:
+            assert median < 60
+
+    def test_manual_values_slow(self, study_datasets):
+        official = moderation.find_official_labeler_did(study_datasets)
+        regimes = moderation.official_label_regimes(study_datasets, official)
+        for value, median in regimes.manual_values:
+            assert median >= 60
+
+
 class TestSection7Feeds:
     def test_feed_growth_cumulative(self, study_datasets):
         growth = feeds.feed_growth(study_datasets)
