@@ -53,14 +53,8 @@ class XrpcError(Exception):
 
 
 class XrpcService:
-    """Base class: maps method NSIDs to ``xrpc_`` handler methods."""
-
-    def xrpc_call(self, method: str, **params: Any) -> Any:
-        handler_name = "xrpc_" + method.rsplit(".", 1)[-1]
-        handler = getattr(self, handler_name, None)
-        if handler is None or not callable(handler):
-            raise XrpcError(501, "%s not implemented by %s" % (method, type(self).__name__))
-        return handler(**params)
+    """Base class of a service: :meth:`ServiceDirectory.call` dispatches a
+    method NSID to the service's ``xrpc_<name>`` method."""
 
 
 class ServiceDirectory:
@@ -148,7 +142,12 @@ class ServiceDirectory:
                 if latency:
                     self.last_call_latency_us = latency
                     self._m_injected.inc((), latency)
-            result = service.xrpc_call(method, **params)
+            handler = getattr(service, "xrpc_" + method.rsplit(".", 1)[-1], None)
+            if not callable(handler):
+                raise XrpcError(
+                    501, "%s not implemented by %s" % (method, type(service).__name__)
+                )
+            result = handler(**params)
             if self.adversary is not None:
                 # Byzantine hosts answer, but may answer with tampered bytes;
                 # the adversary rewrites responses in flight, after the honest

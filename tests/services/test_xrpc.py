@@ -12,6 +12,8 @@ from repro.services.xrpc import (
 
 
 class EchoService(XrpcService):
+    xrpc_version = "1.0"  # an xrpc_ attribute that is not a handler
+
     def xrpc_echo(self, value):
         return {"value": value}
 
@@ -37,11 +39,14 @@ class TestDirectory:
             directory.call("https://nowhere.test", "com.example.echo")
         assert info.value.status == 0
 
-    def test_unknown_method(self):
+    @pytest.mark.parametrize(
+        "method", ["com.example.missing", "com.example.version"], ids=["missing", "not-callable"]
+    )
+    def test_unknown_method(self, method):
         directory = ServiceDirectory()
         directory.register("https://svc.test", EchoService())
         with pytest.raises(XrpcError) as info:
-            directory.call("https://svc.test", "com.example.missing")
+            directory.call("https://svc.test", method)
         assert info.value.status == 501
 
     def test_down_service(self):
