@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-fast test-faults test-integrity test-writepath test-readpath test-appview test-telemetry test-shard test-perfbench test-ablation bench lint lint-determinism report trace check
+.PHONY: test test-fast test-faults test-integrity test-writepath test-readpath test-appview test-telemetry test-shard test-perfbench test-ablation bench lint lint-determinism report trace usage-map check
 
 test:  ## tier-1 suite (must stay green)
 	$(PYTHON) -m pytest -x -q
@@ -64,6 +64,9 @@ trace:  ## small traced study; validate the trace, metrics, event-log and OpenMe
 		--fault-seed 7 --trace-out trace.json --metrics-out metrics.json \
 		--events-out events.jsonl
 	$(PYTHON) scripts/check_trace.py trace.json metrics.json events.jsonl metrics.prom
+
+usage-map:  ## list the src/repro functions no entry point calls (~12 min; not part of check)
+	$(PYTHON) scripts/usage_map.py
 
 # `test` already covers tests/, so the focused suites above (faults,
 # integrity, writepath, telemetry, shard) are for local use and are not

@@ -148,20 +148,11 @@ class LexiconRegistry:
     """Maps collection NSIDs to schemas; unknown NSIDs pass through."""
 
     def __init__(self):
-        self._schemas: dict[str, RecordSchema] = {}
+        self.schemas: dict[str, RecordSchema] = {}
 
     def register(self, schema: RecordSchema) -> None:
         Nsid(schema.nsid)  # validate the NSID itself
-        self._schemas[schema.nsid] = schema
-
-    def get(self, nsid: str) -> Optional[RecordSchema]:
-        return self._schemas.get(nsid)
-
-    def known_collections(self) -> list[str]:
-        return sorted(self._schemas)
-
-    def is_bsky_collection(self, nsid: str) -> bool:
-        return nsid.startswith("app.bsky.") or nsid.startswith("chat.bsky.")
+        self.schemas[schema.nsid] = schema
 
     def validate(self, collection: str, record: dict) -> None:
         """Validate a record if its collection is known; else pass through.
@@ -169,7 +160,7 @@ class LexiconRegistry:
         A registered collection's NSID was checked by :meth:`register`, so
         only unregistered collections are parsed here.
         """
-        schema = self._schemas.get(collection)
+        schema = self.schemas.get(collection)
         if schema is not None:
             schema.validate(record)
         elif not Nsid.is_valid(collection):

@@ -27,9 +27,11 @@ writes: shortest-form heads, map keys in canonical order, and links that
 are CIDv1 dag-cbor sha2-256.  Any other block goes to the generic
 decoder and the field-by-field check of :func:`_node_entries`, so both
 paths accept the same blocks and raise the same errors.  :func:`load_mst`
-reads a stored tree for import: it makes every check
-:meth:`Mst.check_invariants` makes and returns the ``(key, value)`` pairs
-in key order, without building :class:`MstNode` objects.
+reads a stored tree for import: it checks that every node has one more
+subtree link than entries, every key sits at its layer, keys rise within
+a node and stay inside the range their parent's keys allow, and every
+child is a non-empty node one layer down.  It returns the ``(key,
+value)`` pairs in key order, without building :class:`MstNode` objects.
 """
 
 from __future__ import annotations
@@ -409,36 +411,6 @@ class Mst:
         merged._refresh_fragment(len(left.entries))
         return merged
 
-    # -- verification -------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Validate layer assignment, ordering, and pointer structure."""
-
-        def visit(node: MstNode, lo: Optional[str], hi: Optional[str]) -> None:
-            if len(node.subtrees) != len(node.entries) + 1:
-                raise MstError("subtree/entry arity mismatch")
-            for index, (key, _) in enumerate(node.entries):
-                if key_layer(key) != node.layer:
-                    raise MstError("key %r stored at wrong layer" % key)
-                if lo is not None and key <= lo:
-                    raise MstError("key %r out of range" % key)
-                if hi is not None and key >= hi:
-                    raise MstError("key %r out of range" % key)
-                if index and key <= node.entries[index - 1][0]:
-                    raise MstError("entries out of order at %r" % key)
-            for index, subtree in enumerate(node.subtrees):
-                if subtree is None:
-                    continue
-                if subtree.layer != node.layer - 1:
-                    raise MstError("child layer must be parent layer - 1")
-                if subtree.is_empty():
-                    raise MstError("empty non-root node")
-                sub_lo = node.entries[index - 1][0] if index > 0 else lo
-                sub_hi = node.entries[index][0] if index < len(node.entries) else hi
-                visit(subtree, sub_lo, sub_hi)
-
-        visit(self.root, None, None)
-
 
 def mst_diff(old: Mst, new: Mst) -> dict[str, tuple[Optional[Cid], Optional[Cid]]]:
     """Key-level diff between two trees: key → (old_value, new_value)."""
@@ -599,7 +571,9 @@ def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
     block map (e.g. parsed from a CAR file), in key order, from one walk
     that builds no nodes.
 
-    The walk makes every check :meth:`Mst.check_invariants` makes.  A
+    The walk checks the tree's invariants (see the module docstring):
+    node arity, each key's layer, key order within a node and against
+    the parent's range, and non-empty children one layer down.  A
     missing block, or a node block without the node shape (see the module
     docstring), raises :class:`MstError` as soon as the walk reaches it,
     so it wins over any invariant violation.  So does a link out of a
@@ -607,7 +581,8 @@ def load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> list[tuple[str, Cid]]:
     ``MAX_LAYER``, so no valid tree is deeper, and a chain of nodes (each
     digest valid) cannot take the walk past the recursion limit.  A
     violation is held until the whole tree is read and then raised: the
-    first one in :meth:`Mst.check_invariants`' order.
+    first one met in a left-to-right depth-first walk that checks a node's
+    keys, then each child's layer and emptiness before entering it.
     """
     items: list[tuple[str, Cid]] = []
     violation: Optional[str] = None  # the first invariant violation

@@ -124,12 +124,6 @@ class Repo:
 
     # -- record access -------------------------------------------------------
 
-    def get_record(self, collection: str, rkey: str) -> Optional[dict]:
-        cid = self.mst.get("%s/%s" % (collection, rkey))
-        if cid is None:
-            return None
-        return cbor_decode(self._blocks[cid].block)
-
     def get_record_cid(self, collection: str, rkey: str) -> Optional[Cid]:
         return self.mst.get("%s/%s" % (collection, rkey))
 
@@ -157,12 +151,6 @@ class Repo:
         if rkey is None:
             rkey = str(self.next_tid(now_us))
         return self.apply_writes([WriteOp("create", collection, rkey, record)], now_us)
-
-    def update_record(self, collection: str, rkey: str, record: dict, now_us: int) -> CommitMeta:
-        return self.apply_writes([WriteOp("update", collection, rkey, record)], now_us)
-
-    def delete_record(self, collection: str, rkey: str, now_us: int) -> CommitMeta:
-        return self.apply_writes([WriteOp("delete", collection, rkey)], now_us)
 
     def apply_writes(self, writes: list[WriteOp], now_us: int) -> CommitMeta:
         """Apply a batch of writes as a single signed commit.
@@ -251,20 +239,11 @@ class RepoSnapshot:
     records: dict[str, dict] = field(default_factory=dict)
     record_cids: dict[str, Cid] = field(default_factory=dict)
 
-    def get_record(self, collection: str, rkey: str) -> Optional[dict]:
-        return self.records.get("%s/%s" % (collection, rkey))
-
     def list_records(self, collection: Optional[str] = None) -> Iterator[tuple[str, dict]]:
         prefix = collection + "/" if collection else None
         for path, record in self.records.items():
             if prefix is None or path.startswith(prefix):
                 yield path, record
-
-    def collections(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for path in self.records:
-            seen.setdefault(path.split("/", 1)[0], None)
-        return list(seen)
 
 
 def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnapshot:
@@ -273,8 +252,8 @@ def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnaps
 
     One pass over the CAR: :func:`~repro.atproto.car.read_car` hashes
     every block against its CID into the block map, :func:`load_mst`
-    reads the tree from the commit's ``data`` link with every
-    :meth:`Mst.check_invariants` check, and the records are decoded after
+    reads the tree from the commit's ``data`` link, checking node arity,
+    key layers, key order and child layers, and the records are decoded after
     the walk.  No tree is built.  Failure kinds stay distinguishable:
     digest mismatches raise :class:`~repro.atproto.car.BlockDigestError`,
     structural garbage :class:`~repro.atproto.car.CarError`, tree

@@ -55,10 +55,6 @@ class CheckpointJournal:
             raise CheckpointError("incompatible checkpoint at %s" % self.path)
         return state
 
-    def clear(self) -> None:
-        if self.exists():
-            os.unlink(self.path)
-
 
 class StudyCheckpointer:
     """Progress ticks, done-action bookkeeping, and periodic journaling.

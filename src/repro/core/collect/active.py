@@ -55,11 +55,6 @@ class ActiveMeasurementDataset:
     transient_retries: int = 0
     probes_exhausted: int = 0
 
-    def mechanism_counts(self) -> Counter:
-        return Counter(
-            row.mechanism for row in self.handle_probes if row.mechanism is not None
-        )
-
     def whois_response_rate(self) -> float:
         if not self.whois_rows:
             return 0.0

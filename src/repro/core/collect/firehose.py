@@ -75,12 +75,6 @@ class FirehoseDataset:
     def total_events(self) -> int:
         return sum(self.event_counts.values())
 
-    def event_shares(self) -> dict[str, float]:
-        total = self.total_events()
-        if total == 0:
-            return {}
-        return {kind: count / total for kind, count in self.event_counts.items()}
-
 
 class FirehoseCollector:
     """Subscribes to the firehose; attach before the world runs.

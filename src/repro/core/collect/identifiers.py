@@ -43,17 +43,6 @@ class UserIdentifierDataset:
             raise ValueError("no snapshots collected")
         return self.snapshots[-1]
 
-    def changed_between(self, earlier: int, later: int) -> set[str]:
-        """DIDs whose rev advanced between two snapshot indexes."""
-        before = self.snapshots[earlier].repos
-        after = self.snapshots[later].repos
-        changed = set()
-        for did, (_, rev) in after.items():
-            old = before.get(did)
-            if old is None or old[1] != rev:
-                changed.add(did)
-        return changed
-
 
 class ListReposCollector:
     """Paginates ``sync.listRepos`` against the Relay."""

@@ -50,12 +50,6 @@ class LabelerDataset:
     def active_count(self) -> int:
         return sum(1 for s in self.statuses.values() if s.label_count > 0)
 
-    def labels_by_source(self) -> dict[str, list[Label]]:
-        out: dict[str, list[Label]] = {}
-        for label in self.labels:
-            out.setdefault(label.src, []).append(label)
-        return out
-
 
 class LabelerCollector:
     """Discovers labelers and drains their streams."""
@@ -160,7 +154,9 @@ class LabelerCollector:
         """Verify a label against its labeler's published signing key.
 
         Unsigned labels pass (signatures are optional in the wild); signed
-        labels must verify against the DID document's key.
+        labels must verify against the DID document's key.  A document
+        without a key, or with one that does not parse, fails them all; an
+        unparseable key is remembered as ``False``.
         """
         if not label.sig:
             return True
@@ -171,9 +167,12 @@ class LabelerCollector:
                 return False
             from repro.atproto.keys import public_key_from_did_key
 
-            key = public_key_from_did_key(doc.signing_key)
+            try:
+                key = public_key_from_did_key(doc.signing_key)
+            except ValueError:
+                key = False
             self._verify_keys[label.src] = key
-        return key.verify(label.signed_payload(), label.sig)
+        return key is not False and key.verify(label.signed_payload(), label.sig)
 
     def _resolve_ip(self, status: LabelerStatus) -> None:
         if status.ip is not None or status.endpoint is None:

@@ -170,9 +170,6 @@ class RuleRegistry:
             chosen = [self._rules[rule_id] for rule_id in select]
         return sorted(chosen, key=lambda rule: rule.id)
 
-    def ids(self) -> List[str]:
-        return sorted(self._rules)
-
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
 

@@ -131,26 +131,51 @@ class DidDocument:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DidDocument":
+        """Parse a DID document; every shape :meth:`to_json` does not write
+        (a field of the wrong type, a service entry without a string id or
+        endpoint) raises :class:`DidError`.  Absent or null lists are empty,
+        and aliases that are not strings are skipped."""
+        if not isinstance(doc, dict):
+            raise DidError("DID document is not a JSON object")
         did = doc.get("id")
         if not isinstance(did, str):
             raise DidError("DID document missing id")
         handle = None
-        for alias in doc.get("alsoKnownAs", []):
+        for alias in _json_list(doc, "alsoKnownAs"):
             if isinstance(alias, str) and alias.startswith("at://"):
                 handle = alias[len("at://") :]
                 break
         signing_key = None
-        methods = doc.get("verificationMethod") or []
+        methods = _json_list(doc, "verificationMethod")
         if methods:
+            if not isinstance(methods[0], dict):
+                raise DidError("verificationMethod entry is not an object")
             multibase = methods[0].get("publicKeyMultibase")
+            if multibase is not None and not isinstance(multibase, str):
+                raise DidError("publicKeyMultibase is not a string")
             if multibase:
                 signing_key = "did:key:" + multibase
         services = []
-        for entry in doc.get("service", []):
-            fragment = entry["id"]
+        for entry in _json_list(doc, "service"):
+            if not isinstance(entry, dict):
+                raise DidError("service entry is not an object")
+            fragment = entry.get("id")
+            kind = entry.get("type", "")
+            endpoint = entry.get("serviceEndpoint")
+            if not (
+                isinstance(fragment, str) and isinstance(kind, str) and isinstance(endpoint, str)
+            ):
+                raise DidError("service entry needs string id, type and serviceEndpoint")
             if fragment.startswith(did):
                 fragment = fragment[len(did) :]
-            services.append(
-                ServiceEndpoint(fragment, entry.get("type", ""), entry["serviceEndpoint"])
-            )
+            services.append(ServiceEndpoint(fragment, kind, endpoint))
         return cls(did=did, handle=handle, signing_key=signing_key, services=services)
+
+
+def _json_list(doc: dict, name: str) -> list:
+    value = doc.get(name)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise DidError("%s is not a list" % name)
+    return value

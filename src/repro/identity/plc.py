@@ -208,9 +208,6 @@ class PlcDirectory:
     def audit_log(self, did: str) -> list[PlcOperation]:
         return list(self._require(did).operations)
 
-    def is_tombstoned(self, did: str) -> bool:
-        return self._require(did).tombstoned
-
     def resolve(self, did: str) -> Optional[DidDocument]:
         """Export the current DID document, or None if unknown/tombstoned."""
         entry = self._entries.get(did)
@@ -238,12 +235,3 @@ class PlcDirectory:
                 ServiceEndpoint(service_id, info.get("type", default_type), info["endpoint"])
             )
         return doc
-
-    def export_snapshot(self) -> dict[str, dict]:
-        """Bulk export of all live DID documents (the paper's weekly crawl)."""
-        out = {}
-        for did in self._entries:
-            doc = self.resolve(did)
-            if doc is not None:
-                out[did] = doc.to_json()
-        return out

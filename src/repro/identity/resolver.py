@@ -21,10 +21,8 @@ class DidResolver:
     def __init__(self, plc: PlcDirectory, web: WebHostRegistry):
         self.plc = plc
         self.web = web
-        self.resolution_count = 0
 
     def resolve(self, did: str) -> Optional[DidDocument]:
-        self.resolution_count += 1
         try:
             method = did_method(did)
         except DidError:
@@ -44,7 +42,7 @@ class DidResolver:
 
         try:
             doc = DidDocument.from_json(json.loads(body))
-        except (ValueError, KeyError):
+        except ValueError:  # not JSON, or DidError: not a DID document
             return None
         if doc.did != did:
             return None  # document must self-identify

@@ -49,21 +49,6 @@ class DnsZone:
     def set(self, name: str, rtype: DnsRecordType, values: Iterable[str]) -> None:
         self.records[(normalize_name(name), rtype)] = list(values)
 
-    def remove(self, name: str, rtype: Optional[DnsRecordType] = None) -> None:
-        name = normalize_name(name)
-        keys = [k for k in self.records if k[0] == name and (rtype is None or k[1] == rtype)]
-        for key in keys:
-            del self.records[key]
-
-    def mark_failing(self, name: str) -> None:
-        """Make lookups under this name raise SERVFAIL (fault injection)."""
-        self.failing_names.add(normalize_name(name))
-
-    def name_exists(self, name: str) -> bool:
-        name = normalize_name(name)
-        return any(k[0] == name for k in self.records)
-
-
 class DnsResolver:
     """Resolver over a zone, with CNAME chasing and a query counter."""
 

@@ -57,9 +57,6 @@ class IpAllocator:
         self._by_host[hostname] = address
         return address
 
-    def address_of(self, hostname: str) -> Optional[HostAddress]:
-        return self._by_host.get(hostname)
-
     @staticmethod
     def classify(ip: str) -> Optional[HostingClass]:
         """Classify an IP back into its hosting class (the measurement side)."""

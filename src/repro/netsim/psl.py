@@ -211,11 +211,6 @@ class PublicSuffixList:
                         best = max(best, len(labels) - start + 1)
         return best
 
-    def public_suffix(self, domain: str, include_private: bool = False) -> str:
-        labels = self._labels(domain)
-        length = self._suffix_length(labels, include_private)
-        return ".".join(labels[-length:])
-
     def registered_domain(self, domain: str, include_private: bool = False) -> Optional[str]:
         """The registrable ("effective second-level") domain, or None if the
         input is itself a public suffix."""
@@ -224,10 +219,6 @@ class PublicSuffixList:
         if len(labels) <= length:
             return None
         return ".".join(labels[-(length + 1) :])
-
-    def is_public_suffix(self, domain: str, include_private: bool = False) -> bool:
-        labels = self._labels(domain)
-        return self._suffix_length(labels, include_private) == len(labels)
 
     @staticmethod
     def _labels(domain: str) -> list[str]:

@@ -56,17 +56,3 @@ class TokenBucket:
         self._tokens = 0.0
         self._updated_us = max(now_us, self._updated_us) + wait_us
         return self._updated_us
-
-    def schedule_duration_us(self, n_requests: int) -> int:
-        """Time a batch of ``n_requests`` takes from a full bucket."""
-        chargeable = max(0, n_requests - int(self.burst))
-        return int(chargeable / self.rate * US_PER_SECOND)
-
-
-def crawl_duration_days(n_requests: int, rate_per_second: float) -> float:
-    """How many days a crawl of ``n_requests`` takes at an agreed rate.
-
-    The paper's numbers: 5.52M ``getRepo`` calls over 10 days imply an
-    agreed rate of roughly 6.4 requests/second.
-    """
-    return n_requests / rate_per_second / 86_400.0

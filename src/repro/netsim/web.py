@@ -35,7 +35,6 @@ class WebHostRegistry:
 
     def __init__(self):
         self._hosts: dict[str, _Host] = {}
-        self.request_count = 0
 
     def host(self, fqdn: str) -> _Host:
         return self._hosts.setdefault(fqdn.lower(), _Host())
@@ -46,17 +45,8 @@ class WebHostRegistry:
     def serve_json(self, fqdn: str, path: str, payload: dict) -> None:
         self.serve(fqdn, path, json.dumps(payload, sort_keys=True))
 
-    def remove(self, fqdn: str, path: str) -> None:
-        host = self._hosts.get(fqdn.lower())
-        if host and path in host.paths:
-            del host.paths[path]
-
-    def set_down(self, fqdn: str, down: bool = True) -> None:
-        self.host(fqdn).down = down
-
     def get(self, fqdn: str, path: str) -> str:
         """Fetch https://<fqdn><path>; raises WebError on any failure."""
-        self.request_count += 1
         host = self._hosts.get(fqdn.lower())
         if host is None or host.down:
             raise WebError(0, "connection failed to %s" % fqdn)
@@ -70,6 +60,3 @@ class WebHostRegistry:
             return self.get(fqdn, path)
         except WebError:
             return None
-
-    def get_json(self, fqdn: str, path: str) -> dict:
-        return json.loads(self.get(fqdn, path))

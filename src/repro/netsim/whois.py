@@ -77,9 +77,6 @@ class RegistrarDatabase:
     def get(self, name: str) -> Optional[Registrar]:
         return self._by_name.get(name)
 
-    def all(self) -> list[Registrar]:
-        return list(self._by_name.values())
-
     def __len__(self) -> int:
         return len(self._by_name)
 

@@ -75,9 +75,6 @@ class CounterFamily(_Family):
         data = self._data
         data[labels] = data.get(labels, 0) + amount
 
-    def total(self):
-        return sum(self._data.values())
-
     def sum_by(self, index: int) -> dict:
         """Aggregate the family over one label position."""
         out: dict = {}
@@ -92,9 +89,6 @@ class GaugeFamily(_Family):
 
     def set(self, labels: tuple = (), value=0) -> None:
         self._data[labels] = value
-
-    def total(self):
-        return sum(self._data.values())
 
 
 class MetricsRegistry:

@@ -6,10 +6,8 @@ any exported ``metrics.json`` snapshot — and renders the run at a
 glance: current phase, call throughput, and per-endpoint calls and
 errors.
 
-Rendering is curses when a terminal is available, with a plain-text
-fallback (``--plain`` / non-tty / no curses module) that prints one
-frame per refresh.  ``--once`` prints a single frame and exits, which
-is what the tests drive.
+It prints one plain-text frame per refresh.  ``--once`` prints a
+single frame and exits, which is what the tests drive.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ def render_frame(
     interval_s: float = REFRESH_DEFAULT_S,
     source: str = "",
 ) -> str:
-    """One dashboard frame as plain text (shared by curses and plain)."""
+    """One dashboard frame as plain text."""
     metrics = status.get("metrics", {})
     lines = []
     lines.append("repro top — %s" % (source or "study telemetry"))
@@ -115,7 +113,7 @@ def render_frame(
     return "\n".join(lines)
 
 
-def _run_plain(path: str, interval_s: float, once: bool) -> int:
+def _run(path: str, interval_s: float, once: bool) -> int:
     previous = None
     while True:
         status = _load(path)
@@ -128,40 +126,6 @@ def _run_plain(path: str, interval_s: float, once: bool) -> int:
             return 0 if status is not None else 1
         print("-" * 72)
         time.sleep(interval_s)
-
-
-def _run_curses(path: str, interval_s: float) -> int:
-    import curses
-
-    def loop(screen) -> None:
-        curses.curs_set(0)
-        screen.timeout(int(interval_s * 1000))
-        previous = None
-        while True:
-            status = _load(path)
-            screen.erase()
-            text = (
-                render_frame(status, previous, interval_s, source=path)
-                if status is not None
-                else "repro top: waiting for %s ..." % path
-            )
-            max_y, max_x = screen.getmaxyx()
-            for y, line in enumerate(text.splitlines()):
-                if y >= max_y - 1:
-                    break
-                screen.addnstr(y, 0, line, max_x - 1)
-            screen.addnstr(
-                min(max_y - 1, text.count("\n") + 2), 0, "press q to quit", max_x - 1
-            )
-            screen.refresh()
-            if status is not None:
-                previous = status
-            key = screen.getch()
-            if key in (ord("q"), ord("Q")):
-                return
-
-    curses.wrapper(loop)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -188,11 +152,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--once", action="store_true", help="print one frame and exit"
     )
-    parser.add_argument(
-        "--plain",
-        action="store_true",
-        help="plain text frames instead of the curses screen",
-    )
     args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
 
     path = _resolve_path(args.path)
@@ -202,13 +161,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.once or args.plain or not sys.stdout.isatty():
-        return _run_plain(path, max(0.1, args.interval), args.once)
-    try:
-        return _run_curses(path, max(0.1, args.interval))
-    except Exception:
-        # No terminal support (dumb TERM, missing curses): degrade.
-        return _run_plain(path, max(0.1, args.interval), args.once)
+    return _run(path, max(0.1, args.interval), args.once)
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

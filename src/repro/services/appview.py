@@ -121,7 +121,6 @@ class AppView(XrpcService):
         self.index = _Indexes()
         self._labelers: dict[str, LabelerService] = {}
         self._label_cursors: dict[str, int] = {}
-        self._labels: list[Label] = []
         self._labels_by_subject: dict[str, list[Label]] = {}
         self._takedowns: set[str] = set()
         self.events_consumed = 0
@@ -363,7 +362,6 @@ class AppView(XrpcService):
         return pulled
 
     def _ingest_label(self, label: Label) -> None:
-        self._labels.append(label)
         self._labels_by_subject.setdefault(label.uri, []).append(label)
         # Labels (and takedowns, below) are part of the hydrated view.
         self._post_views.pop(label.uri, None)
@@ -385,12 +383,6 @@ class AppView(XrpcService):
             else:
                 applied[key] = label
         return list(applied.values())
-
-    def label_count(self) -> int:
-        return len(self._labels)
-
-    def is_taken_down(self, uri: str) -> bool:
-        return uri in self._takedowns
 
     # -- hydration --------------------------------------------------------------
 
@@ -608,13 +600,6 @@ class AppView(XrpcService):
                 (-posts_index[uri].time_us, uri) for uri in result_uris if uri in posts_index
             )
         ]
-
-    def xrpc_getList(self, list_uri: str) -> dict:
-        """Members of a curation list (``app.bsky.graph.getList``)."""
-        members = self.index.list_members.get(list_uri)
-        if members is None:
-            raise XrpcError(404, "unknown list %s" % list_uri)
-        return {"uri": list_uri, "items": sorted(members)}
 
     def xrpc_getTimeline(self, actor: str, limit: int = 50) -> dict:
         """The reverse-chronological home timeline: the ``limit`` most

@@ -1,9 +1,9 @@
 """The client: a user session composing PDS + AppView.
 
-Provides the write operations a user performs (post, like, repost, follow,
-block, profile), handle management, and the moderation-preference layer:
-which Labelers the user subscribes to and how each label value should be
-actioned (ignore / warn / hide).  Every user is force-subscribed to the
+Provides the writes the examples perform (post, like, follow) and the
+moderation-preference layer: which Labelers the user subscribes to and
+how each label value should be actioned (ignore / warn / hide) in a
+feed the user views.  Every user is force-subscribed to the
 official Bluesky Labeler, whose ``!``-labels have hardcoded behaviour
 (Section 6.2).
 """
@@ -14,14 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.atproto.lexicon import (
-    BLOCK,
-    FOLLOW,
-    LIKE,
-    POST,
-    PROFILE,
-    REPOST,
-)
+from repro.atproto.lexicon import FOLLOW, LIKE, POST
 from repro.atproto.repo import CommitMeta
 from repro.services.appview import AppView
 from repro.services.pds import Pds
@@ -51,7 +44,7 @@ FORCED_ACTIONS = {
 
 @dataclass
 class ModerationPrefs:
-    """The user's (private) moderation preferences."""
+    """The user's (private) moderation preferences, held by the session."""
 
     subscribed_labelers: set = field(default_factory=set)
     label_actions: dict = field(default_factory=dict)  # (labeler_did, val) -> LabelAction
@@ -105,75 +98,19 @@ class Client:
         }
         return self.pds.create_record(self.did, LIKE, record, now_us)
 
-    def repost(self, subject_uri: str, subject_cid: str, now_us: int) -> CommitMeta:
-        record = {
-            "$type": REPOST,
-            "subject": {"uri": subject_uri, "cid": subject_cid},
-            "createdAt": iso_time(now_us),
-        }
-        return self.pds.create_record(self.did, REPOST, record, now_us)
-
     def follow(self, subject_did: str, now_us: int) -> CommitMeta:
         record = {"$type": FOLLOW, "subject": subject_did, "createdAt": iso_time(now_us)}
         return self.pds.create_record(self.did, FOLLOW, record, now_us)
-
-    def block(self, subject_did: str, now_us: int) -> CommitMeta:
-        record = {"$type": BLOCK, "subject": subject_did, "createdAt": iso_time(now_us)}
-        return self.pds.create_record(self.did, BLOCK, record, now_us)
-
-    def set_profile(
-        self, now_us: int, display_name: str = "", description: str = ""
-    ) -> CommitMeta:
-        record = {
-            "$type": PROFILE,
-            "displayName": display_name,
-            "description": description,
-            "createdAt": iso_time(now_us),
-        }
-        repo = self.pds.repo(self.did)
-        if repo.get_record(PROFILE, "self") is None:
-            return self.pds.create_record(self.did, PROFILE, record, now_us, rkey="self")
-        return self.pds.update_record(self.did, PROFILE, "self", record, now_us)
-
-    def delete_post(self, rkey: str, now_us: int) -> CommitMeta:
-        return self.pds.delete_record(self.did, POST, rkey, now_us)
 
     # -- moderation preferences ------------------------------------------------------
 
     def subscribe_labeler(self, labeler_did: str) -> None:
         self.prefs.subscribed_labelers.add(labeler_did)
-        self._save_prefs()
-
-    def unsubscribe_labeler(self, labeler_did: str, official_did: Optional[str] = None) -> None:
-        if official_did is not None and labeler_did == official_did:
-            raise ValueError("unsubscribing from the official labeler is not an option")
-        self.prefs.subscribed_labelers.discard(labeler_did)
-        self._save_prefs()
 
     def set_label_action(self, labeler_did: str, val: str, action: LabelAction) -> None:
         self.prefs.label_actions[(labeler_did, val)] = action
-        self._save_prefs()
-
-    def _save_prefs(self) -> None:
-        self.pds.put_preferences(
-            self.did,
-            {
-                "labelers": sorted(self.prefs.subscribed_labelers),
-                "label_actions": {
-                    "%s/%s" % key: action.value
-                    for key, action in self.prefs.label_actions.items()
-                },
-            },
-        )
 
     # -- reads ------------------------------------------------------------------------
-
-    def home_timeline(self, limit: int = 50) -> list[dict]:
-        """The default view: posts from followed accounts, moderated."""
-        if self.appview is None:
-            raise RuntimeError("client has no AppView configured")
-        response = self.appview.xrpc_getTimeline(actor=self.did, limit=limit)
-        return self._apply_moderation(response["feed"])
 
     def view_feed(self, feed_uri: str, now_us: int, limit: int = 50) -> list[dict]:
         """Fetch a feed through the AppView and apply moderation prefs."""

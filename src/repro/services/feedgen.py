@@ -266,9 +266,6 @@ class FeedGeneratorHost(XrpcService):
             raise FeedError("feed %s already hosted here" % feed.uri)
         self._feeds[feed.uri] = feed
 
-    def feed(self, uri: str) -> Optional[Feed]:
-        return self._feeds.get(uri)
-
     def feeds(self) -> list[Feed]:
         return list(self._feeds.values())
 

@@ -187,7 +187,6 @@ class FeedServicePlatform(FeedGeneratorHost):
     ):
         super().__init__(service_did, endpoint, telemetry=telemetry)
         self.profile = profile
-        self._creators: dict[str, str] = {}  # feed uri -> creator did
 
     def create_feed(
         self,
@@ -204,27 +203,7 @@ class FeedServicePlatform(FeedGeneratorHost):
             )
         feed = CuratedFeed(feed_uri, rule, retention)
         self.add_feed(feed)
-        self._creators[feed_uri] = creator_did
         return feed
-
-    def create_list_feed(
-        self,
-        creator_did: str,
-        feed_uri: str,
-        members,
-        retention: Optional[RetentionPolicy] = None,
-    ) -> CuratedFeed:
-        """Create a feed over a curation list's members (the Table 5
-        "List" input; not every platform offers it)."""
-        rule = FeedRule(authors=frozenset(members), from_list=True)
-        return self.create_feed(creator_did, feed_uri, rule, retention)
-
-    def creator_of(self, feed_uri: str) -> Optional[str]:
-        return self._creators.get(feed_uri)
-
-    def feeds_by_creator(self, creator_did: str) -> list[str]:
-        return [uri for uri, did in self._creators.items() if did == creator_did]
-
 
 def feature_matrix_table() -> dict[str, dict[str, bool]]:
     """Table 5 as data: feature → platform → supported."""

@@ -96,7 +96,6 @@ class LabelerService(XrpcService):
         self.policies = policies
         self.signing_keypair = signing_keypair
         self._labels: list[Label] = []
-        self._active: dict[tuple[str, str], bool] = {}  # (uri, val) -> applied?
 
     # -- emission ---------------------------------------------------------------
 
@@ -121,7 +120,6 @@ class LabelerService(XrpcService):
                 sig=self.signing_keypair.sign(label.signed_payload()),
             )
         self._labels.append(label)
-        self._active[(uri, val)] = not neg
         return label
 
     def verify_label(self, label: Label, public_key) -> bool:
@@ -132,9 +130,6 @@ class LabelerService(XrpcService):
 
     def rescind(self, uri: str, val: str, now_us: int) -> Label:
         return self.emit(uri, val, now_us, neg=True)
-
-    def is_applied(self, uri: str, val: str) -> bool:
-        return self._active.get((uri, val), False)
 
     def service_record(self, created_at: str) -> dict:
         """The ``app.bsky.labeler.service`` record for the labeler's repo."""

@@ -1,6 +1,6 @@
 """Personal Data Servers.
 
-A PDS hosts user repositories and (privately) user preferences.  Bluesky
+A PDS hosts user repositories.  Bluesky
 PBC operates the default PDSes; since early 2024 anyone can self-host one
 and federate.  The PDS exposes the ``com.atproto.sync.*`` read interface a
 Relay crawls, plus account/record management used by clients, and forwards
@@ -34,7 +34,6 @@ class Pds(XrpcService):
         self.operator = operator
         self.lexicons = lexicons if lexicons is not None else default_registry()
         self._repos: dict[str, Repo] = {}
-        self._preferences: dict[str, dict] = {}
         self._commit_listeners: list[Callable[[str, CommitMeta], None]] = []
         self._tombstone_listeners: list[Callable[[str, int], None]] = []
         self._next_clock_id = 0
@@ -85,7 +84,6 @@ class Pds(XrpcService):
         if did not in self._repos:
             raise PdsError("unknown account %s" % did)
         del self._repos[did]
-        self._preferences.pop(did, None)
         for listener in self._tombstone_listeners:
             listener(did, now_us)
 
@@ -139,19 +137,6 @@ class Pds(XrpcService):
     def _notify(self, did: str, meta: CommitMeta) -> None:
         for listener in self._commit_listeners:
             listener(did, meta)
-
-    # -- preferences (non-public; Section 2 "User Preferences") -------------------
-
-    def put_preferences(self, did: str, preferences: dict) -> None:
-        if did not in self._repos:
-            raise PdsError("unknown account %s" % did)
-        self._preferences[did] = dict(preferences)
-
-    def get_preferences(self, did: str, authenticated_as: str) -> dict:
-        """Preferences are only visible to the authenticated owner."""
-        if authenticated_as != did:
-            raise PdsError("preferences are private to their owner")
-        return dict(self._preferences.get(did, {}))
 
     # -- subscriptions -------------------------------------------------------------
 

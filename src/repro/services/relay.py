@@ -53,9 +53,6 @@ class Firehose:
         self._subscribers: list[Callable[[FirehoseEvent], None]] = []
         self.dropped_total = 0  # events pruned out of the retention window
 
-    def next_seq(self) -> int:
-        return self._next_seq
-
     def publish(self, build_event: Callable[[int], FirehoseEvent]) -> FirehoseEvent:
         """Assign the next seq, buffer the event, fan out to subscribers."""
         event = build_event(self._next_seq)
@@ -124,15 +121,6 @@ class Firehose:
             oldest_seq=oldest,
             dropped=dropped,
         )
-
-    def oldest_available_seq(self) -> Optional[int]:
-        if not self._events:
-            return None
-        return self._events[0].seq
-
-    def backlog_size(self) -> int:
-        return len(self._events)
-
 
 class Relay(XrpcService):
     """The Relay service: PDS aggregator + Firehose publisher + repo cache."""

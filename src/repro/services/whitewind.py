@@ -17,7 +17,7 @@ from typing import Optional
 from repro.atproto.events import CommitEvent, FirehoseEvent
 from repro.atproto.lexicon import WHTWND_ENTRY
 from repro.services.relay import Relay
-from repro.services.xrpc import XrpcError, XrpcService
+from repro.services.xrpc import XrpcService
 
 
 @dataclass
@@ -65,21 +65,7 @@ class WhiteWindAppView(XrpcService):
                 visibility=record.get("visibility", "public"),
             )
 
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     # -- public API -------------------------------------------------------------
-
-    def xrpc_getEntry(self, uri: str) -> dict:
-        entry = self._entries.get(uri)
-        if entry is None:
-            raise XrpcError(404, "unknown blog entry %s" % uri)
-        return {
-            "uri": entry.uri,
-            "author": entry.author,
-            "title": entry.title,
-            "content": entry.content,
-        }
 
     def xrpc_listEntries(
         self, author: Optional[str] = None, limit: int = 50

@@ -17,7 +17,6 @@ from repro.obs.telemetry import Telemetry
 #: Connection-error taxonomy carried on :class:`XrpcError.reason` so
 #: telemetry and the health report can attribute status-0 failures.
 REASON_UNKNOWN_HOST = "unknown-host"
-REASON_HOST_DOWN = "host-down"
 REASON_INJECTED_OUTAGE = "injected-outage"
 REASON_INJECTED_TIMEOUT = "injected-timeout"
 REASON_INJECTED_FLAKY = "injected-flaky"
@@ -60,17 +59,17 @@ class XrpcService:
 class ServiceDirectory:
     """URL → service registry with reachability faults.
 
-    ``set_down`` models services that announce themselves but stop
-    responding — the paper finds 26% of announced Labelers and ~7% of Feed
-    Generators unreachable, and the collectors must observe those failures
-    the same way a real crawler does (as connection errors).
+    A service that announces an endpoint but never registers it is
+    unreachable — the paper finds 26% of announced Labelers and ~7% of
+    Feed Generators unreachable, and the collectors must observe those
+    failures the same way a real crawler does (as connection errors).
 
     ``fault_injector`` (a :class:`repro.netsim.faults.FaultInjector`) is
     consulted before every dispatch to a *reachable* host: it may raise
     transient or permanent :class:`XrpcError`\\ s and may charge latency,
     which callers that track virtual time read back from
-    ``last_call_latency_us``.  Unreachable hosts (down or unregistered)
-    fail before the fault gate — a connection that never opens cannot be
+    ``last_call_latency_us``.  Unreachable (unregistered) hosts fail
+    before the fault gate — a connection that never opens cannot be
     slow.  ``now_us`` is the directory's notion of current virtual time;
     callers making timed calls set it so time-windowed faults (outages)
     apply correctly.
@@ -82,7 +81,6 @@ class ServiceDirectory:
 
     def __init__(self, telemetry: Optional[Telemetry] = None):
         self._services: dict[str, XrpcService] = {}
-        self._down: set[str] = set()
         self.fault_injector = None
         self.adversary = None
         self.now_us = 0
@@ -99,27 +97,8 @@ class ServiceDirectory:
     def register(self, url: str, service: XrpcService) -> None:
         self._services[self._norm(url)] = service
 
-    def unregister(self, url: str) -> None:
-        self._services.pop(self._norm(url), None)
-
-    def set_down(self, url: str, down: bool = True) -> None:
-        if down:
-            self._down.add(self._norm(url))
-        else:
-            self._down.discard(self._norm(url))
-
-    def is_registered(self, url: str) -> bool:
-        return self._norm(url) in self._services
-
     def is_reachable(self, url: str) -> bool:
-        url = self._norm(url)
-        return url in self._services and url not in self._down
-
-    def get(self, url: str) -> Optional[XrpcService]:
-        url = self._norm(url)
-        if url in self._down:
-            return None
-        return self._services.get(url)
+        return self._norm(url) in self._services
 
     def call(self, url: str, method: str, **params: Any) -> Any:
         """Dispatch an XRPC call to the service behind ``url``."""
@@ -130,10 +109,6 @@ class ServiceDirectory:
         wall0 = tracer.wall_us() if trace_this else 0.0
         outcome = "ok"
         try:
-            if normalized in self._down:
-                raise XrpcError(
-                    0, "connection to %s failed" % url, reason=REASON_HOST_DOWN
-                )
             service = self._services.get(normalized)
             if service is None:
                 raise XrpcError(0, "unknown host %s" % url, reason=REASON_UNKNOWN_HOST)

@@ -41,10 +41,6 @@ def us_to_datetime(time_us: int) -> datetime.datetime:
     return _EPOCH + datetime.timedelta(microseconds=time_us)
 
 
-def us_to_date(time_us: int) -> datetime.date:
-    return us_to_datetime(time_us).date()
-
-
 def month_key(time_us: int) -> str:
     """'YYYY-MM' bucket for a timestamp."""
     moment = us_to_datetime(time_us)

@@ -166,17 +166,6 @@ class SimulationConfig:
         # and its structure (Table 6) is the object of study.
         return PAPER["labelers_announced"]
 
-    def target_ops(self) -> dict[str, int]:
-        """Lifetime operation totals, scaled."""
-        factor = self.scale * self.activity_scale
-        return {
-            "post": int(PAPER["posts_total"] * factor),
-            "like": int(PAPER["likes_total"] * factor),
-            "follow": int(PAPER["follows_total"] * factor),
-            "repost": int(PAPER["reposts_total"] * factor),
-            "block": int(PAPER["blocks_total"] * factor),
-        }
-
     # -- presets -------------------------------------------------------------------
 
     @classmethod

@@ -63,24 +63,11 @@ class CumulativeSampler(Generic[T]):
     def __bool__(self) -> bool:
         return bool(self.items)
 
-    @property
-    def total(self) -> float:
-        return self._cum[-1] if self._cum else 0.0
-
-    @property
-    def cum_weights(self) -> list[float]:
-        """The cumulative table (``random.choices(cum_weights=...)``-ready)."""
-        return self._cum
-
     def append(self, item: T, weight: float) -> None:
         if weight < 0:
             raise SamplingError("weights must be non-negative")
         self._cum.append((self._cum[-1] if self._cum else 0.0) + weight)
         self.items.append(item)
-
-    def extend(self, pairs: Iterable[tuple[T, float]]) -> None:
-        for item, weight in pairs:
-            self.append(item, weight)
 
     def sample(self, rng: random.Random) -> T:
         """One weighted draw; mirrors ``rng.choices(items, weights, k=1)[0]``."""

@@ -105,10 +105,6 @@ class RecentPostPool:
             self._ring[self._start] = post
             self._start = (self._start + 1) % self.maxlen
 
-    def extend(self, posts: Iterable[RecentPost]) -> None:
-        for post in posts:
-            self.append(post)
-
     def __len__(self) -> int:
         return len(self._ring)
 
@@ -123,10 +119,6 @@ class RecentPostPool:
         if not 0 <= index < len(ring):
             raise IndexError(index)
         return ring[(self._start + index) % self.maxlen]
-
-    def snapshot(self) -> list[RecentPost]:
-        return [self[i] for i in range(len(self))]
-
 
 @dataclass
 class DayBatch:

@@ -500,11 +500,5 @@ class World:
 
     # -- convenience views --------------------------------------------------------------------
 
-    def live_users(self) -> list[UserState]:
-        return [u for u in self.users if u.joined and not u.tombstoned]
-
     def user_by_did(self) -> dict[str, UserState]:
         return {u.did: u for u in self.users if u.joined}
-
-    def official_labeler(self) -> LabelerRuntime:
-        return next(r for r in self.labelers if r.spec.is_official)

@@ -386,9 +386,40 @@ def oracle_load_mst(blocks: dict[Cid, bytes], root_cid: Cid) -> Mst:
     return Mst(load(root_cid, None, 0))
 
 
+def check_invariants(mst: Mst) -> None:
+    """Validate an in-memory tree's layer assignment, ordering, and pointer
+    structure; :func:`~repro.atproto.mst.load_mst` makes the same checks
+    on a stored tree, in the same order."""
+
+    def visit(node: MstNode, lo: Optional[str], hi: Optional[str]) -> None:
+        if len(node.subtrees) != len(node.entries) + 1:
+            raise MstError("subtree/entry arity mismatch")
+        for index, (key, _) in enumerate(node.entries):
+            if key_layer(key) != node.layer:
+                raise MstError("key %r stored at wrong layer" % key)
+            if lo is not None and key <= lo:
+                raise MstError("key %r out of range" % key)
+            if hi is not None and key >= hi:
+                raise MstError("key %r out of range" % key)
+            if index and key <= node.entries[index - 1][0]:
+                raise MstError("entries out of order at %r" % key)
+        for index, subtree in enumerate(node.subtrees):
+            if subtree is None:
+                continue
+            if subtree.layer != node.layer - 1:
+                raise MstError("child layer must be parent layer - 1")
+            if subtree.is_empty():
+                raise MstError("empty non-root node")
+            sub_lo = node.entries[index - 1][0] if index > 0 else lo
+            sub_hi = node.entries[index][0] if index < len(node.entries) else hi
+            visit(subtree, sub_lo, sub_hi)
+
+    visit(mst.root, None, None)
+
+
 def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
     """A repo CAR import that builds the tree: :func:`read_car`, then
-    :func:`oracle_load_mst`, :meth:`Mst.check_invariants`, the tree's
+    :func:`oracle_load_mst`, :func:`check_invariants`, the tree's
     items in key order and one ``cbor_decode`` per record."""
     roots, blocks = read_car(data)
     if len(roots) != 1:
@@ -408,7 +439,7 @@ def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
         if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
             raise SignatureError("commit signature verification failed")
     mst = oracle_load_mst(blocks, commit["data"])
-    mst.check_invariants()
+    check_invariants(mst)
     snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
     for path, cid in mst.items():
         if cid not in blocks:

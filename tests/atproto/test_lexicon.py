@@ -86,13 +86,9 @@ class TestValidation:
 
 class TestRegistry:
     def test_known_collections_include_bsky_core(self, registry):
-        known = registry.known_collections()
+        known = registry.schemas
         for nsid in (POST, LIKE, FOLLOW, FEED_GENERATOR):
             assert nsid in known
-
-    def test_is_bsky_collection(self, registry):
-        assert registry.is_bsky_collection(POST)
-        assert not registry.is_bsky_collection(WHTWND_ENTRY)
 
     def test_custom_schema_registration(self, registry):
         schema = RecordSchema(

@@ -15,6 +15,7 @@ from repro.atproto.mst import (
 )
 from tests.atproto.oracles import (
     build_canonical,
+    check_invariants,
     oracle_is_valid_mst_key,
     oracle_load_mst,
     oracle_to_data,
@@ -82,7 +83,7 @@ class TestBasicOperations:
         tree = Mst()
         assert len(tree) == 0
         assert tree.get("a/b") is None
-        tree.check_invariants()
+        check_invariants(tree)
 
     def test_set_and_get(self):
         tree = Mst()
@@ -111,7 +112,7 @@ class TestBasicOperations:
         keys = [k for k, _ in tree.items()]
         assert keys == sorted(keys)
         assert len(keys) == 300
-        tree.check_invariants()
+        check_invariants(tree)
 
     def test_delete(self):
         tree = Mst()
@@ -120,7 +121,7 @@ class TestBasicOperations:
         tree.delete(key(25))
         assert tree.get(key(25)) is None
         assert len(tree) == 49
-        tree.check_invariants()
+        check_invariants(tree)
 
     def test_delete_missing_raises(self):
         with pytest.raises(KeyError):
@@ -154,7 +155,7 @@ class TestCanonicity:
         for k, v in items.items():
             incremental.set(k, v)
         canonical = build_canonical(items)
-        canonical.check_invariants()
+        check_invariants(canonical)
         assert incremental.root_cid() == canonical.root_cid()
 
     def test_delete_matches_fresh_build(self):
@@ -166,7 +167,7 @@ class TestCanonicity:
             del items[key(i)]
         rebuilt = build_canonical(items)
         assert tree.root_cid() == rebuilt.root_cid()
-        tree.check_invariants()
+        check_invariants(tree)
 
 
 class TestSerialization:
@@ -177,7 +178,7 @@ class TestSerialization:
         assert load_mst(blocks, tree.root_cid()) == sorted(items.items())
         loaded = oracle_load_mst(blocks, tree.root_cid())
         assert loaded.root_cid() == tree.root_cid()
-        loaded.check_invariants()
+        check_invariants(loaded)
 
     def test_prefix_compression_round_trip(self):
         tree = Mst()
@@ -347,7 +348,7 @@ def test_incremental_equals_canonical_property(items):
     tree = Mst()
     for k, v in items.items():
         tree.set(k, v)
-    tree.check_invariants()
+    check_invariants(tree)
     assert tree.root_cid() == build_canonical(items).root_cid()
 
 
@@ -369,6 +370,6 @@ def test_random_ops_match_canonical_property(ops):
         elif k in model:
             tree.delete(k)
             del model[k]
-    tree.check_invariants()
+    check_invariants(tree)
     assert tree.root_cid() == build_canonical(model).root_cid()
     assert dict(tree.items()) == model

@@ -22,6 +22,11 @@ def post_record(text: str) -> dict:
     return {"$type": POST, "text": text, "createdAt": "2024-04-01T00:00:00Z"}
 
 
+def record_at(repo, collection: str, rkey: str):
+    """The record at ``collection/rkey``, or None."""
+    return dict(repo.list_records(collection)).get("%s/%s" % (collection, rkey))
+
+
 class TestWriteOps:
     def test_create_requires_record(self):
         with pytest.raises(RepoError):
@@ -43,7 +48,7 @@ class TestRepoCrud:
         op = meta.ops[0]
         assert op.action == "create"
         assert op.record["text"] == "hello"
-        assert repo.get_record(POST, op.rkey)["text"] == "hello"
+        assert record_at(repo, POST, op.rkey)["text"] == "hello"
         assert repo.get_record_cid(POST, op.rkey) == op.cid
 
     def test_auto_rkey_is_tid(self):
@@ -57,7 +62,7 @@ class TestRepoCrud:
     def test_explicit_rkey(self):
         repo = make_repo()
         repo.create_record(POST, post_record("x"), now_us=1, rkey="self")
-        assert repo.get_record(POST, "self") is not None
+        assert record_at(repo, POST, "self") is not None
 
     def test_duplicate_create_rejected(self):
         repo = make_repo()
@@ -68,19 +73,19 @@ class TestRepoCrud:
     def test_update(self):
         repo = make_repo()
         repo.create_record(POST, post_record("v1"), now_us=1, rkey="self")
-        repo.update_record(POST, "self", post_record("v2"), now_us=2)
-        assert repo.get_record(POST, "self")["text"] == "v2"
+        repo.apply_writes([WriteOp("update", POST, "self", post_record("v2"))], now_us=2)
+        assert record_at(repo, POST, "self")["text"] == "v2"
 
     def test_update_missing_rejected(self):
         repo = make_repo()
         with pytest.raises(RepoError):
-            repo.update_record(POST, "ghost", post_record("x"), now_us=1)
+            repo.apply_writes([WriteOp("update", POST, "ghost", post_record("x"))], now_us=1)
 
     def test_delete(self):
         repo = make_repo()
         repo.create_record(POST, post_record("x"), now_us=1, rkey="self")
-        repo.delete_record(POST, "self", now_us=2)
-        assert repo.get_record(POST, "self") is None
+        repo.apply_writes([WriteOp("delete", POST, "self")], now_us=2)
+        assert record_at(repo, POST, "self") is None
         assert len(repo.mst) == 0
 
     def test_identical_records_share_block(self):
@@ -89,9 +94,9 @@ class TestRepoCrud:
                   "createdAt": "2024-01-01T00:00:00Z"}
         repo.create_record(LIKE, dict(record), now_us=1, rkey="a")
         repo.create_record(LIKE, dict(record), now_us=2, rkey="b")
-        repo.delete_record(LIKE, "a", now_us=3)
+        repo.apply_writes([WriteOp("delete", LIKE, "a")], now_us=3)
         # The shared block must survive deleting one referent.
-        assert repo.get_record(LIKE, "b") is not None
+        assert record_at(repo, LIKE, "b") is not None
 
     def test_list_records_by_collection(self):
         repo = make_repo()
@@ -138,7 +143,7 @@ class TestRepoCrud:
         with pytest.raises(ValueError):
             repo.apply_writes([WriteOp("create", POST, "two", post_record("two")), refused], 2)
         assert (len(repo.mst), repo.export_car(), repo.head, repo.rev) == before
-        assert repo.get_record(POST, "two") is None
+        assert record_at(repo, POST, "two") is None
         # The next commit's CAR holds the old records plus what its ops
         # announce, and no block besides them, the tree and the commit.
         meta = repo.create_record(POST, post_record("three"), now_us=3, rkey="three")
@@ -157,8 +162,8 @@ class TestRepoCrud:
         ]
         meta = repo.apply_writes(writes, now_us=10)
         assert [op.action for op in meta.ops] == ["create", "update", "create", "delete"]
-        assert repo.get_record(POST, "a")["text"] == "2"
-        assert repo.get_record(POST, "b") is None
+        assert record_at(repo, POST, "a")["text"] == "2"
+        assert record_at(repo, POST, "b") is None
         assert list(import_car(repo.export_car()).records) == [POST + "/a"]
 
 
@@ -180,7 +185,7 @@ class TestCommits:
         repo = make_repo()
         created = repo.create_record(POST, post_record("1"), now_us=100)
         assert repo.head == created.commit_cid
-        deleted = repo.delete_record(POST, created.ops[0].rkey, now_us=200)
+        deleted = repo.apply_writes([WriteOp("delete", POST, created.ops[0].rkey)], now_us=200)
         assert [m.ops[0].action for m in (created, deleted)] == ["create", "delete"]
         assert deleted.ops[0].cid is None and deleted.ops[0].record is None
         assert repo.head == deleted.commit_cid
@@ -274,7 +279,7 @@ class TestCarRoundTrip:
         repo = make_repo()
         repo.create_record(POST, post_record("x"), now_us=1)
         snapshot = import_car(repo.export_car())
-        assert snapshot.collections() == [POST]
+        assert [path.split("/")[0] for path in snapshot.records] == [POST]
 
 
 class TestCarFormat:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atproto.keys import HmacKeypair
 from repro.atproto.lexicon import POST
-from repro.atproto.repo import Repo, import_car
+from repro.atproto.repo import Repo, WriteOp, import_car
 
 DID = "did:plc:" + "m" * 24
 
@@ -41,10 +41,10 @@ def apply_sequence(sequence):
             meta = repo.create_record(POST, record_for(value), now, rkey=rkey)
             model[rkey] = value
         elif action == "update" and exists:
-            meta = repo.update_record(POST, rkey, record_for(value), now)
+            meta = repo.apply_writes([WriteOp("update", POST, rkey, record_for(value))], now)
             model[rkey] = value
         elif action == "delete" and exists:
-            meta = repo.delete_record(POST, rkey, now)
+            meta = repo.apply_writes([WriteOp("delete", POST, rkey)], now)
             del model[rkey]
         else:
             continue

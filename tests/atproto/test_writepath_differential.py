@@ -115,8 +115,7 @@ def registries():
     with a schema of every field type."""
     default = default_registry()
     strict = LexiconRegistry()
-    for nsid in default.known_collections():
-        schema = default.get(nsid)
+    for schema in default.schemas.values():
         strict.register(RecordSchema(schema.nsid, schema.fields, allow_extra=False))
     every = LexiconRegistry()
     every.register(EVERY_TYPE)
@@ -186,7 +185,7 @@ def test_lexicon_validation_matches_the_oracle():
     rng = random.Random(SEED)
     checked = errors = 0
     for registry in registries():
-        schemas = {nsid: registry.get(nsid) for nsid in registry.known_collections()}
+        schemas = dict(sorted(registry.schemas.items()))
         for nsid, schema in schemas.items():
             for _ in range(12):
                 for record in mutations(rng, schema, valid_record(rng, schema)):

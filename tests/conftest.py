@@ -133,6 +133,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def live_users(world: World) -> list:
+    """The users that have joined and are not tombstoned."""
+    return [u for u in world.users if u.joined and not u.tombstoned]
+
+
+def official_labeler(world: World):
+    """The runtime of the official Bluesky labeler."""
+    return next(r for r in world.labelers if r.spec.is_official)
+
+
 def relay_heads(world: World) -> dict:
     """``{did: (head CID, rev)}`` for every repository the relay holds a head of."""
     heads = {}

@@ -5,6 +5,7 @@ import pytest
 from repro.core.analysis import activity, feeds, graph, identity, moderation, summary
 from repro.core.analysis.langid import detect_language
 from repro.simulation.config import PAPER
+from tests.conftest import official_labeler
 
 
 class TestTable1:
@@ -133,7 +134,7 @@ class TestSection5Identity:
 class TestSection6Moderation:
     def test_official_labeler_found(self, study_datasets, study_world):
         did = moderation.find_official_labeler_did(study_datasets)
-        assert did == study_world.official_labeler().did
+        assert did == official_labeler(study_world).did
 
     def test_label_growth_community_overtakes(self, study_datasets):
         official = moderation.find_official_labeler_did(study_datasets)

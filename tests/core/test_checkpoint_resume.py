@@ -89,12 +89,6 @@ class TestJournal:
         with pytest.raises(CheckpointError):
             journal.load()
 
-    def test_clear(self, tmp_path):
-        journal = CheckpointJournal(str(tmp_path))
-        journal.save({"n": 1})
-        journal.clear()
-        assert not journal.exists()
-
     def test_load_without_checkpoint_returns_none(self, tmp_path):
         # Resuming with no journal on disk starts a fresh run.
         assert CheckpointJournal(str(tmp_path)).load() is None

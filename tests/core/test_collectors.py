@@ -1,8 +1,20 @@
 """Tests for the dataset collectors against the shared tiny study."""
 
+from collections import Counter
+
 import pytest
 
 from repro.atproto.events import KIND_COMMIT
+from repro.atproto.keys import make_keypair
+from repro.core.collect.labelers import LabelerCollector
+from repro.core.integrity import KIND_LABEL_SIGNATURE, IntegrityMonitor
+from repro.identity.did import LABELER_SERVICE_ID, DidDocument, ServiceEndpoint
+from repro.identity.plc import PlcDirectory
+from repro.identity.resolver import DidResolver, publish_did_web_document
+from repro.netsim.dns import DnsResolver, DnsZone
+from repro.netsim.web import WebHostRegistry
+from repro.services.labeler import LabelerPolicies, LabelerService
+from repro.services.xrpc import ServiceDirectory
 from repro.simulation.config import (
     FIREHOSE_COLLECT_START_US,
     LABEL_SNAPSHOT_US,
@@ -26,7 +38,8 @@ class TestIdentifierDataset:
     def test_changed_between_detects_activity(self, study_datasets):
         ids = study_datasets.identifiers
         if len(ids.snapshots) >= 2:
-            changed = ids.changed_between(0, len(ids.snapshots) - 1)
+            before, after = ids.snapshots[0].repos, ids.snapshots[-1].repos
+            changed = [did for did, head in after.items() if before.get(did) != head]
             assert changed  # an active network always advances revs
 
     def test_revs_are_tids(self, study_datasets):
@@ -106,8 +119,8 @@ class TestFirehoseDataset:
         assert study_datasets.firehose.start_us == FIREHOSE_COLLECT_START_US
 
     def test_commits_dominate(self, study_datasets):
-        shares = study_datasets.firehose.event_shares()
-        assert shares.get(KIND_COMMIT, 0) > 0.9
+        firehose = study_datasets.firehose
+        assert firehose.event_counts[KIND_COMMIT] / firehose.total_events() > 0.9
 
     def test_post_creation_times_recorded(self, study_datasets):
         posts = study_datasets.firehose.post_created_us
@@ -146,7 +159,9 @@ class TestLabelerDataset:
         assert early  # official labeler ran since April 2023
 
     def test_labels_sorted_within_source(self, study_datasets):
-        by_src = study_datasets.labels.labels_by_source()
+        by_src = {}
+        for label in study_datasets.labels.labels:
+            by_src.setdefault(label.src, []).append(label)
         for src, labels in by_src.items():
             seqs = [l.seq for l in labels]
             assert seqs == sorted(seqs)
@@ -193,7 +208,8 @@ class TestActiveMeasurements:
         assert all(not p.handle.endswith(".bsky.social") for p in probes)
 
     def test_dns_mechanism_dominates(self, study_datasets):
-        counts = study_datasets.active.mechanism_counts()
+        probes = study_datasets.active.handle_probes
+        counts = Counter(row.mechanism for row in probes if row.mechanism is not None)
         total = sum(counts.values())
         if total >= 10:
             assert counts.get("dns-txt", 0) / total > 0.8
@@ -205,3 +221,33 @@ class TestActiveMeasurements:
     def test_whois_rows_match_domains(self, study_datasets):
         active = study_datasets.active
         assert len(active.whois_rows) == len(active.registered_domains)
+
+
+def test_unparseable_labeler_key_quarantines_its_labels():
+    # A labeler whose DID document carries a publicKeyMultibase that is not
+    # base58btc ("0", "O", "I" and "l" are outside the alphabet) fails
+    # every signed label, as a document without a key does; the crawl
+    # goes on.
+    did, endpoint = "did:web:lab.example", "https://lab.example"
+    web = WebHostRegistry()
+    service = ServiceEndpoint(LABELER_SERVICE_ID, "AtprotoLabeler", endpoint)
+    publish_did_web_document(
+        web, DidDocument(did=did, signing_key="did:key:z0OIl", services=[service])
+    )
+    labeler = LabelerService(
+        did, endpoint, LabelerPolicies(("spam",), {}), signing_keypair=make_keypair(b"lab")
+    )
+    directory = ServiceDirectory()
+    directory.register(endpoint, labeler)
+    for index in range(2):
+        labeler.emit("at://did:plc:%s/app.bsky.feed.post/%d" % ("a" * 24, index), "spam", 10)
+    monitor = IntegrityMonitor()
+    collector = LabelerCollector(
+        directory, DidResolver(PlcDirectory(), web), DnsResolver(DnsZone()), integrity=monitor
+    )
+    collector.discover([did])
+    assert collector.connect_and_backfill(now_us=100) == 0
+    assert collector.dataset.labels == []
+    assert collector.dataset.signature_failures == 2
+    assert [q.kind for q in monitor.report.quarantined] == [KIND_LABEL_SIGNATURE] * 2
+    assert collector._verify_keys == {did: False}

@@ -12,6 +12,9 @@ from repro.identity.did import (
     did_web_to_fqdn,
     is_valid_did,
 )
+from repro.identity.plc import PlcDirectory
+from repro.identity.resolver import DidResolver
+from repro.netsim.web import WELL_KNOWN_DID_JSON, WebHostRegistry
 
 
 class TestDidSyntax:
@@ -90,3 +93,54 @@ class TestDidDocument:
     def test_from_json_requires_id(self):
         with pytest.raises(DidError):
             DidDocument.from_json({"alsoKnownAs": []})
+
+
+WEB_DID = "did:web:odd.example"
+PDS_ENTRY = {
+    "id": "#atproto_pds",
+    "type": "AtprotoPersonalDataServer",
+    "serviceEndpoint": "https://pds.test",
+}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"id": WEB_DID, "verificationMethod": ["x"]},
+        {"id": WEB_DID, "service": ["x"]},
+        {"id": WEB_DID, "service": PDS_ENTRY},
+        {"id": WEB_DID, "alsoKnownAs": 5},
+        {"id": WEB_DID, "service": [dict(PDS_ENTRY, id=5)]},
+        [{"id": WEB_DID}],
+    ],
+    ids=["method-not-object", "service-not-object", "service-not-list", "aliases-not-list",
+         "service-id-not-string", "top-level-list"],
+)
+def test_wrong_shape_did_web_document_resolves_to_none(document):
+    # Well-formed JSON of the wrong shape is no DID document; the resolver
+    # must say so instead of raising out of the DID-document crawl.
+    web = WebHostRegistry()
+    web.serve_json("odd.example", WELL_KNOWN_DID_JSON, document)
+    assert DidResolver(PlcDirectory(), web).resolve(WEB_DID) is None
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        DidDocument(did=WEB_DID),
+        DidDocument(did=WEB_DID, handle="odd.example", signing_key="did:key:zQ3shokFTS3brHcDQ"),
+        DidDocument(
+            did="did:plc:ewvi7nxzyoun6zhxrhs64oiz",
+            handle="alice.bsky.social",
+            services=[
+                ServiceEndpoint(PDS_SERVICE_ID, "AtprotoPersonalDataServer", "https://pds.test"),
+                ServiceEndpoint(LABELER_SERVICE_ID, "AtprotoLabeler", "https://lab.test"),
+            ],
+        ),
+    ],
+    ids=["bare", "handle-and-key", "two-services"],
+)
+def test_json_round_trip_is_exact(doc):
+    rendered = doc.to_json()
+    assert DidDocument.from_json(rendered) == doc
+    assert DidDocument.from_json(rendered).to_json() == rendered

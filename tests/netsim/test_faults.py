@@ -36,7 +36,7 @@ class EchoService(XrpcService):
 
 def injected_latency_us(services) -> int:
     family = services.telemetry.registry.family("xrpc_injected_latency_us_total")
-    return family.total()
+    return family.get()
 
 
 def wired(plan=None):
@@ -142,11 +142,11 @@ class TestSlowHost:
         # Reachability is decided before the fault gate: a connection
         # that never opens cannot be slow, and the injector never sees
         # the dispatch.
-        plan = FaultPlan(slow_hosts=(SlowHost(RELAY, base_latency_us=250_000),))
+        down = "https://down.test"  # announced, but no service answers
+        plan = FaultPlan(slow_hosts=(SlowHost(down, base_latency_us=250_000),))
         services, _ = wired(plan)
-        services.set_down(RELAY)
         with pytest.raises(XrpcError) as excinfo:
-            services.call(RELAY, "x.ping")
+            services.call(down, "x.ping")
         assert excinfo.value.latency_us == 0
         assert services.last_call_latency_us == 0
         assert injected_latency_us(services) == 0

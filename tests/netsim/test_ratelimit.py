@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.ratelimit import TokenBucket, crawl_duration_days
+from repro.netsim.ratelimit import TokenBucket
 
 US = 1_000_000
 
@@ -53,8 +53,9 @@ class TestTokenBucket:
 
     def test_schedule_duration(self):
         bucket = TokenBucket(rate_per_second=10.0, burst=10)
-        assert bucket.schedule_duration_us(10) == 0
-        assert bucket.schedule_duration_us(110) == 10 * US
+        times = [bucket.acquire(0) for _ in range(110)]
+        assert times[9] == 0
+        assert times[-1] == 10 * US
 
     def test_long_run_rate_never_exceeds_negotiated(self):
         """Over a long crawl the realized rate must stay at or below the
@@ -89,7 +90,9 @@ class TestTokenBucket:
 class TestCrawlDuration:
     def test_paper_repo_crawl_rate(self):
         """5.52M repos over 10 days implies ~6.4 requests per second."""
-        days = crawl_duration_days(5_523_919, 6.4)
+        bucket = TokenBucket(rate_per_second=6.4)
+        last_us = [bucket.acquire(0) for _ in range(641)][-1]  # 640 waits
+        days = last_us / US / 640 * 5_523_919 / 86_400
         assert 9.5 < days < 10.5
 
     def test_dataset_records_virtual_duration(self, study_datasets):
@@ -98,5 +101,5 @@ class TestCrawlDuration:
         # At the agreed 6.4 rps the tiny crawl takes under an hour...
         assert repos.crawl_duration_us < 3600 * US
         # ...but scaled to the paper's population it is about 10 days.
-        implied_days = crawl_duration_days(5_523_919, 6.4)
-        assert round(implied_days) == 10
+        per_repo_us = repos.crawl_duration_us / len(repos.records_per_repo)
+        assert 9 < per_repo_us * 5_523_919 / US / 86_400 < 11

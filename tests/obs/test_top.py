@@ -17,7 +17,7 @@ def seeded_registry(errors=0):
     calls.inc(("pds.test", GET_REPO, "ok"), 200)
     calls.inc(("pds.test", GET_REPO, "error-500"), errors)
     calls.inc(("labeler.test", "com.atproto.label.queryLabels", "ok"), 3)
-    calls.inc(("ghost.test", GET_REPO, "host-down"), 50)
+    calls.inc(("ghost.test", GET_REPO, "unknown-host"), 50)
     return registry
 
 
@@ -51,7 +51,7 @@ class TestRenderFrame:
     def test_endpoint_errors_rendered(self):
         frame = render_frame(status_document(errors=40))
         row = next(line for line in frame.splitlines() if GET_REPO in line)
-        # 200 ok + 40 error-500 + 50 host-down calls; 90 are errors.
+        # 200 ok + 40 error-500 + 50 unknown-host calls; 90 are errors.
         assert row.split()[1:] == ["290", "90"]
 
     def test_call_rate_delta(self):

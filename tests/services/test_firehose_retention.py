@@ -14,19 +14,24 @@ def publish_at(firehose, time_us):
     return firehose.publish(lambda seq: IdentityEvent(seq=seq, did=DID, time_us=time_us))
 
 
+def backlog_seqs(firehose):
+    """The seqs retention kept (a resume from 0 minus its gap notice)."""
+    return [event.seq for event in firehose.events_since(0) if event.kind != KIND_INFO]
+
+
 class TestRetention:
     def test_exactly_at_cutoff_survives(self):
         firehose = Firehose(retention_us=3 * DAY_US)
         publish_at(firehose, 0)
         publish_at(firehose, 3 * DAY_US)  # cutoff = 0, first event survives
-        assert firehose.backlog_size() == 2
+        assert backlog_seqs(firehose) == [1, 2]
 
     def test_one_us_past_cutoff_pruned(self):
         firehose = Firehose(retention_us=3 * DAY_US)
         publish_at(firehose, 0)
         publish_at(firehose, 3 * DAY_US + 1)
-        assert firehose.backlog_size() == 1
-        assert firehose.oldest_available_seq() == 2
+        assert backlog_seqs(firehose) == [2]
+        assert firehose.dropped_total == 1
 
     def test_seq_numbers_survive_pruning(self):
         firehose = Firehose(retention_us=DAY_US)
@@ -60,8 +65,8 @@ class TestRetention:
     def test_empty_firehose(self):
         firehose = Firehose()
         assert firehose.events_since(0) == []
-        assert firehose.oldest_available_seq() is None
-        assert firehose.next_seq() == 1
+        assert firehose.dropped_total == 0
+        assert publish_at(firehose, 0).seq == 1
 
     def test_multiple_subscribers_all_receive(self):
         firehose = Firehose()

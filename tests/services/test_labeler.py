@@ -46,14 +46,15 @@ class TestEmission:
         assert label.src == DID
         assert label.seq == 1
         assert not label.neg
-        assert labeler.is_applied(POST_URI, "porn")
+        assert labeler.xrpc_subscribeLabels() == [label]
 
     def test_rescind(self, labeler):
         labeler.emit(POST_URI, "spam", now_us=1000)
         negation = labeler.rescind(POST_URI, "spam", now_us=2000)
         assert negation.neg
-        assert not labeler.is_applied(POST_URI, "spam")
-        assert len(labeler.xrpc_subscribeLabels()) == 2  # both events retained in the stream
+        # Both events stay in the stream; the newest one for the pair rules.
+        stream = labeler.xrpc_subscribeLabels()
+        assert [(label.val, label.neg) for label in stream] == [("spam", False), ("spam", True)]
 
     def test_seq_increments(self, labeler):
         for i in range(5):

@@ -7,7 +7,6 @@ from repro.atproto.lexicon import POST, WHTWND_ENTRY
 from repro.services.pds import Pds, PdsError
 from repro.services.relay import Relay
 from repro.services.whitewind import WhiteWindAppView
-from repro.services.xrpc import XrpcError
 
 NOW = 1_713_000_000_000_000
 
@@ -94,7 +93,7 @@ class TestWhiteWindAppView:
         did, _ = make_account(pds, "blogger")
         pds.create_record(did, WHTWND_ENTRY, self.entry("Hello", "# first"), NOW)
         pds.create_record(did, POST, post("a bluesky post"), NOW + 1)
-        assert whitewind.entry_count() == 1
+        assert [e["title"] for e in whitewind.xrpc_listEntries()["entries"]] == ["Hello"]
         assert whitewind.foreign_records_ignored == 1
 
     def test_get_entry(self):
@@ -102,14 +101,13 @@ class TestWhiteWindAppView:
         did, _ = make_account(pds, "blogger")
         meta = pds.create_record(did, WHTWND_ENTRY, self.entry("T", "# body"), NOW)
         uri = "at://%s/%s" % (did, meta.ops[0][1])
-        entry = whitewind.xrpc_getEntry(uri=uri)
-        assert entry["title"] == "T"
-        assert entry["content"] == "# body"
+        entries = whitewind.xrpc_listEntries(author=did)["entries"]
+        assert entries == [{"uri": uri, "author": did, "title": "T"}]
 
     def test_unknown_entry_404(self):
+        # Nothing is listed for an author with no entries.
         _, _, whitewind = self.make_stack()
-        with pytest.raises(XrpcError):
-            whitewind.xrpc_getEntry(uri="at://x/com.whtwnd.blog.entry/ghost")
+        assert whitewind.xrpc_listEntries(author="did:plc:" + "g" * 24)["entries"] == []
 
     def test_list_by_author_newest_first(self):
         pds, _, whitewind = self.make_stack()
@@ -133,7 +131,7 @@ class TestWhiteWindAppView:
         meta = pds.create_record(did, WHTWND_ENTRY, self.entry("gone", "x"), NOW)
         rkey = meta.ops[0][1].split("/", 1)[1]
         pds.delete_record(did, WHTWND_ENTRY, rkey, NOW + 5)
-        assert whitewind.entry_count() == 0
+        assert whitewind.xrpc_listEntries()["entries"] == []
 
     def test_coexists_with_bluesky_appview(self, study_world):
         """In the simulated world, WhiteWind entries flow on the same

@@ -34,13 +34,6 @@ class TestPdsAccounts:
         net.pds.remove_account(did, net.tick())
         assert not net.pds.has_account(did)
 
-    def test_preferences_are_private(self, net):
-        did, _ = net.create_user("alice")
-        net.pds.put_preferences(did, {"labelers": ["did:plc:" + "a" * 24]})
-        assert net.pds.get_preferences(did, authenticated_as=did)["labelers"]
-        with pytest.raises(PdsError):
-            net.pds.get_preferences(did, authenticated_as="did:plc:" + "b" * 24)
-
     def test_lexicon_validation_on_write(self, net):
         from repro.atproto.lexicon import LexiconError
 
@@ -55,7 +48,7 @@ class TestPdsAccounts:
         new_pds = Pds("https://selfhosted.test")
         net.pds._repos.pop(did)  # simulate transfer-out
         new_pds.import_repo(repo)
-        assert new_pds.repo(did).get_record(POST, meta.ops[0].rkey)
+        assert new_pds.repo(did).get_record_cid(POST, meta.ops[0].rkey) == meta.ops[0].cid
 
 
 @pytest.mark.parametrize(
@@ -94,10 +87,6 @@ class TestAccountEdgeCases:
     def test_repo_unknown_account(self, pds):
         with pytest.raises(PdsError):
             pds.repo("did:plc:" + "q" * 24)
-
-    def test_preferences_unknown_account(self, pds):
-        with pytest.raises(PdsError):
-            pds.put_preferences("did:plc:" + "q" * 24, {})
 
     def test_list_repos_skips_empty_repos(self, pds, account):
         # The account exists but has no commits yet.
@@ -145,7 +134,7 @@ class TestPdsSyncApi:
         meta = net.pds.create_record(did, POST, post("hi"), net.tick())
         op = meta.ops[0]
         repo = net.pds.repo(did)
-        assert repo.get_record(POST, op.rkey)["text"] == "hi"
+        assert dict(repo.list_records(POST))[op.path]["text"] == "hi"
         assert repo.get_record_cid(POST, op.rkey) == op.cid
 
 
@@ -244,7 +233,7 @@ class TestFirehoseRetention:
         # Only the last 3 days (plus the newest event's own day) survive.
         remaining = firehose.events_since(0)
         assert all(e.time_us >= base + 6 * self.DAY_US for e in remaining)
-        assert firehose.oldest_available_seq() > 1
+        assert remaining[1].seq > 1  # after the OutdatedCursor notice
 
     def test_cursor_before_retention_window(self):
         from repro.atproto.events import IdentityEvent
@@ -262,8 +251,9 @@ class TestFirehoseRetention:
         events = firehose.events_since(0)
         info, replay = events[0], events[1:]
         assert info.kind == "#info"
-        assert info.dropped == firehose.oldest_available_seq() - 1
-        assert len(replay) == firehose.backlog_size()
+        assert info.oldest_seq == replay[0].seq
+        assert info.dropped == replay[0].seq - 1 == firehose.dropped_total
+        assert [e.seq for e in replay] == list(range(replay[0].seq, 11))
 
     def test_live_subscription(self):
         from repro.atproto.events import IdentityEvent

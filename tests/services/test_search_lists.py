@@ -86,21 +86,21 @@ class TestLists:
         alice = make_client(net, "alice")
         bob = make_client(net, "bob")
         list_uri = self.make_list(net, alice, [bob.did])
-        result = net.appview.xrpc_getList(list_uri=list_uri)
-        assert result["items"] == [bob.did]
+        assert net.appview.index.list_members[list_uri] == {bob.did}
 
     def test_unknown_list_404(self, net):
-        with pytest.raises(XrpcError):
-            net.appview.xrpc_getList(list_uri="at://x/app.bsky.graph.list/ghost")
+        # A list no listitem names has no members in the index.
+        assert "at://x/app.bsky.graph.list/ghost" not in net.appview.index.list_members
 
     def test_list_feed_on_supporting_platform(self, net):
         alice = make_client(net, "alice")
         bob = make_client(net, "bob")
         list_uri = self.make_list(net, alice, [bob.did])
-        members = net.appview.xrpc_getList(list_uri=list_uri)["items"]
+        members = net.appview.index.list_members[list_uri]
         platform = FeedServicePlatform(SKYFEED_PROFILE, "did:web:sf.test", "https://sf.test")
-        feed = platform.create_list_feed(
-            alice.did, "at://%s/app.bsky.feed.generator/friends" % alice.did, members
+        rule = FeedRule(authors=frozenset(members), from_list=True)
+        feed = platform.create_feed(
+            alice.did, "at://%s/app.bsky.feed.generator/friends" % alice.did, rule
         )
         assert feed.rule.from_list
         assert bob.did in feed.rule.authors
@@ -109,10 +109,10 @@ class TestLists:
         alice = make_client(net, "alice")
         platform = FeedServicePlatform(BLUEFEED_PROFILE, "did:web:bf.test", "https://bf.test")
         with pytest.raises(FeedError):
-            platform.create_list_feed(
+            platform.create_feed(
                 alice.did,
                 "at://%s/app.bsky.feed.generator/f" % alice.did,
-                ["did:plc:" + "m" * 24],
+                FeedRule(authors=frozenset({"did:plc:" + "m" * 24}), from_list=True),
             )
 
     def test_list_rule_needs_list_feature(self):

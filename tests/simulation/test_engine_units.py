@@ -5,6 +5,7 @@ import pytest
 from repro.atproto.lexicon import BLOCK, FOLLOW, LIKE, POST
 from repro.simulation.clock import US_PER_DAY, date_us
 from repro.simulation.config import LABEL_SNAPSHOT_US
+from tests.conftest import live_users, official_labeler
 
 
 class TestSessionOutputs:
@@ -37,7 +38,7 @@ class TestSessionOutputs:
 
     def test_likes_reference_real_subjects(self, study_world):
         sampled = 0
-        for user in study_world.live_users()[:10]:
+        for user in live_users(study_world)[:10]:
             repo = user.pds.repo(user.did)
             for path, record in repo.list_records(LIKE):
                 subject = record["subject"]["uri"]
@@ -50,7 +51,7 @@ class TestSessionOutputs:
         known = {u.did for u in study_world.users if u.joined}
         known.update(r.did for r in study_world.labelers if r.did)
         checked = 0
-        for user in study_world.live_users()[:10]:
+        for user in live_users(study_world)[:10]:
             repo = user.pds.repo(user.did)
             for path, record in repo.list_records(FOLLOW):
                 assert record["subject"] in known
@@ -70,7 +71,7 @@ class TestLabelTiming:
                 assert label.cts >= runtime.spec.start_us - US_PER_DAY
 
     def test_labels_reference_network_objects(self, study_world):
-        official = study_world.official_labeler()
+        official = official_labeler(study_world)
         for label in official.service.xrpc_subscribeLabels(cursor=0, limit=50):
             assert label.uri.startswith(("at://", "did:"))
 
@@ -88,7 +89,7 @@ class TestLabelTiming:
 
 class TestWorldInvariants:
     def test_every_live_user_resolvable_and_hosted(self, study_world):
-        for user in study_world.live_users()[:30]:
+        for user in live_users(study_world)[:30]:
             assert study_world.relay.cached_repo(user.did) is not None
 
     def test_firehose_seq_dense(self, study_world):

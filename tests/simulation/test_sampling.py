@@ -35,9 +35,13 @@ class TestCumulativeSampler:
         pairs = [(i, 0.5 + (i % 7)) for i in range(100)]
         bulk = CumulativeSampler([p for p, _ in pairs], [w for _, w in pairs])
         incremental = CumulativeSampler()
-        incremental.extend(pairs)
+        for item, weight in pairs:
+            incremental.append(item, weight)
         assert incremental.items == bulk.items
-        assert incremental.cum_weights == bulk.cum_weights
+        rng_a, rng_b = random.Random(3), random.Random(3)
+        assert [incremental.sample(rng_a) for _ in range(300)] == [
+            bulk.sample(rng_b) for _ in range(300)
+        ]
 
     def test_items_alias_sees_appends(self):
         sampler = CumulativeSampler()
@@ -47,7 +51,9 @@ class TestCumulativeSampler:
 
     def test_default_weights_are_uniform(self):
         sampler = CumulativeSampler(["a", "b", "c"])
-        assert sampler.cum_weights == [1.0, 2.0, 3.0]
+        rng_a, rng_b = random.Random(5), random.Random(5)
+        for _ in range(200):
+            assert sampler.sample(rng_a) == rng_b.choices(["a", "b", "c"], k=1)[0]
 
     def test_empty_sampler_is_falsy_and_raises(self):
         sampler = CumulativeSampler()

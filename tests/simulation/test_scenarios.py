@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.simulation.clock import date_us, us_to_date
+from repro.simulation.clock import date_us
 from repro.simulation.config import SIM_END_US, SimulationConfig
 from repro.simulation.population import build_population
 from repro.simulation.world import World
+from tests.conftest import live_users, official_labeler
 
 
 class TestBrazilBanScenario:
@@ -49,7 +50,7 @@ class TestBrazilBanScenario:
         world = World(config).run()
         pt_sept = [
             u
-            for u in world.live_users()
+            for u in live_users(world)
             if u.spec.lang == "pt" and u.spec.signup_us >= date_us("2024-08-30")
         ]
         assert pt_sept, "the September wave must produce live pt accounts"
@@ -57,13 +58,13 @@ class TestBrazilBanScenario:
 
 class TestSignedLabels:
     def test_simulation_labels_are_signed(self, study_world):
-        official = study_world.official_labeler()
+        official = official_labeler(study_world)
         labels = official.service.xrpc_subscribeLabels(cursor=0, limit=5)
         assert labels
         assert all(label.sig for label in labels)
 
     def test_signatures_verify_against_did_document(self, study_world):
-        official = study_world.official_labeler()
+        official = official_labeler(study_world)
         doc = study_world.plc.resolve(official.did)
         from repro.atproto.keys import public_key_from_did_key
 
@@ -79,7 +80,7 @@ class TestSignedLabels:
         from repro.atproto.keys import HmacKeypair, public_key_from_did_key
         from repro.services.labeler import Label
 
-        official = study_world.official_labeler()
+        official = official_labeler(study_world)
         doc = study_world.plc.resolve(official.did)
         key = public_key_from_did_key(doc.signing_key)
         forged = Label(

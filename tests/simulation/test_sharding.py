@@ -69,25 +69,29 @@ class TestSeedDerivation:
 class TestRecentPostPool:
     def test_bounded(self):
         pool = RecentPostPool(maxlen=3)
-        pool.extend(_post(i) for i in range(10))
+        for i in range(10):
+            pool.append(_post(i))
         assert len(pool) == 3
 
     def test_fifo_eviction_oldest_first(self):
         pool = RecentPostPool(maxlen=3)
-        pool.extend(_post(i) for i in range(5))
+        for i in range(5):
+            pool.append(_post(i))
         # Entries 0 and 1 were evicted; index 0 is the oldest survivor.
-        assert [p.cid for p in pool.snapshot()] == ["cid2", "cid3", "cid4"]
+        assert [pool[i].cid for i in range(len(pool))] == ["cid2", "cid3", "cid4"]
         assert pool[0].cid == "cid2"
         assert pool[2].cid == "cid4"
 
     def test_indexing_stable_before_full(self):
         pool = RecentPostPool(maxlen=10)
-        pool.extend(_post(i) for i in range(4))
+        for i in range(4):
+            pool.append(_post(i))
         assert [pool[i].cid for i in range(4)] == ["cid0", "cid1", "cid2", "cid3"]
 
     def test_out_of_range_raises(self):
         pool = RecentPostPool(maxlen=2)
-        pool.extend(_post(i) for i in range(3))
+        for i in range(3):
+            pool.append(_post(i))
         with pytest.raises(IndexError):
             pool[2]
 

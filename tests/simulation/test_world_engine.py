@@ -7,6 +7,7 @@ from repro.netsim.dns import DnsRecordType
 from repro.simulation.clock import date_us
 from repro.simulation.config import COMMUNITY_LABELERS_OPEN_US, PUBLIC_OPENING_US
 from repro.simulation.engine import active_fraction, poisson
+from tests.conftest import live_users, official_labeler
 
 
 class TestHelpers:
@@ -36,7 +37,7 @@ class TestWorldState(object):
         assert len(joined) == len(study_world.users)
 
     def test_repos_exist_for_live_users(self, study_world):
-        for user in study_world.live_users()[:20]:
+        for user in live_users(study_world)[:20]:
             assert user.pds.has_account(user.did)
 
     def test_tombstoned_users_removed(self, study_world):
@@ -47,7 +48,7 @@ class TestWorldState(object):
                 assert study_world.plc.resolve(user.did) is None
 
     def test_did_documents_resolve(self, study_world):
-        for user in study_world.live_users()[:20]:
+        for user in live_users(study_world)[:20]:
             doc = study_world.resolver.resolve(user.did)
             assert doc is not None
             assert doc.pds_endpoint == user.pds.url
@@ -57,7 +58,7 @@ class TestWorldState(object):
 
         resolver = HandleResolver(study_world.dns, study_world.web)
         checked = 0
-        for user in study_world.live_users():
+        for user in live_users(study_world):
             if user.handle_changes_done:
                 continue
             probe = resolver.probe(user.current_handle)
@@ -69,8 +70,8 @@ class TestWorldState(object):
 
     def test_firehose_commit_majority(self, study_world):
         # Table 1 shape: commits dominate the event mix.
-        events = study_world.relay.firehose
-        assert events.next_seq() > 1000
+        firehose = study_world.relay.firehose
+        assert firehose.events_since(firehose.dropped_total)[-1].seq > 1000
 
     def test_labelers_started(self, study_world):
         started = [r for r in study_world.labelers if r.did]
@@ -80,7 +81,7 @@ class TestWorldState(object):
         assert len(functional) == 46
 
     def test_official_labeler_predates_community(self, study_world):
-        official = study_world.official_labeler()
+        official = official_labeler(study_world)
         assert official.spec.start_us < COMMUNITY_LABELERS_OPEN_US
         assert official.service.xrpc_subscribeLabels()
 
@@ -107,9 +108,8 @@ class TestWorldState(object):
             creator = study_world.users[runtime.spec.creator_index]
             if creator.tombstoned:
                 continue
-            record = creator.pds.repo(creator.did).get_record(
-                "app.bsky.feed.generator", runtime.spec.rkey
-            )
+            records = dict(creator.pds.repo(creator.did).list_records("app.bsky.feed.generator"))
+            record = records.get("app.bsky.feed.generator/" + runtime.spec.rkey)
             assert record is not None
             assert record["did"] == runtime.service_did
             break
@@ -121,14 +121,17 @@ class TestWorldState(object):
         assert sum(index.follower_counts.values()) > 100
 
     def test_appview_labels_synced(self, study_world):
-        assert study_world.appview.label_count() > 50
+        appview = study_world.appview
+        assert sum(len(appview.labels_for(uri)) for uri in appview.index.posts) > 50
 
     def test_whois_has_provider_domains(self, study_world):
         assert study_world.whois.query("swifties.social") is not None
 
     def test_deterministic_worlds(self, study_world, clean_rerun):
         rerun = clean_rerun.world
-        assert study_world.relay.firehose.next_seq() == rerun.relay.firehose.next_seq()
+        firehoses = (study_world.relay.firehose, rerun.relay.firehose)
+        last_seq = [f.events_since(f.dropped_total)[-1].seq for f in firehoses]
+        assert last_seq[0] == last_seq[1]
         assert len(study_world.appview.index.posts) == len(rerun.appview.index.posts)
 
 
