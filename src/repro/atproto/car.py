@@ -23,7 +23,7 @@ import hashlib
 from typing import Iterable, Iterator
 
 from repro.atproto.cbor import cbor_decode, cbor_encode
-from repro.atproto.cid import CID_LENGTH, CID_PREFIXES, Cid
+from repro.atproto.cid import CID_LENGTH, CID_PREFIXES, Cid, cid_from_binary
 from repro.atproto.varint import VarintError, decode_varint, encode_varint
 
 CAR_VERSION = 1
@@ -42,8 +42,7 @@ def write_car(root: Cid, blocks: Iterable[tuple[Cid, bytes]]) -> bytes:
     header = cbor_encode({"version": CAR_VERSION, "roots": [root]})
     parts = [encode_varint(len(header)), header]
     for cid, data in blocks:
-        cid_bytes = cid.to_bytes()
-        parts += (encode_varint(len(cid_bytes) + len(data)), cid_bytes, data)
+        parts += (encode_varint(len(cid) + len(data)), cid, data)
     return b"".join(parts)
 
 
@@ -124,11 +123,11 @@ def _sections(data: bytes, pos: int, verify_digests: bool) -> Iterator[tuple[Cid
         if end > size:
             raise CarError("truncated CAR section")
         if section_len >= CID_LENGTH and data.startswith(CID_PREFIXES, pos):
-            cid = Cid(1, data[pos + 1], data[pos + 4 : pos + CID_LENGTH])
+            cid = cid_from_binary(data[pos : pos + CID_LENGTH])
             body = data[pos + CID_LENGTH : end]
         else:
             cid, body = _split_cid(data[pos:end])
-        if verify_digests and sha256(body).digest() != cid.digest:
+        if verify_digests and sha256(body).digest() != cid[4:]:
             raise BlockDigestError("block payload does not hash to %s" % cid)
         yield cid, body
         pos = end

@@ -198,6 +198,8 @@ def _encode_value_slow(value: Any, out: bytearray, depth: int) -> None:
             raise CborError("DAG-CBOR forbids NaN and infinities")
         out.append(0xFB)
         out.extend(struct.pack(">d", value))
+    elif isinstance(value, Cid):  # before bytes: a Cid is a bytes subclass
+        out.extend(value.cbor_link())
     elif isinstance(value, bytes):
         _encode_head(2, len(value), out)
         out.extend(value)
@@ -205,8 +207,6 @@ def _encode_value_slow(value: Any, out: bytearray, depth: int) -> None:
         encoded = value.encode("utf-8")
         _encode_head(3, len(encoded), out)
         out.extend(encoded)
-    elif isinstance(value, Cid):
-        out.extend(value.cbor_link())
     elif isinstance(value, (list, tuple)):
         _encode_head(4, len(value), out)
         for item in value:

@@ -8,6 +8,7 @@ multibase prefix, e.g. ``bafyrei...``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any
 
@@ -31,53 +32,64 @@ CID_LENGTH = 4 + SHA2_256_LENGTH
 CID_PREFIXES = tuple(_BINARY_PREFIX.values())
 # The DAG-CBOR link form prepends tag 42, a 37-byte byte-string head and
 # the identity multibase byte 0x00 to the binary CID.
-_LINK_PREFIX = {
-    codec: b"\xd8\x2a\x58\x25\x00" + prefix for codec, prefix in _BINARY_PREFIX.items()
-}
+_LINK_HEAD = b"\xd8\x2a\x58\x25\x00"
 
 
 class CidError(ValueError):
     """Raised on malformed CIDs."""
 
 
-class Cid:
-    """An immutable CIDv1 (version, codec, sha2-256 digest)."""
+def _ordering(compare):
+    # ``bytes`` would order a Cid against any byte string, and answers
+    # first when the other operand is plain bytes: raise, not NotImplemented.
+    def method(self, other):
+        if other.__class__ is not Cid:
+            raise TypeError("cannot order Cid against %s" % type(other).__name__)
+        return compare(self, other)
 
-    __slots__ = ("version", "codec", "digest", "_str")
+    return method
 
-    def __init__(self, version: int, codec: int, digest: bytes):
+
+class Cid(bytes):
+    """An immutable CIDv1 (version, codec, sha2-256 digest), held as its
+    36-byte binary form, so hashing and equality are the ``bytes`` ones,
+    in C.
+
+    A ``Cid`` equals the plain ``bytes`` of its binary form, but orders
+    only against another ``Cid``.  Code that accepts byte strings and CIDs
+    tests for ``Cid`` first, or for ``bytes`` by exact class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, version: int, codec: int, digest: bytes):
         if version != 1:
             raise CidError("only CIDv1 is supported, got version %d" % version)
-        if codec not in (CODEC_DAG_CBOR, CODEC_RAW):
+        if codec not in _BINARY_PREFIX:
             raise CidError("unsupported codec 0x%02x" % codec)
         if len(digest) != SHA2_256_LENGTH:
             raise CidError("sha2-256 digest must be 32 bytes, got %d" % len(digest))
-        _set_version(self, version)
-        _set_codec(self, codec)
-        _set_digest(self, digest)
-        _set_str(self, None)
+        return bytes.__new__(cls, _BINARY_PREFIX[codec] + digest)
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("Cid is immutable")
+    version = property(lambda self: self[0])
+    codec = property(lambda self: self[1])
+    digest = property(lambda self: self[4:])
 
     def __reduce__(self):
-        # The immutability guard (__setattr__ raises) breaks the default
-        # pickle path; rebuild from the constructor args instead.  Needed
-        # so datasets holding CIDs survive checkpoint/resume journaling.
-        return (Cid, (self.version, self.codec, self.digest))
+        return (Cid, (self[0], self[1], self[4:]))
 
     def to_bytes(self) -> bytes:
         """Binary CID: varint(version) varint(codec) multihash."""
-        return _BINARY_PREFIX[self.codec] + self.digest
+        return bytes(self)
 
     def cbor_link(self) -> bytes:
         """The DAG-CBOR link form (tag 42 + ``0x00`` + binary CID)."""
-        return _LINK_PREFIX[self.codec] + self.digest
+        return _LINK_HEAD + self
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Cid":
         if len(data) == CID_LENGTH and data.startswith(CID_PREFIXES):
-            return cls(1, data[1], data[4:])
+            return cid_from_binary(data)
         version, pos = decode_varint(data)
         codec, pos = decode_varint(data, pos)
         hash_fn, pos = decode_varint(data, pos)
@@ -92,11 +104,7 @@ class Cid:
         return cls(version, codec, digest)
 
     def __str__(self) -> str:
-        cached = self._str
-        if cached is None:
-            cached = "b" + base32_encode(self.to_bytes())
-            _set_str(self, cached)
-        return cached
+        return "b" + base32_encode(self)
 
     @classmethod
     def parse(cls, text: str) -> "Cid":
@@ -107,26 +115,16 @@ class Cid:
     def __repr__(self) -> str:
         return "Cid(%s)" % str(self)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cid):
-            return NotImplemented
-        return self.codec == other.codec and self.digest == other.digest
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Cid):
-            return NotImplemented
-        return self.to_bytes() < other.to_bytes()
-
-    def __hash__(self) -> int:
-        return hash((self.codec, self.digest))
+    __lt__ = _ordering(bytes.__lt__)
+    __le__ = _ordering(bytes.__le__)
+    __gt__ = _ordering(bytes.__gt__)
+    __ge__ = _ordering(bytes.__ge__)
 
 
-# The slot descriptors' setters write past the immutability guard; they are
-# the cheapest way to fill a Cid, and every block hash makes one.
-_set_version = Cid.version.__set__
-_set_codec = Cid.codec.__set__
-_set_digest = Cid.digest.__set__
-_set_str = Cid._str.__set__
+# One C call from the 36 bytes of a binary CID that has already matched
+# one of ``CID_PREFIXES`` to its ``Cid``, without re-checking them.
+cid_from_binary = functools.partial(bytes.__new__, Cid)
+_DAG_CBOR_PREFIX = _BINARY_PREFIX[CODEC_DAG_CBOR]
 
 
 def cid_for_cbor(obj: Any) -> Cid:
@@ -143,7 +141,7 @@ def cid_for_dag_cbor_bytes(block: bytes) -> Cid:
     serialized for storage, its CID is one sha256 away — re-encoding the
     value (as ``cid_for_cbor`` would) doubles the work for nothing.
     """
-    return Cid(1, CODEC_DAG_CBOR, hashlib.sha256(block).digest())
+    return cid_from_binary(_DAG_CBOR_PREFIX + hashlib.sha256(block).digest())
 
 
 def cid_for_raw(data: bytes) -> Cid:

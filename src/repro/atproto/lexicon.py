@@ -44,7 +44,7 @@ _CHECKERS: dict[str, Callable[[Any], bool]] = {
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
-    "bytes": lambda v: isinstance(v, bytes),
+    "bytes": lambda v: isinstance(v, bytes) and not isinstance(v, Cid),
     "cid": lambda v: isinstance(v, Cid),
     "dict": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),

@@ -42,7 +42,7 @@ from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.atproto.cbor import _encode_head, cbor_decode
-from repro.atproto.cid import CODEC_DAG_CBOR, Cid, cid_for_dag_cbor_bytes
+from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes, cid_from_binary
 
 
 class MstError(ValueError):
@@ -529,13 +529,13 @@ def _read_canonical_node(block: bytes):
                 pos += 3
             elif block.startswith(_LINK, pos + 2):
                 pos += 2 + _LINK_LEN
-                right = Cid(1, CODEC_DAG_CBOR, block[pos - 32 : pos])
+                right = cid_from_binary(block[pos - 36 : pos])
             else:
                 return None
             if not block.startswith(_V_LINK, pos):
                 return None
             pos += 2 + _LINK_LEN
-            value = Cid(1, CODEC_DAG_CBOR, block[pos - 32 : pos])
+            value = cid_from_binary(block[pos - 36 : pos])
             encoded = previous[:prefix_len] + block[start:end]
             entries.append((encoded.decode("utf-8"), value))
             links.append(right)
@@ -546,12 +546,13 @@ def _read_canonical_node(block: bytes):
             pos += 3
         elif block.startswith(_LINK, pos + 2):
             pos += 2 + _LINK_LEN
-            links[0] = Cid(1, CODEC_DAG_CBOR, block[pos - 32 : pos])
+            links[0] = cid_from_binary(block[pos - 36 : pos])
         else:
             return None
     except (IndexError, ValueError):
-        # Read past the end, a link cut short by it (``Cid`` refuses the
-        # short digest), or a key that is not UTF-8.
+        # Read past the end, or a key that is not UTF-8.  A link cut short
+        # by the end leaves ``pos`` past it, so the next fragment or the
+        # final length check refuses the block.
         return None
     return (entries, links) if pos == len(block) else None
 

@@ -14,7 +14,7 @@ plus record CRUD, batched writes, and CAR export/import (the wire format of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.atproto.car import read_car, write_car
@@ -231,19 +231,28 @@ class Repo:
 
 @dataclass
 class RepoSnapshot:
-    """A verified, read-only view of an imported repository."""
+    """A verified, read-only view of an imported repository: its commit,
+    its records' paths and CIDs in key order, and the block map that holds
+    the record blocks."""
 
     did: str
     rev: str
     commit_cid: Cid
-    records: dict[str, dict] = field(default_factory=dict)
-    record_cids: dict[str, Cid] = field(default_factory=dict)
+    items: list[tuple[str, Cid]]
+    blocks: dict[Cid, bytes]
 
-    def list_records(self, collection: Optional[str] = None) -> Iterator[tuple[str, dict]]:
-        prefix = collection + "/" if collection else None
-        for path, record in self.records.items():
-            if prefix is None or path.startswith(prefix):
-                yield path, record
+    def records(self) -> Iterator[tuple[str, Cid, bytes]]:
+        """Each record as ``(path, cid, block)``, in key order; a missing
+        block raises :class:`RepoError` when its turn comes."""
+        blocks = self.blocks
+        for path, cid in self.items:
+            block = blocks.get(cid)
+            if block is None:
+                raise RepoError("record block %s missing from CAR" % cid)
+            yield path, cid, block
+
+    def list_records(self) -> Iterator[tuple[str, dict]]:
+        return ((path, cbor_decode(block)) for path, _, block in self.records())
 
 
 def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnapshot:
@@ -251,19 +260,16 @@ def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnaps
     when ``verify_key`` is given.
 
     One pass over the CAR: :func:`~repro.atproto.car.read_car` hashes
-    every block against its CID into the block map, :func:`load_mst`
-    reads the tree from the commit's ``data`` link, checking node arity,
-    key layers, key order and child layers, and the records are decoded after
-    the walk.  No tree is built.  Failure kinds stay distinguishable:
-    digest mismatches raise :class:`~repro.atproto.car.BlockDigestError`,
-    structural garbage :class:`~repro.atproto.car.CarError`, tree
-    violations :class:`~repro.atproto.mst.MstError`, and bad signatures
-    :class:`SignatureError`.  A tree error wins over a bad or missing
-    record block, as a missing or malformed node wins over an invariant
-    violation.  A missing commit block is a :class:`RepoError` and a
-    missing tree node, the root included, an :class:`MstError`: a CAR cut
-    short never reads as a smaller repo (an empty repo still carries its
-    empty root node).
+    every block against its CID, and :func:`load_mst` reads the tree from
+    the commit's ``data`` link, checking node arity, key layers, key order
+    and child layers.  No tree is built and no record decoded: the
+    snapshot hands each record block over in key order.  Failure kinds
+    stay distinguishable: :class:`~repro.atproto.car.BlockDigestError`,
+    :class:`~repro.atproto.car.CarError`, :class:`~repro.atproto.mst.MstError`
+    and :class:`SignatureError`.  A missing or malformed node wins over an
+    invariant violation.  A missing commit block is a :class:`RepoError`
+    and a missing tree node, the root included, an :class:`MstError`: a
+    CAR cut short never reads as a smaller repo.
     """
     roots, blocks = read_car(data)
     if len(roots) != 1:
@@ -281,15 +287,7 @@ def import_car(data: bytes, verify_key: Optional[PublicKey] = None) -> RepoSnaps
     if verify_key is not None:
         sig = commit.get("sig")
         unsigned = {k: v for k, v in commit.items() if k != "sig"}
-        if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
+        if sig.__class__ is not bytes or not verify_key.verify(cbor_encode(unsigned), sig):
             raise SignatureError("commit signature verification failed")
     items = load_mst(blocks, commit["data"])
-    snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
-    records, record_cids = snapshot.records, snapshot.record_cids
-    for path, cid in items:
-        block = blocks.get(cid)
-        if block is None:
-            raise RepoError("record block %s missing from CAR" % cid)
-        records[path] = cbor_decode(block)
-        record_cids[path] = cid
-    return snapshot
+    return RepoSnapshot(commit["did"], commit["rev"], roots[0], items, blocks)

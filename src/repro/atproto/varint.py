@@ -15,6 +15,8 @@ class VarintError(ValueError):
 
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as an unsigned LEB128 varint."""
+    if 0 <= value < 0x4000:  # one or two bytes: every CAR section length here
+        return bytes((value,) if value < 0x80 else (value & 0x7F | 0x80, value >> 7))
     if value < 0:
         raise VarintError("varints encode non-negative integers, got %d" % value)
     out = bytearray()

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import datetime
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.atproto.cbor import cbor_decode, cbor_encode
 from repro.atproto.lexicon import (
     BLOCK,
     FEED_GENERATOR,
@@ -24,6 +26,7 @@ from repro.atproto.lexicon import (
     PROFILE,
     REPOST,
 )
+from repro.atproto.repo import RepoError
 from repro.obs.telemetry import Telemetry
 from repro.services.xrpc import ServiceDirectory, XrpcError
 
@@ -42,8 +45,117 @@ def parse_created_at_us(text: str) -> Optional[int]:
         return None
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=datetime.timezone.utc)
-    epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
-    return int((moment - epoch).total_seconds() * 1_000_000)
+    # For an aware datetime, timestamp() is (moment - epoch).total_seconds().
+    return int(moment.timestamp() * 1_000_000)
+
+
+def _text(value) -> str:
+    """A text field; one of any other type reads as absent."""
+    return value if isinstance(value, str) else ""
+
+
+def _map(value) -> dict:
+    return value if isinstance(value, dict) else {}
+
+
+def _first_lang(langs) -> Optional[str]:
+    return langs[0] if isinstance(langs, list) and langs and isinstance(langs[0], str) else None
+
+
+# Per collection, the row fields after createdAt, read from a decoded
+# record in the order ``_ingest`` takes them.
+_FIELDS = {
+    POST: lambda r: [_first_lang(r.get("langs")), "images" in _map(r.get("embed"))],
+    LIKE: lambda r: [_text(_map(r.get("subject")).get("uri"))],
+    REPOST: lambda r: [_text(_map(r.get("subject")).get("uri"))],
+    FOLLOW: lambda r: [_text(r.get("subject"))],
+    BLOCK: lambda r: [_text(r.get("subject"))],
+    FEED_GENERATOR: lambda r: [_text(r.get(k)) for k in ("did", "displayName", "description")],
+    LABELER_SERVICE: lambda r: [],
+    PROFILE: lambda r: [_text(r.get("displayName"))],
+}
+
+# A layout is the canonical encoding of a record whose texts are
+# placeholders: ``chr(i)`` for row field ``i`` (createdAt is field 0), or
+# ``_SKIP`` for a text that is checked but not kept.  It splits into the
+# fixed piece before each placeholder, and a tail.
+_SKIP = "\x0f"
+_PLACEHOLDER = re.compile(rb"\x61([\x00-\x0f])")
+
+
+def _layout(nsid: str, *fields, **template) -> tuple:
+    """The layout of an ``nsid`` record with a createdAt and ``template``'s
+    fields: ``((piece, field index or None), ...)``, the tail, and the row
+    fields as they stand where no placeholder sets them."""
+    record = {"$type": nsid, "createdAt": "\x00", **template}
+    parts = _PLACEHOLDER.split(cbor_encode(record))
+    slots = [None if slot == _SKIP.encode() else slot[0] for slot in parts[1::2]]
+    return tuple(zip(parts[0:-1:2], slots)), parts[-1], list(fields)
+
+
+# The record layouts the simulation writes, per collection.
+_IMAGES = {"images": [{"alt": _SKIP}]}
+_LAYOUTS = {
+    POST: (
+        _layout(POST, "", None, False, text=_SKIP, langs=["\x01"]),
+        _layout(POST, "", None, False, text=_SKIP),
+        _layout(POST, "", None, True, text=_SKIP, langs=["\x01"], embed=_IMAGES),
+    ),
+    LIKE: (_layout(LIKE, "", "", subject={"uri": "\x01", "cid": _SKIP}),),
+    REPOST: (_layout(REPOST, "", "", subject={"uri": "\x01", "cid": _SKIP}),),
+    FOLLOW: (_layout(FOLLOW, "", "", subject="\x01"),),
+    BLOCK: (_layout(BLOCK, "", "", subject="\x01"),),
+    PROFILE: (_layout(PROFILE, "", "", displayName="\x01", description=_SKIP),),
+}
+
+
+def _read_layout(block: bytes, layout: tuple) -> Optional[list]:
+    """The row fields of a record block in ``layout``, read in place, or
+    None when the block departs from it anywhere.  Only shortest-form
+    heads of texts under 256 bytes are read, every text must be UTF-8 and
+    the block must end with the tail, so ``cbor_decode`` reads any block
+    this reads, to the same texts."""
+    pieces, tail, fields = layout
+    fields = fields.copy()
+    pos = 0
+    try:
+        for piece, slot in pieces:
+            if not block.startswith(piece, pos):
+                return None
+            pos += len(piece)
+            size = block[pos] - 0x60  # a text head: 0x60 + size, or 0x78 + 1-byte size
+            if 0 <= size < 24:
+                pos += 1
+            elif size == 24 and block[pos + 1] >= 24:
+                size = block[pos + 1]
+                pos += 2
+            else:
+                return None
+            text = block[pos : pos + size].decode("utf-8")
+            pos += size
+            if slot is not None:
+                fields[slot] = text
+    except (IndexError, UnicodeDecodeError):
+        return None
+    return fields if pos + len(tail) == len(block) and block.endswith(tail) else None
+
+
+def _record_fields(path: str, block: bytes) -> Optional[list]:
+    """A record block's row fields (None for a collection without rows):
+    read in place in a layout, else through ``cbor_decode``."""
+    collection = path[: path.find("/")]
+    for layout in _LAYOUTS.get(collection, ()):
+        fields = _read_layout(block, layout)
+        if fields is not None:
+            return fields
+    record = cbor_decode(block)
+    if record.__class__ is not dict:
+        raise RepoError("record %s is not a map" % path)
+    fields = _FIELDS.get(collection)
+    return None if fields is None else [_text(record.get("createdAt")), *fields(record)]
+
+
+_SUBJECT_ROWS = {LIKE: "likes", FOLLOW: "follows", REPOST: "reposts", BLOCK: "blocks"}
 
 
 @dataclass
@@ -250,7 +362,14 @@ class RepositoriesCollector:
         data = self.dataset
         verify_key = self._signing_key_for(did)
         host = self.host_of(did) if self.host_of is not None else self.relay_url
-        snapshot = self.integrity.verify_repo_car(host, did, car, verify_key=verify_key)
+        records: list[tuple[str, Optional[list]]] = []
+
+        def read_record(path: str, block: bytes) -> None:
+            records.append((path, _record_fields(path, block)))
+
+        snapshot = self.integrity.verify_repo_car(
+            host, did, car, verify_key=verify_key, read_record=read_record
+        )
         if snapshot is None:
             # Quarantined: the repo never enters the dataset, and the DID
             # is terminally failed (re-fetching would serve the same
@@ -262,11 +381,9 @@ class RepositoriesCollector:
         if verify_key is not None:
             data.verified_signatures += 1
         data.repo_count += 1
-        count = 0
-        for path, record in snapshot.records.items():
-            count += 1
-            self._ingest(did, path, record)
-        data.records_per_repo[did] = count
+        for path, fields in records:
+            self._ingest(did, path, fields)
+        data.records_per_repo[did] = len(records)
 
     def _signing_key_for(self, did: str):
         if self.resolver is None:
@@ -281,48 +398,23 @@ class RepositoriesCollector:
         except ValueError:
             return None
 
-    def _ingest(self, did: str, path: str, record: dict) -> None:
+    def _ingest(self, did: str, path: str, fields: Optional[list]) -> None:
+        """One record's row fields (see ``_record_fields``) into the dataset."""
         collection, _, rkey = path.partition("/")
-        created = record.get("createdAt", "")
-        created_us = parse_created_at_us(created)
         data = self.dataset
-        if collection == POST:
+        if fields is None:
+            data.other_collections[collection] += 1
+            return
+        created, *rest = fields
+        created_us = parse_created_at_us(created)
+        if collection in _SUBJECT_ROWS:
+            getattr(data, _SUBJECT_ROWS[collection]).append(SubjectRow(did, created_us, *rest))
+        elif collection == POST:
             year = int(created[:4]) if created[:4].isdigit() else 0
-            langs = record.get("langs") or []
-            data.posts.append(
-                PostRow(
-                    did=did,
-                    rkey=rkey,
-                    created_us=created_us,
-                    created_year=year,
-                    lang=langs[0] if langs else None,
-                    has_media="images" in (record.get("embed") or {}),
-                )
-            )
-        elif collection == LIKE:
-            subject = (record.get("subject") or {}).get("uri", "")
-            data.likes.append(SubjectRow(did, created_us, subject))
-        elif collection == FOLLOW:
-            data.follows.append(SubjectRow(did, created_us, record.get("subject", "")))
-        elif collection == REPOST:
-            subject = (record.get("subject") or {}).get("uri", "")
-            data.reposts.append(SubjectRow(did, created_us, subject))
-        elif collection == BLOCK:
-            data.blocks.append(SubjectRow(did, created_us, record.get("subject", "")))
+            data.posts.append(PostRow(did, rkey, created_us, year, *rest))
         elif collection == FEED_GENERATOR:
-            data.feed_generators.append(
-                FeedGenRow(
-                    did=did,
-                    rkey=rkey,
-                    created_us=created_us,
-                    service_did=record.get("did", ""),
-                    display_name=record.get("displayName", ""),
-                    description=record.get("description", ""),
-                )
-            )
+            data.feed_generators.append(FeedGenRow(did, rkey, created_us, *rest))
         elif collection == LABELER_SERVICE:
             data.labeler_services.append((did, created_us))
-        elif collection == PROFILE:
-            data.profiles[did] = record.get("displayName", "")
-        else:
-            data.other_collections[collection] += 1
+        else:  # PROFILE, the last collection with fields
+            data.profiles[did] = rest[0]

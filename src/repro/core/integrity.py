@@ -165,18 +165,22 @@ class IntegrityMonitor:
     # -- repository CARs -----------------------------------------------------
 
     def verify_repo_car(
-        self, host: str, did: str, car: bytes, verify_key=None
+        self, host: str, did: str, car: bytes, verify_key=None, *, read_record
     ) -> Optional[RepoSnapshot]:
         """Fully verify a ``getRepo`` response; None means quarantined.
 
         Runs the complete self-certification stack — per-block digests,
         MST invariants, and (when the DID document's key is supplied) the
-        commit signature — and classifies the first failure into its
-        quarantine kind.
+        commit signature — then hands each record, in key order, to
+        ``read_record(path, block)``, and classifies the first failure into
+        its quarantine kind: a missing record block, or one the reader
+        refuses, is ``car-malformed``.
         """
         self._checked("repo")
         try:
             snapshot = import_car(car, verify_key=verify_key)
+            for path, _, block in snapshot.records():
+                read_record(path, block)
         except BlockDigestError as exc:
             self.quarantine(host, KIND_BLOCK_DIGEST, did, str(exc))
             return None

@@ -50,17 +50,15 @@ class DnsZone:
         self.records[(normalize_name(name), rtype)] = list(values)
 
 class DnsResolver:
-    """Resolver over a zone, with CNAME chasing and a query counter."""
+    """Resolver over a zone, with CNAME chasing."""
 
     MAX_CNAME_DEPTH = 8
 
     def __init__(self, zone: DnsZone):
         self.zone = zone
-        self.query_count = 0
 
     def lookup(self, name: str, rtype: DnsRecordType) -> list[str]:
         """Resolve a name; raises NxDomain / ServFail like real DNS."""
-        self.query_count += 1
         name = normalize_name(name)
         depth = 0
         while True:

@@ -33,7 +33,6 @@ class TokenBucket:
         self.burst = float(burst)
         self._tokens = float(burst)
         self._updated_us = 0
-        self.total_requests = 0
 
     def _refill(self, now_us: int) -> None:
         if now_us > self._updated_us:
@@ -43,7 +42,6 @@ class TokenBucket:
 
     def acquire(self, now_us: int) -> int:
         """Reserve one token; returns the scheduled execution time."""
-        self.total_requests += 1
         self._refill(max(now_us, self._updated_us))
         if self._tokens >= 1.0:
             self._tokens -= 1.0

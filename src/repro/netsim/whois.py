@@ -94,7 +94,6 @@ class WhoisService:
         self.registrars = registrars
         self._records: dict[str, WhoisRecord] = {}
         self._unresponsive: set[str] = set()
-        self.query_count = 0
 
     def register(
         self,
@@ -117,7 +116,6 @@ class WhoisService:
 
     def query(self, domain: str) -> Optional[WhoisRecord]:
         """WHOIS lookup; None models a failed/timed-out query."""
-        self.query_count += 1
         domain = domain.lower()
         if domain in self._unresponsive:
             return None

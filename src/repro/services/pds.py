@@ -65,15 +65,16 @@ class Pds(XrpcService):
         from repro.atproto.repo import import_car
 
         snapshot = import_car(car, verify_key=keypair.public_key)
+        # Every record is decoded first: a bad CAR is refused with nothing written.
+        writes = []
+        for path, record in snapshot.list_records():
+            collection, _, rkey = path.partition("/")
+            writes.append(WriteOp("create", collection, rkey, record))
         if snapshot.did in self._repos:
             raise PdsError("account %s already exists on this PDS" % snapshot.did)
         repo = Repo(snapshot.did, keypair, clock_id=self._next_clock_id % 1024)
         self._next_clock_id += 1
         self._repos[snapshot.did] = repo
-        writes = []
-        for path, record in snapshot.list_records():
-            collection, _, rkey = path.partition("/")
-            writes.append(WriteOp("create", collection, rkey, record))
         if writes:
             meta = repo.apply_writes(writes, now_us)
             self._notify(snapshot.did, meta)

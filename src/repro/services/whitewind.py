@@ -36,22 +36,17 @@ class WhiteWindAppView(XrpcService):
     def __init__(self, url: str = "https://whtwnd.example"):
         self.url = url.rstrip("/")
         self._entries: dict[str, BlogEntryView] = {}
-        self.events_seen = 0
-        self.foreign_records_ignored = 0
 
     def attach(self, relay: Relay) -> None:
         relay.firehose.subscribe(self.consume_event)
 
     def consume_event(self, event: FirehoseEvent) -> None:
-        self.events_seen += 1
         if not isinstance(event, CommitEvent):
             return
         for op in event.ops:
-            uri = "at://%s/%s" % (event.did, op.path)
             if op.collection != WHTWND_ENTRY:
-                if op.action == "create":
-                    self.foreign_records_ignored += 1
                 continue
+            uri = "at://%s/%s" % (event.did, op.path)
             if op.action == "delete":
                 self._entries.pop(uri, None)
                 continue

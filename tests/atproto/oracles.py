@@ -10,6 +10,7 @@ import hashlib
 import hmac
 import math
 import struct
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.atproto.car import read_car
@@ -22,11 +23,30 @@ from repro.atproto.events import (
     IdentityEvent,
     InfoEvent,
 )
-from repro.atproto.lexicon import Field, LexiconError, RecordSchema
 from repro.atproto.mst import MAX_LAYER, Mst, MstError, MstNode, _node_entries, key_layer
-from repro.atproto.repo import COMMIT_VERSION, RepoError, RepoSnapshot, SignatureError
+from repro.atproto.lexicon import (
+    BLOCK,
+    FEED_GENERATOR,
+    FOLLOW,
+    LABELER_SERVICE,
+    LIKE,
+    POST,
+    PROFILE,
+    REPOST,
+    Field,
+    LexiconError,
+    RecordSchema,
+)
+from repro.atproto.repo import COMMIT_VERSION, RepoError, SignatureError
 from repro.atproto.nsid import Nsid
 from repro.atproto.tid import SORTABLE_ALPHABET, Tid
+from repro.core.collect.repos import (
+    FeedGenRow,
+    PostRow,
+    RepositoriesDataset,
+    SubjectRow,
+    parse_created_at_us,
+)
 
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 VALID_KEY_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._:~-/")
@@ -252,7 +272,7 @@ def oracle_check_field(schema: RecordSchema, spec: Field, value: Any) -> None:
         "string": lambda v: isinstance(v, str),
         "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
         "boolean": lambda v: isinstance(v, bool),
-        "bytes": lambda v: isinstance(v, bytes),
+        "bytes": lambda v: isinstance(v, bytes) and not isinstance(v, Cid),
         "cid": lambda v: isinstance(v, Cid),
         "dict": lambda v: isinstance(v, dict),
         "list": lambda v: isinstance(v, list),
@@ -417,7 +437,19 @@ def check_invariants(mst: Mst) -> None:
     visit(mst.root, None, None)
 
 
-def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
+@dataclass
+class OracleSnapshot:
+    """An imported repository with every record decoded: ``records`` and
+    ``record_cids`` map each path, in key order, to its record and CID."""
+
+    did: str
+    rev: str
+    commit_cid: Cid
+    records: dict = field(default_factory=dict)
+    record_cids: dict = field(default_factory=dict)
+
+
+def oracle_import_car(data: bytes, verify_key=None) -> OracleSnapshot:
     """A repo CAR import that builds the tree: :func:`read_car`, then
     :func:`oracle_load_mst`, :func:`check_invariants`, the tree's
     items in key order and one ``cbor_decode`` per record."""
@@ -436,14 +468,84 @@ def oracle_import_car(data: bytes, verify_key=None) -> RepoSnapshot:
     if verify_key is not None:
         sig = commit.get("sig")
         unsigned = {k: v for k, v in commit.items() if k != "sig"}
-        if not isinstance(sig, bytes) or not verify_key.verify(cbor_encode(unsigned), sig):
+        if type(sig) is not bytes or not verify_key.verify(cbor_encode(unsigned), sig):
             raise SignatureError("commit signature verification failed")
     mst = oracle_load_mst(blocks, commit["data"])
     check_invariants(mst)
-    snapshot = RepoSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
+    snapshot = OracleSnapshot(did=commit["did"], rev=commit["rev"], commit_cid=roots[0])
     for path, cid in mst.items():
         if cid not in blocks:
             raise RepoError("record block %s missing from CAR" % cid)
         snapshot.records[path] = cbor_decode(blocks[cid])
         snapshot.record_cids[path] = cid
     return snapshot
+
+
+# ---------------------------------------------------------------------------
+# Repositories dataset rows
+# ---------------------------------------------------------------------------
+
+
+def oracle_ingest(data: RepositoriesDataset, did: str, path: str, record: dict) -> None:
+    """One decoded record into its dataset row, read field by field with
+    ``dict.get``.  Fields are assumed to have their lexicon types."""
+    collection, _, rkey = path.partition("/")
+    created = record.get("createdAt", "")
+    created_us = parse_created_at_us(created)
+    if collection == POST:
+        year = int(created[:4]) if created[:4].isdigit() else 0
+        langs = record.get("langs") or []
+        data.posts.append(
+            PostRow(
+                did=did,
+                rkey=rkey,
+                created_us=created_us,
+                created_year=year,
+                lang=langs[0] if langs else None,
+                has_media="images" in (record.get("embed") or {}),
+            )
+        )
+    elif collection == LIKE:
+        subject = (record.get("subject") or {}).get("uri", "")
+        data.likes.append(SubjectRow(did, created_us, subject))
+    elif collection == FOLLOW:
+        data.follows.append(SubjectRow(did, created_us, record.get("subject", "")))
+    elif collection == REPOST:
+        subject = (record.get("subject") or {}).get("uri", "")
+        data.reposts.append(SubjectRow(did, created_us, subject))
+    elif collection == BLOCK:
+        data.blocks.append(SubjectRow(did, created_us, record.get("subject", "")))
+    elif collection == FEED_GENERATOR:
+        data.feed_generators.append(
+            FeedGenRow(
+                did=did,
+                rkey=rkey,
+                created_us=created_us,
+                service_did=record.get("did", ""),
+                display_name=record.get("displayName", ""),
+                description=record.get("description", ""),
+            )
+        )
+    elif collection == LABELER_SERVICE:
+        data.labeler_services.append((did, created_us))
+    elif collection == PROFILE:
+        data.profiles[did] = record.get("displayName", "")
+    else:
+        data.other_collections[collection] += 1
+
+
+def oracle_repositories(cars) -> RepositoriesDataset:
+    """The rows of ``(did, car)`` repositories through
+    :func:`oracle_import_car` and :func:`oracle_ingest`; a CAR the import
+    refuses adds no row."""
+    data = RepositoriesDataset()
+    for did, car in cars:
+        try:
+            snapshot = oracle_import_car(car)
+        except ValueError:
+            continue
+        data.repo_count += 1
+        for path, record in snapshot.records.items():
+            oracle_ingest(data, did, path, record)
+        data.records_per_repo[did] = len(snapshot.records)
+    return data

@@ -1,15 +1,18 @@
-"""Differential test: the one-pass repo CAR import against the tree-building oracle.
+"""Differential test: the one-pass repo CAR import, and the dataset rows
+read from it, against the tree-building oracle.
 
 Inputs are every repository CAR of the clean reference study
 (``tests/conftest.py``), plus seeded mutations of them.  A mutation
 rewrites, adds or drops blocks, and every block that links to a rewritten
 one is re-linked and re-hashed up to a new root commit, so the CAR still
 passes the digest check and the damage reaches the node reader, the tree
-walk or the record decoder.  On each input :func:`import_car` must give
-the snapshot of :func:`oracle_import_car` (records and record CIDs, in
-order) or raise the same exception class with the same message, and
-:meth:`IntegrityMonitor.verify_repo_car` must quarantine it under the same
-kind and detail.
+walk or the record decoder.  On each input :func:`import_car`, its records
+decoded in key order, must give the snapshot of :func:`oracle_import_car`
+(records and record CIDs, in order) or raise the same exception class with
+the same message, and :meth:`IntegrityMonitor.verify_repo_car` must
+quarantine it under the same kind and detail.  The Repositories dataset
+the crawl reads from a CAR, its records read in place where their layout
+allows, must equal the rows of :func:`oracle_repositories`.
 """
 
 import random
@@ -21,9 +24,11 @@ from repro.atproto.car import read_car, write_car
 from repro.atproto.cbor import CborError, cbor_decode, cbor_encode
 from repro.atproto.cid import Cid, cid_for_dag_cbor_bytes
 from repro.atproto.mst import MstError, _node_entries, _read_canonical_node, key_layer
-from repro.atproto.repo import RepoError, import_car
+from repro.atproto.lexicon import FOLLOW, LIKE, POST
+from repro.atproto.repo import RepoError, RepoSnapshot, import_car
+from repro.core.collect.repos import _LAYOUTS, RepositoriesCollector, _read_layout
 from repro.core.integrity import IntegrityMonitor
-from tests.atproto.oracles import oracle_import_car
+from tests.atproto.oracles import OracleSnapshot, oracle_import_car, oracle_repositories
 
 MUTATION_SEED = 25
 MUTATIONS = 1500
@@ -41,20 +46,36 @@ def repo_cars(study_world) -> list[tuple[bytes, object]]:
     return cars
 
 
+def decoded_records(snapshot) -> list:
+    """``(path, cid, record)`` for every record of a snapshot, in order;
+    the records of an :func:`import_car` snapshot decoded one by one."""
+    if isinstance(snapshot, OracleSnapshot):
+        cids = snapshot.record_cids
+        return [(path, cids[path], record) for path, record in snapshot.records.items()]
+    return [(path, cid, cbor_decode(block)) for path, cid, block in snapshot.records()]
+
+
 def outcome(importer, car: bytes, verify_key=None):
     """The snapshot as comparable data, or the exception's class and message."""
     try:
         snapshot = importer(car, verify_key=verify_key)
+        records = decoded_records(snapshot)
     except Exception as exc:  # the class and message are the result under comparison
         return ("error", type(exc), str(exc))
-    return (
-        "ok",
-        snapshot.did,
-        snapshot.rev,
-        snapshot.commit_cid,
-        repr(list(snapshot.records.items())),
-        list(snapshot.record_cids.items()),
-    )
+    return ("ok", snapshot.did, snapshot.rev, snapshot.commit_cid, repr(records))
+
+
+def oracle_as_snapshot(car: bytes, verify_key=None) -> RepoSnapshot:
+    """:func:`oracle_import_car` in the shape the monitor reads, each
+    decoded record encoded again as its block."""
+    oracle = oracle_import_car(car, verify_key)
+    cids = oracle.record_cids
+    blocks = {cids[path]: cbor_encode(record) for path, record in oracle.records.items()}
+    return RepoSnapshot(oracle.did, oracle.rev, oracle.commit_cid, list(cids.items()), blocks)
+
+
+def decode_record(path: str, block: bytes) -> None:
+    cbor_decode(block)
 
 
 def quarantine(monkeypatch, importer, car: bytes, did: str):
@@ -64,7 +85,9 @@ def quarantine(monkeypatch, importer, car: bytes, did: str):
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.integrity.import_car", importer)
         try:
-            admitted = monitor.verify_repo_car("https://pds.example", did, car)
+            admitted = monitor.verify_repo_car(
+                "https://pds.example", did, car, read_record=decode_record
+            )
         except Exception as exc:
             return ("raised", type(exc), str(exc))
     if admitted is not None:
@@ -373,7 +396,7 @@ def test_seeded_mutations_import_like_the_oracle(repo_cars, monkeypatch):
         expected = outcome(oracle_import_car, car)
         assert outcome(import_car, car) == expected, kind
         assert quarantine(monkeypatch, import_car, car, did) == quarantine(
-            monkeypatch, oracle_import_car, car, did
+            monkeypatch, oracle_as_snapshot, car, did
         ), kind
         errors[kind] += expected[0] == "error"
     # The generic node check ignores unknown keys and reads a missing
@@ -404,7 +427,7 @@ def test_mutation_reaches_its_check(repo_cars, kind):
             continue
         rewritten = repo.rewrite(*mutation)
         with pytest.raises(EXPECTED_ERRORS[kind]):
-            import_car(rewritten)
+            decoded_records(import_car(rewritten))
 
 
 def test_load_error_wins_over_invariant_error(repo_cars):
@@ -442,3 +465,113 @@ def test_tree_error_wins_over_record_error(repo_cars):
     with pytest.raises(MstError, match="out of order|out of range|wrong layer"):
         import_car(car)
     assert outcome(import_car, car) == outcome(oracle_import_car, car)
+
+
+# -- dataset rows -------------------------------------------------------------------
+
+
+def dataset_rows(data) -> tuple:
+    """Everything the Repositories dataset holds that its records make."""
+    return (
+        data.repo_count,
+        data.posts,
+        data.likes,
+        data.follows,
+        data.reposts,
+        data.blocks,
+        data.feed_generators,
+        data.labeler_services,
+        data.profiles,
+        data.other_collections,
+        data.records_per_repo,
+    )
+
+
+def crawl_rows(cars) -> tuple:
+    """The crawl's quarantines ``(kind, detail)`` and dataset rows for
+    ``(did, car)`` repositories."""
+    collector = RepositoriesCollector(None, "https://relay.example", integrity=IntegrityMonitor())
+    for did, car in cars:
+        collector._ingest_repo(did, car)
+    quarantined = [(q.kind, q.detail) for q in collector.integrity.report.quarantined]
+    return quarantined, dataset_rows(collector.dataset)
+
+
+def oracle_rows(monkeypatch, did: str, car: bytes) -> tuple:
+    """:func:`crawl_rows` of one repository, by the oracle."""
+    verdict = quarantine(monkeypatch, oracle_as_snapshot, car, did)
+    quarantined = [] if verdict == ("admitted",) else [verdict]
+    return quarantined, dataset_rows(oracle_repositories([(did, car)]))
+
+
+def test_every_clean_car_gives_the_oracle_rows(repo_cars):
+    cars = [(import_car(car).did, car) for car, _ in repo_cars]
+    quarantined, rows = crawl_rows(cars)
+    assert quarantined == []
+    assert rows == dataset_rows(oracle_repositories(cars))
+    assert rows[0] == len(cars) and len(rows[2]) > 1000
+
+
+def test_clean_records_take_their_layout(repo_cars):
+    """Nearly every record of a collection with layouts is read in
+    place; the rest are the shapes no layout covers."""
+    read, total = Counter(), Counter()
+    for car, _ in repo_cars:
+        for path, _, block in import_car(car).records():
+            collection = path.split("/")[0]
+            layouts = _LAYOUTS.get(collection, ())
+            total[collection] += bool(layouts)
+            read[collection] += any(_read_layout(block, layout) for layout in layouts)
+    assert sum(read.values()) > 0.95 * sum(total.values())
+
+
+def test_seeded_mutations_give_the_oracle_rows(repo_cars, monkeypatch):
+    """A mutated CAR is quarantined under the oracle's kind and detail
+    and adds no row, or is admitted with the oracle's rows."""
+    for kind, did, car in mutated_cars(repo_cars, MUTATION_SEED, MUTATIONS):
+        assert crawl_rows([(did, car)]) == oracle_rows(monkeypatch, did, car), kind
+
+
+LIKE_RECORD = {
+    "$type": LIKE,
+    "subject": {"uri": "at://did:plc:abcdefghijklmnopqrstuvwx/%s/3kabc" % POST, "cid": "feedgen"},
+    "createdAt": "2024-03-01T12:00:00.000Z",
+}
+LIKE_BLOCK = cbor_encode(LIKE_RECORD)
+URI = LIKE_RECORD["subject"]["uri"].encode()
+LIKE_CID_TEXT = b"\x67feedgen"
+LIKE_URI_TEXT = b"\x78" + bytes((len(URI),)) + URI
+
+OFF_LAYOUT_BLOCKS = {
+    "nonminimal-short-text-head": LIKE_BLOCK.replace(LIKE_CID_TEXT, b"\x78\x07feedgen"),
+    "nonminimal-text-head": LIKE_BLOCK.replace(LIKE_URI_TEXT, b"\x79\x00" + LIKE_URI_TEXT[1:]),
+    "keys-out-of-order": LIKE_BLOCK.replace(
+        b"\x63cid" + LIKE_CID_TEXT + b"\x63uri" + LIKE_URI_TEXT,
+        b"\x63uri" + LIKE_URI_TEXT + b"\x63cid" + LIKE_CID_TEXT,
+    ),
+    "trailing-byte": LIKE_BLOCK + b"\x00",
+    "non-utf8-uri": LIKE_BLOCK.replace(b"did:plc:", b"did:plc\xff"),
+    "extra-field": cbor_encode({**LIKE_RECORD, "via": "x"}),
+    "long-uri": cbor_encode({**LIKE_RECORD, "subject": {"uri": "at://" + "x" * 256, "cid": "c"}}),
+    "other-type": cbor_encode({**LIKE_RECORD, "$type": FOLLOW}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_LAYOUT_BLOCKS))
+def test_off_layout_block_takes_the_fallback(repo_cars, monkeypatch, name):
+    """A like block off its layout anywhere is read through
+    ``cbor_decode``, to the oracle's quarantine or rows."""
+    block = OFF_LAYOUT_BLOCKS[name]
+    assert LIKE_BLOCK != block
+    assert all(_read_layout(block, layout) is None for layout in _LAYOUTS[LIKE])
+    assert _read_layout(LIKE_BLOCK, _LAYOUTS[LIKE][0]) is not None
+    repo, cid = next(
+        (repo, cid)
+        for repo in map(ParsedCar, (car for car, _ in repo_cars))
+        for node in repo.nodes
+        for path, cid in repo.entries[node][0]
+        if path.startswith(LIKE + "/")
+    )
+    car = repo.rewrite({cid: block})
+    did = repo.commit["did"]
+    assert crawl_rows([(did, car)]) == oracle_rows(monkeypatch, did, car)

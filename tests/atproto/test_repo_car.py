@@ -149,8 +149,9 @@ class TestRepoCrud:
         meta = repo.create_record(POST, post_record("three"), now_us=3, rkey="three")
         car = repo.export_car()
         snapshot = import_car(car)
-        assert list(snapshot.records) == [POST + "/one"] + [op.path for op in meta.ops]
-        assert len(read_car(car)[1]) == 1 + len(repo.mst.blocks()) + len(snapshot.records)
+        paths = [path for path, _, _ in snapshot.records()]
+        assert paths == [POST + "/one"] + [op.path for op in meta.ops]
+        assert len(read_car(car)[1]) == 1 + len(repo.mst.blocks()) + len(paths)
 
     def test_batch_sees_its_own_earlier_writes(self):
         repo = make_repo()
@@ -164,7 +165,7 @@ class TestRepoCrud:
         assert [op.action for op in meta.ops] == ["create", "update", "create", "delete"]
         assert record_at(repo, POST, "a")["text"] == "2"
         assert record_at(repo, POST, "b") is None
-        assert list(import_car(repo.export_car()).records) == [POST + "/a"]
+        assert [path for path, _, _ in import_car(repo.export_car()).records()] == [POST + "/a"]
 
 
 class TestCommits:
@@ -248,7 +249,7 @@ class TestCarRoundTrip:
         snapshot = import_car(car)
         assert snapshot.did == repo.did
         assert snapshot.rev == repo.rev
-        assert len(dict(snapshot.list_records(POST))) == 25
+        assert len(dict(snapshot.list_records())) == 25
 
     def test_import_verifies_signature(self):
         repo = make_repo()
@@ -269,7 +270,7 @@ class TestCarRoundTrip:
         repo = make_repo(fast=False)
         repo.create_record(POST, post_record("signed for real"), now_us=1)
         snapshot = import_car(repo.export_car(), verify_key=repo.keypair.public_key)
-        assert list(snapshot.list_records(POST))[0][1]["text"] == "signed for real"
+        assert list(snapshot.list_records())[0][1]["text"] == "signed for real"
 
     def test_export_requires_commit(self):
         with pytest.raises(RepoError):
@@ -279,7 +280,7 @@ class TestCarRoundTrip:
         repo = make_repo()
         repo.create_record(POST, post_record("x"), now_us=1)
         snapshot = import_car(repo.export_car())
-        assert [path.split("/")[0] for path in snapshot.records] == [POST]
+        assert [path.split("/")[0] for path, _, _ in snapshot.records()] == [POST]
 
 
 class TestCarFormat:

@@ -74,7 +74,7 @@ def test_car_round_trip_matches_state(sequence):
     snapshot = import_car(repo.export_car(), verify_key=repo.keypair.public_key)
     restored = {
         path.split("/", 1)[1]: record["text"]
-        for path, record in snapshot.list_records(POST)
+        for path, record in snapshot.list_records()
     }
     assert restored == {rkey: "value %d" % value for rkey, value in model.items()}
     assert snapshot.rev == repo.rev

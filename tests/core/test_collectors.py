@@ -4,10 +4,23 @@ from collections import Counter
 
 import pytest
 
+from repro.atproto.car import write_car
+from repro.atproto.cbor import cbor_encode
+from repro.atproto.cid import cid_for_dag_cbor_bytes
 from repro.atproto.events import KIND_COMMIT
-from repro.atproto.keys import make_keypair
+from repro.atproto.keys import HmacKeypair, make_keypair
+from repro.atproto.lexicon import FEED_GENERATOR, FOLLOW, LIKE, POST, PROFILE
+from repro.atproto.mst import Mst
+from repro.atproto.repo import encode_commit
 from repro.core.collect.labelers import LabelerCollector
-from repro.core.integrity import KIND_LABEL_SIGNATURE, IntegrityMonitor
+from repro.core.collect.repos import (
+    FeedGenRow,
+    PostRow,
+    RepositoriesCollector,
+    SubjectRow,
+    parse_created_at_us,
+)
+from repro.core.integrity import KIND_CAR_MALFORMED, KIND_LABEL_SIGNATURE, IntegrityMonitor
 from repro.identity.did import LABELER_SERVICE_ID, DidDocument, ServiceEndpoint
 from repro.identity.plc import PlcDirectory
 from repro.identity.resolver import DidResolver, publish_did_web_document
@@ -251,3 +264,89 @@ def test_unparseable_labeler_key_quarantines_its_labels():
     assert collector.dataset.signature_failures == 2
     assert [q.kind for q in monitor.report.quarantined] == [KIND_LABEL_SIGNATURE] * 2
     assert collector._verify_keys == {did: False}
+
+
+SHAPE_DID = "did:plc:" + "s" * 24
+CREATED = "2024-03-01T12:00:00.000Z"
+CREATED_US = parse_created_at_us(CREATED)
+WRONG_SHAPES = {
+    "like-subject-string": (
+        LIKE,
+        {"$type": LIKE, "subject": "at://x", "createdAt": CREATED},
+        "likes",
+        [SubjectRow(SHAPE_DID, CREATED_US, "")],
+    ),
+    "like-uri-int": (
+        LIKE,
+        {"$type": LIKE, "subject": {"uri": 3, "cid": "c"}, "createdAt": CREATED},
+        "likes",
+        [SubjectRow(SHAPE_DID, CREATED_US, "")],
+    ),
+    "follow-created-int": (
+        FOLLOW,
+        {"$type": FOLLOW, "subject": "did:plc:x", "createdAt": 5},
+        "follows",
+        [SubjectRow(SHAPE_DID, None, "did:plc:x")],
+    ),
+    "post-langs-int": (
+        POST,
+        {"$type": POST, "text": "hi", "createdAt": CREATED, "langs": 5},
+        "posts",
+        [PostRow(SHAPE_DID, "r", CREATED_US, 2024, None, False)],
+    ),
+    "post-embed-list": (
+        POST,
+        {"$type": POST, "text": "hi", "createdAt": CREATED, "embed": ["images"]},
+        "posts",
+        [PostRow(SHAPE_DID, "r", CREATED_US, 2024, None, False)],
+    ),
+    "profile-name-int": (
+        PROFILE,
+        {"$type": PROFILE, "displayName": 7},
+        "profiles",
+        {SHAPE_DID: ""},
+    ),
+    "feedgen-fields-wrong": (
+        FEED_GENERATOR,
+        {"$type": FEED_GENERATOR, "did": 1, "displayName": [], "description": {}},
+        "feed_generators",
+        [FeedGenRow(SHAPE_DID, "r", None, "", "", "")],
+    ),
+}
+
+
+def _one_record_car(path: str, block: bytes) -> bytes:
+    """A signed, digest-valid repository CAR holding one record block."""
+    cid = cid_for_dag_cbor_bytes(block)
+    mst = Mst()
+    mst.set(path, cid)
+    keypair = HmacKeypair.from_seed(b"shapes")
+    _, commit = encode_commit(SHAPE_DID, "3kabcdefghi22", mst.root_cid(), keypair)
+    commit_cid = cid_for_dag_cbor_bytes(commit)
+    return write_car(commit_cid, [(commit_cid, commit), *mst.blocks().items(), (cid, block)])
+
+
+def _crawl_one(path: str, block: bytes) -> RepositoriesCollector:
+    collector = RepositoriesCollector(None, "https://relay.example", integrity=IntegrityMonitor())
+    collector._ingest_repo(SHAPE_DID, _one_record_car(path, block))
+    return collector
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES) + ["not-a-map"])
+def test_wrong_shaped_record_reads_as_absent(case):
+    """A record field of the wrong type reads as a missing one; a record
+    that is not a map quarantines its repository, and no row is added."""
+    if case == "not-a-map":
+        collector = _crawl_one(LIKE + "/r", cbor_encode(["not", "a", "map"]))
+        data = collector.dataset
+        (item,) = collector.integrity.report.quarantined
+        assert (item.kind, item.item) == (KIND_CAR_MALFORMED, SHAPE_DID)
+        assert LIKE + "/r" in item.detail
+        assert data.failed_dids == {SHAPE_DID} and data.repo_count == 0
+        assert data.likes == [] and data.records_per_repo == {}
+        return
+    collection, record, attribute, rows = WRONG_SHAPES[case]
+    collector = _crawl_one(collection + "/r", cbor_encode(record))
+    assert collector.integrity.report.quarantined == []
+    assert getattr(collector.dataset, attribute) == rows
+    assert collector.dataset.records_per_repo == {SHAPE_DID: 1}

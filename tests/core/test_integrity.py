@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from repro.atproto.cbor import cbor_decode
 from repro.netsim.faults import (
     ALL_CORRUPTION_KINDS,
     CORRUPT_FRAME,
@@ -320,7 +321,8 @@ class TestSchemaInvalidRepoBlocks:
 
         monitor = IntegrityMonitor(directory=None)
         car = _well_hashed_car(node, commit_data)
-        assert monitor.verify_repo_car("https://pds.example", REPO_DID, car) is None
+        verify = monitor.verify_repo_car
+        assert verify("https://pds.example", REPO_DID, car, read_record=decode_record) is None
         (item,) = monitor.report.quarantined
         assert (item.kind, item.item) == (kind, REPO_DID)
 
@@ -329,9 +331,15 @@ class TestSchemaInvalidRepoBlocks:
 
         monitor = IntegrityMonitor(directory=None)
         car = _well_hashed_car(lambda v: {"l": None, "e": [_entry(v)]})
-        snapshot = monitor.verify_repo_car("https://pds.example", REPO_DID, car)
+        verify = monitor.verify_repo_car
+        snapshot = verify("https://pds.example", REPO_DID, car, read_record=decode_record)
         assert snapshot is not None
-        assert list(snapshot.records) == [RECORD_PATH.decode()]
+        assert [path for path, _, _ in snapshot.records()] == [RECORD_PATH.decode()]
+
+
+def decode_record(path: str, block: bytes) -> None:
+    """A record reader for ``verify_repo_car`` that only decodes."""
+    cbor_decode(block)
 
 
 def _sections(car: bytes) -> tuple[int, list[tuple[int, int]]]:
@@ -353,7 +361,9 @@ def _verify(car: bytes, did: str = REPO_DID, verify_key=None):
     from repro.core.integrity import IntegrityMonitor
 
     monitor = IntegrityMonitor(directory=None)
-    snapshot = monitor.verify_repo_car("https://pds.example", did, car, verify_key=verify_key)
+    snapshot = monitor.verify_repo_car(
+        "https://pds.example", did, car, verify_key=verify_key, read_record=decode_record
+    )
     if snapshot is not None:
         return snapshot
     (item,) = monitor.report.quarantined
@@ -421,7 +431,7 @@ def test_every_cut_or_dropped_section_is_quarantined(study_world):
             key = pds.repo(did).keypair.public_key
             car = pds.xrpc_getRepo(did=did)
             full = _verify(car, did, key)
-            expected = (list(full.records.items()), list(full.record_cids.items()))
+            expected = list(full.records())
             header_end, spans = _sections(car)
             variants = [car[:end] for _start, end in spans[:-1]] + [car[:header_end]]
             variants += [car[:start] + car[end:] for start, end in spans]
@@ -430,8 +440,7 @@ def test_every_cut_or_dropped_section_is_quarantined(study_world):
                 if isinstance(result, tuple):
                     assert result[0] in ("car-malformed", "mst-invalid"), result
                 else:
-                    got = (list(result.records.items()), list(result.record_cids.items()))
-                    assert got == expected
+                    assert list(result.records()) == expected
                 checked += 1
     assert checked > 1000
 

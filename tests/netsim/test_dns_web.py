@@ -60,12 +60,6 @@ class TestDns:
         resolver = DnsResolver(DnsZone())
         assert resolver.try_lookup_txt("missing.example.com") is None
 
-    def test_query_counting(self):
-        resolver = DnsResolver(DnsZone())
-        resolver.try_lookup_txt("a.example.com")
-        resolver.try_lookup_txt("b.example.com")
-        assert resolver.query_count == 2
-
     def test_remove(self):
         zone = DnsZone()
         zone.add("x.example.com", DnsRecordType.TXT, "v")

@@ -128,12 +128,6 @@ class TestWhois:
         service, _ = self.make_service()
         assert service.query("unregistered.com") is None
 
-    def test_query_counter(self):
-        service, _ = self.make_service()
-        service.query("a.com")
-        service.query("b.com")
-        assert service.query_count == 2
-
 
 class TestTranco:
     def test_seed_domains_ranked(self):

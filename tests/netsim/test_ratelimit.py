@@ -40,10 +40,10 @@ class TestTokenBucket:
         assert bucket.acquire(later) == later
 
     def test_request_counter(self):
+        # Every request draws a token: seven at once leave at 1/rate steps.
         bucket = TokenBucket(rate_per_second=5.0)
-        for _ in range(7):
-            bucket.acquire(0)
-        assert bucket.total_requests == 7
+        times = [bucket.acquire(0) for _ in range(7)]
+        assert times == [k * US // 5 for k in range(7)]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

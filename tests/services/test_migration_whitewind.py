@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.atproto.events import CommitEvent
 from repro.atproto.keys import HmacKeypair
 from repro.atproto.lexicon import POST, WHTWND_ENTRY
 from repro.services.pds import Pds, PdsError
@@ -91,10 +92,12 @@ class TestWhiteWindAppView:
     def test_indexes_only_whitewind_records(self):
         pds, _, whitewind = self.make_stack()
         did, _ = make_account(pds, "blogger")
-        pds.create_record(did, WHTWND_ENTRY, self.entry("Hello", "# first"), NOW)
+        meta = pds.create_record(did, WHTWND_ENTRY, self.entry("Hello", "# first"), NOW)
         pds.create_record(did, POST, post("a bluesky post"), NOW + 1)
         assert [e["title"] for e in whitewind.xrpc_listEntries()["entries"]] == ["Hello"]
-        assert whitewind.foreign_records_ignored == 1
+        # The post is not indexed under its own URI either.
+        uris = [e["uri"] for e in whitewind.xrpc_listEntries(author=did)["entries"]]
+        assert uris == ["at://%s/%s" % (did, meta.ops[0].path)]
 
     def test_get_entry(self):
         pds, _, whitewind = self.make_stack()
@@ -137,7 +140,11 @@ class TestWhiteWindAppView:
         """In the simulated world, WhiteWind entries flow on the same
         firehose the Bluesky AppView consumes (Section 4)."""
         whitewind = WhiteWindAppView()
-        # Replay the retained firehose backlog.
-        for event in study_world.relay.firehose.events_since(0):
+        # Replay the retained firehose backlog: Bluesky records, none of
+        # which the WhiteWind index takes.
+        events = study_world.relay.firehose.events_since(0)
+        assert any(isinstance(event, CommitEvent) for event in events)
+        for event in events:
             whitewind.consume_event(event)
-        assert whitewind.events_seen > 0
+        entries = whitewind.xrpc_listEntries(limit=100_000)["entries"]
+        assert all(entry["uri"].split("/")[3] == WHTWND_ENTRY for entry in entries)
