@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Optional
 
+from repro.atproto.cid import Cid
 from repro.atproto.events import (
     INFO_OUTDATED_CURSOR,
     CommitEvent,
@@ -139,7 +140,7 @@ class Relay(XrpcService):
         # to repeat getRepo calls at an unchanged head.  Bounded (oldest
         # insertion evicted first — deterministic, no wall clock) and
         # explicitly invalidated by publish_commit / publish_tombstone.
-        self._car_cache: dict[str, tuple[str, bytes]] = {}
+        self._car_cache: dict[str, tuple[Cid, bytes]] = {}
         self.set_telemetry(Telemetry())
 
     def set_telemetry(self, telemetry) -> None:
@@ -260,7 +261,7 @@ class Relay(XrpcService):
             repo = self.cached_repo(did)
             if repo is None or repo.head is None:
                 raise XrpcError(404, "repo %s not mirrored" % did)
-            head = str(repo.head)
+            head = repo.head
             cached = self._car_cache.get(did)
             if cached is not None and cached[0] == head:
                 self._m_cache_hits.inc(("repo_car",))
