@@ -140,10 +140,10 @@ def _read_layout(block: bytes, layout: tuple) -> Optional[list]:
     return fields if pos + len(tail) == len(block) and block.endswith(tail) else None
 
 
-def _record_fields(path: str, block: bytes) -> Optional[list]:
-    """A record block's row fields (None for a collection without rows):
-    read in place in a layout, else through ``cbor_decode``."""
-    collection = path[: path.find("/")]
+def _record_fields(collection: str, path: str, block: bytes) -> Optional[list]:
+    """The row fields of the record block at ``path`` in ``collection``
+    (None for a collection without rows): read in place in a layout, else
+    through ``cbor_decode``."""
     for layout in _LAYOUTS.get(collection, ()):
         fields = _read_layout(block, layout)
         if fields is not None:
@@ -362,10 +362,11 @@ class RepositoriesCollector:
         data = self.dataset
         verify_key = self._signing_key_for(did)
         host = self.host_of(did) if self.host_of is not None else self.relay_url
-        records: list[tuple[str, Optional[list]]] = []
+        records: list[tuple[str, str, Optional[list]]] = []
 
         def read_record(path: str, block: bytes) -> None:
-            records.append((path, _record_fields(path, block)))
+            collection, _, rkey = path.partition("/")
+            records.append((collection, rkey, _record_fields(collection, path, block)))
 
         snapshot = self.integrity.verify_repo_car(
             host, did, car, verify_key=verify_key, read_record=read_record
@@ -381,8 +382,8 @@ class RepositoriesCollector:
         if verify_key is not None:
             data.verified_signatures += 1
         data.repo_count += 1
-        for path, fields in records:
-            self._ingest(did, path, fields)
+        for collection, rkey, fields in records:
+            self._ingest(did, collection, rkey, fields)
         data.records_per_repo[did] = len(records)
 
     def _signing_key_for(self, did: str):
@@ -398,9 +399,8 @@ class RepositoriesCollector:
         except ValueError:
             return None
 
-    def _ingest(self, did: str, path: str, fields: Optional[list]) -> None:
+    def _ingest(self, did: str, collection: str, rkey: str, fields: Optional[list]) -> None:
         """One record's row fields (see ``_record_fields``) into the dataset."""
-        collection, _, rkey = path.partition("/")
         data = self.dataset
         if fields is None:
             data.other_collections[collection] += 1
@@ -416,5 +416,5 @@ class RepositoriesCollector:
             data.feed_generators.append(FeedGenRow(did, rkey, created_us, *rest))
         elif collection == LABELER_SERVICE:
             data.labeler_services.append((did, created_us))
-        else:  # PROFILE, the last collection with fields
+        elif collection == PROFILE:
             data.profiles[did] = rest[0]

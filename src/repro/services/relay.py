@@ -136,7 +136,7 @@ class Relay(XrpcService):
         self._pdses: list[Pds] = []
         self._repo_locations: dict[str, Pds] = {}  # did -> hosting PDS
         self._tombstoned: set[str] = set()
-        # did -> (head cid string, CAR bytes): serialized exports served
+        # did -> (head Cid, CAR bytes): serialized exports served
         # to repeat getRepo calls at an unchanged head.  Bounded (oldest
         # insertion evicted first — deterministic, no wall clock) and
         # explicitly invalidated by publish_commit / publish_tombstone.

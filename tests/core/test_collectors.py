@@ -9,7 +9,8 @@ from repro.atproto.cbor import cbor_encode
 from repro.atproto.cid import cid_for_dag_cbor_bytes
 from repro.atproto.events import KIND_COMMIT
 from repro.atproto.keys import HmacKeypair, make_keypair
-from repro.atproto.lexicon import FEED_GENERATOR, FOLLOW, LIKE, POST, PROFILE
+from repro.atproto import mst as mst_module
+from repro.atproto.lexicon import FEED_GENERATOR, FOLLOW, LABELER_SERVICE, LIKE, POST, PROFILE
 from repro.atproto.mst import Mst
 from repro.atproto.repo import encode_commit
 from repro.core.collect.labelers import LabelerCollector
@@ -350,3 +351,23 @@ def test_wrong_shaped_record_reads_as_absent(case):
     assert collector.integrity.report.quarantined == []
     assert getattr(collector.dataset, attribute) == rows
     assert collector.dataset.records_per_repo == {SHAPE_DID: 1}
+
+
+SLASHLESS_KEYS = {
+    LABELER_SERVICE + "s": {"$type": LABELER_SERVICE, "createdAt": CREATED},
+    LIKE + "X": {"$type": LIKE, "subject": {"uri": "at://x", "cid": "c"}, "createdAt": CREATED},
+    POST + "X": {"$type": POST, "text": "hi", "createdAt": CREATED, "langs": ["en"]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(SLASHLESS_KEYS))
+def test_key_without_slash_counts_as_other_collection(key, monkeypatch):
+    """A repository key without a '/' names a collection of its own, even
+    when a known collection's name is a prefix of it: the record is
+    counted, not read into another collection's rows."""
+    monkeypatch.setattr(mst_module, "is_valid_mst_key", lambda key: True)  # only writes check keys
+    data = _crawl_one(key, cbor_encode(SLASHLESS_KEYS[key])).dataset
+    assert data.other_collections == Counter({key: 1})
+    assert data.records_per_repo == {SHAPE_DID: 1}
+    rows = (data.posts, data.likes, data.labeler_services, data.profiles)
+    assert not any(rows)
