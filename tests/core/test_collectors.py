@@ -272,46 +272,66 @@ CREATED = "2024-03-01T12:00:00.000Z"
 CREATED_US = parse_created_at_us(CREATED)
 WRONG_SHAPES = {
     "like-subject-string": (
-        LIKE,
+        LIKE + "/r",
         {"$type": LIKE, "subject": "at://x", "createdAt": CREATED},
         "likes",
         [SubjectRow(SHAPE_DID, CREATED_US, "")],
     ),
     "like-uri-int": (
-        LIKE,
+        LIKE + "/r",
         {"$type": LIKE, "subject": {"uri": 3, "cid": "c"}, "createdAt": CREATED},
         "likes",
         [SubjectRow(SHAPE_DID, CREATED_US, "")],
     ),
     "follow-created-int": (
-        FOLLOW,
+        FOLLOW + "/r",
         {"$type": FOLLOW, "subject": "did:plc:x", "createdAt": 5},
         "follows",
         [SubjectRow(SHAPE_DID, None, "did:plc:x")],
     ),
     "post-langs-int": (
-        POST,
+        POST + "/r",
         {"$type": POST, "text": "hi", "createdAt": CREATED, "langs": 5},
         "posts",
         [PostRow(SHAPE_DID, "r", CREATED_US, 2024, None, False)],
     ),
     "post-embed-list": (
-        POST,
+        POST + "/r",
         {"$type": POST, "text": "hi", "createdAt": CREATED, "embed": ["images"]},
         "posts",
         [PostRow(SHAPE_DID, "r", CREATED_US, 2024, None, False)],
     ),
     "profile-name-int": (
-        PROFILE,
+        PROFILE + "/r",
         {"$type": PROFILE, "displayName": 7},
         "profiles",
         {SHAPE_DID: ""},
     ),
     "feedgen-fields-wrong": (
-        FEED_GENERATOR,
+        FEED_GENERATOR + "/r",
         {"$type": FEED_GENERATOR, "did": 1, "displayName": [], "description": {}},
         "feed_generators",
         [FeedGenRow(SHAPE_DID, "r", None, "", "", "")],
+    ),
+    # Only writes check MST keys: a key without a '/' is a collection of
+    # its own, even when a known collection's name is a prefix of it.
+    "key-labeler-services": (
+        LABELER_SERVICE + "s",
+        {"$type": LABELER_SERVICE, "createdAt": CREATED},
+        "other_collections",
+        {LABELER_SERVICE + "s": 1},
+    ),
+    "key-likeX": (
+        LIKE + "X",
+        {"$type": LIKE, "subject": {"uri": "at://x", "cid": "c"}, "createdAt": CREATED},
+        "other_collections",
+        {LIKE + "X": 1},
+    ),
+    "key-postX": (
+        POST + "X",
+        {"$type": POST, "text": "hi", "createdAt": CREATED, "langs": ["en"]},
+        "other_collections",
+        {POST + "X": 1},
     ),
 }
 
@@ -334,7 +354,7 @@ def _crawl_one(path: str, block: bytes) -> RepositoriesCollector:
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_SHAPES) + ["not-a-map"])
-def test_wrong_shaped_record_reads_as_absent(case):
+def test_wrong_shaped_record_reads_as_absent(case, monkeypatch):
     """A record field of the wrong type reads as a missing one; a record
     that is not a map quarantines its repository, and no row is added."""
     if case == "not-a-map":
@@ -346,28 +366,10 @@ def test_wrong_shaped_record_reads_as_absent(case):
         assert data.failed_dids == {SHAPE_DID} and data.repo_count == 0
         assert data.likes == [] and data.records_per_repo == {}
         return
-    collection, record, attribute, rows = WRONG_SHAPES[case]
-    collector = _crawl_one(collection + "/r", cbor_encode(record))
+    path, record, attribute, rows = WRONG_SHAPES[case]
+    monkeypatch.setattr(mst_module, "is_valid_mst_key", lambda key: True)
+    collector = _crawl_one(path, cbor_encode(record))
     assert collector.integrity.report.quarantined == []
     assert getattr(collector.dataset, attribute) == rows
     assert collector.dataset.records_per_repo == {SHAPE_DID: 1}
 
-
-SLASHLESS_KEYS = {
-    LABELER_SERVICE + "s": {"$type": LABELER_SERVICE, "createdAt": CREATED},
-    LIKE + "X": {"$type": LIKE, "subject": {"uri": "at://x", "cid": "c"}, "createdAt": CREATED},
-    POST + "X": {"$type": POST, "text": "hi", "createdAt": CREATED, "langs": ["en"]},
-}
-
-
-@pytest.mark.parametrize("key", sorted(SLASHLESS_KEYS))
-def test_key_without_slash_counts_as_other_collection(key, monkeypatch):
-    """A repository key without a '/' names a collection of its own, even
-    when a known collection's name is a prefix of it: the record is
-    counted, not read into another collection's rows."""
-    monkeypatch.setattr(mst_module, "is_valid_mst_key", lambda key: True)  # only writes check keys
-    data = _crawl_one(key, cbor_encode(SLASHLESS_KEYS[key])).dataset
-    assert data.other_collections == Counter({key: 1})
-    assert data.records_per_repo == {SHAPE_DID: 1}
-    rows = (data.posts, data.likes, data.labeler_services, data.profiles)
-    assert not any(rows)
